@@ -116,6 +116,7 @@ class PartitionReport:
     clause4: tuple[bool, dict]
     ok: bool
     sampled_classes: tuple[int, ...] = ()
+    verdicts: tuple[ExpansionVerdict, ...] = ()   # per class, in class order
 
     def to_json_dict(self) -> dict:
         return {
@@ -291,7 +292,8 @@ def decompose(g: Digraph, p: DecompositionParams,
     found cuts are cleaned (falling back to the raw cut when the cleaning
     hypotheses fail at this scale, with the failure logged) and split in
     place, keeping both halves adjacent in the order. Classes certify as
-    expanders exactly below exact_threshold and by sampling above it.
+    expanders exactly below exact_threshold and by sampling above it; the
+    verdicts are those of the closing verify_partition report.
     """
     n = g.n
     profile = degree_profile(g)
@@ -371,17 +373,9 @@ def decompose(g: Digraph, p: DecompositionParams,
             frozen[idx:idx + 1] = [False, False]
             idx += 2
 
-    params_exp = ExpansionParams(p.nu, p.tau, mode="auto")
-    verdicts = []
-    for mask in classes:
-        sub, _ = induced(g, mask)
-        mode = "exact" if sub.n <= p.exact_threshold else "sampled"
-        verdicts.append(certify_expander(sub, replace(params_exp, mode=mode)))
-
-    sp = StructurePartition(n, tuple(classes), tuple(verdicts), p,
-                            tuple(audit), tuple(flags))
+    sp = StructurePartition(n, tuple(classes), (), p, tuple(audit), tuple(flags))
     report = verify_partition(g, sp, p)
-    return replace(sp, report=report)
+    return replace(sp, verdicts=report.verdicts, report=report)
 
 
 def verify_partition(g: Digraph, sp: StructurePartition,
@@ -415,6 +409,7 @@ def verify_partition(g: Digraph, sp: StructurePartition,
     c2_details = []
     c2_ok = True
     sampled = []
+    verdicts = []
     for i, m in enumerate(sp.classes):
         sub, _ = induced(g, m)
         size = sub.n
@@ -423,6 +418,7 @@ def verify_partition(g: Digraph, sp: StructurePartition,
         deg_ok = mind >= dbound - _EPS
         mode = "exact" if size <= p.exact_threshold else "sampled"
         verdict = certify_expander(sub, ExpansionParams(p.nu, p.tau, mode=mode))
+        verdicts.append(verdict)
         exp_ok = verdict.outcome == "expander" or (
             mode == "sampled" and verdict.outcome == "inconclusive")
         if mode == "sampled":
@@ -434,8 +430,12 @@ def verify_partition(g: Digraph, sp: StructurePartition,
 
     c3_details = []
     c3_ok = True
+    c4_detail: dict = {}
+    c4_ok = True
     if t >= 2:
         bound = n * n / (p.k + 1) ** 2
+        total_fwd = 0
+        total_prod = 0
         for i in range(t):
             for j in range(i + 1, t):
                 fwd, bwd, _ = cross_counts(g, sp.classes[i], sp.classes[j])
@@ -443,15 +443,6 @@ def verify_partition(g: Digraph, sp: StructurePartition,
                 c3_details.append({"i": i, "j": j, "backward_edges": bwd,
                                    "bound": bound, "ok": ok})
                 c3_ok = c3_ok and ok
-
-    c4_detail: dict = {}
-    c4_ok = True
-    if t >= 2:
-        total_fwd = 0
-        total_prod = 0
-        for i in range(t):
-            for j in range(i + 1, t):
-                fwd, _, _ = cross_counts(g, sp.classes[i], sp.classes[j])
                 total_fwd += fwd
                 total_prod += sp.classes[i].bit_count() * sp.classes[j].bit_count()
         cap = p.alpha * total_prod
@@ -461,7 +452,7 @@ def verify_partition(g: Digraph, sp: StructurePartition,
     ok = c1_ok and c2_ok and c3_ok and c4_ok
     return PartitionReport((c1_ok, c1_details), (c2_ok, c2_details),
                            (c3_ok, c3_details), (c4_ok, c4_detail), ok,
-                           tuple(sampled))
+                           tuple(sampled), tuple(verdicts))
 
 
 def reverse_for_embedding(sp: StructurePartition) -> StructurePartition:

@@ -365,7 +365,11 @@ def _check_plan(plan: EmbedPlan, sizes: list[int]) -> list[Stretch]:
 
 def _fill_stretches(g: Digraph, c2: CyclePattern, plan: EmbedPlan,
                     pools: list[int], params: EmbedParams) -> tuple[tuple[int, ...] | None, str]:
-    """Fill every stretch by exact in-class path search with pinned ends."""
+    """Fill every stretch by exact in-class path search with pinned ends.
+
+    A stretch that must span its whole remaining pool is beyond the exact
+    search above SPANNING_CAP vertices; that is reported as a capability
+    failure of this plan rather than raised."""
     n = c2.n
     o = c2.orientation
     mapping: list[int | None] = [None] * n
@@ -394,6 +398,8 @@ def _fill_stretches(g: Digraph, c2: CyclePattern, plan: EmbedPlan,
                               f"{allowed.bit_count()} != stretch {s.length}")
             if allowed.bit_count() < s.length:
                 return None, f"fill:class{cls}: pool too small for stretch"
+            if allowed.bit_count() == s.length > SPANNING_CAP:
+                return None, f"fill:class{cls}:capability"
             res = exact_embed(g, pattern,
                               pins={0: vstart, pattern.length - 1: vend},
                               allowed=allowed, deadline=params.fill_deadline)

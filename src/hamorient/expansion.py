@@ -5,12 +5,20 @@ digraph has an alpha-sparse cut (few edges forward across an ordered
 bipartition) or every moderately sized vertex set S has a large robust
 out-neighborhood (vertices receiving at least ceil(nu*n) edges from S).
 
-Exact certification enumerates all 2^n subsets, which stays affordable up
-to n = 24 by splitting each subset into two halves and batch-evaluating
-one half against precomputed popcount tables (numpy). Above the cap both
-directions degrade honestly: sampled certification can only return a
-violator or "inconclusive", and cut search becomes seeded local search
-whose empty result is flagged non-exhaustive.
+Exact certification and exact cut search enumerate all 2^n subsets, which
+stays affordable up to n = 24: each subset splits into a low half (the
+first ceil(n/2) vertices) and a high half, per-half tables are built once,
+and a block of consecutive high halves is evaluated against every low half
+at once with integer numpy kernels. The cut sweep adds per-half
+"out-degree minus internal edges" sums and subtracts the half-to-half edge
+counts, whose rows within a block follow by doubling; the expander sweep
+assembles each robust out-neighbourhood as a union of ANDs of per-half
+vertex masks (L_k: at least k in-neighbours in the low half, H_k: in the
+high half). Both report exactly what a set-by-set sweep in ascending mask
+order would. Above the cap both directions degrade honestly: sampled
+certification can only return a violator or "inconclusive", and cut
+search becomes seeded local search whose empty result is flagged
+non-exhaustive.
 """
 
 from __future__ import annotations
@@ -44,6 +52,29 @@ def _pop16():
 def _popcount_u32(a: np.ndarray) -> np.ndarray:
     p = _pop16()
     return p[a & 0xFFFF] + p[a >> 16]
+
+
+# Each step of the exact sweeps handles 2**_BLOCK_BITS consecutive high
+# halves at once. Larger blocks cut interpreter overhead but not numpy
+# work; at n = 24 this size keeps each sweep's peak allocation under 1 MiB.
+_BLOCK_BITS = 3
+
+
+def _half_counts(masks: list[int], bits: int, dtype=np.uint8) -> np.ndarray:
+    """Row v: popcount(s & masks[v]) for every subset s of a half."""
+    subs = np.arange(1 << bits, dtype=np.uint32)
+    tab = np.empty((len(masks), 1 << bits), dtype=dtype)
+    for v, m in enumerate(masks):
+        tab[v] = _popcount_u32(subs & m)
+    return tab
+
+
+def _at_least(tab: np.ndarray, k: int) -> np.ndarray:
+    """Vertex mask, per column s, of the rows v with tab[v][s] >= k."""
+    out = np.zeros(tab.shape[1], dtype=np.uint32)
+    for v, row in enumerate(tab):
+        out |= (row >= k).astype(np.uint32) << np.uint32(v)
+    return out
 
 
 def robust_out_neighborhood(g: Digraph, s: int, nu: float) -> int:
@@ -110,6 +141,18 @@ def _size_bounds(n: int, tau: float) -> tuple[int, int]:
 
 
 def _exact_expander_sweep(g: Digraph, nu: float, tau: float) -> ExpansionVerdict:
+    """Sweep every S with lo <= |S| <= hi in ascending mask order.
+
+    S splits into a low half s_lo (the first ceil(n/2) vertices) and a
+    high half s_hi. Vertex v has at least thr in-neighbours in S exactly
+    when tab_lo[v][s_lo] >= k and tab_hi[v][s_hi] >= thr - k for some k,
+    so RN(S) is the union over k of L_k[s_lo] & H_(thr-k)[s_hi], where
+    L_k and H_k are uint32 vertex masks. A block of consecutive high
+    halves is evaluated at once; popcounts are taken only where RN(S) is
+    not all of V or |S| > n - thr, since elsewhere S cannot violate. The
+    first violator in mask order is reported, and checked_sets counts the
+    eligible sets up to and including the violator's high half.
+    """
     n = g.n
     thr = max(1, int_ceil(nu * n))
     lo, hi = _size_bounds(n, tau)
@@ -118,36 +161,51 @@ def _exact_expander_sweep(g: Digraph, nu: float, tau: float) -> ExpansionVerdict
     n1 = (n + 1) // 2
     n2 = n - n1
     lo_mask = (1 << n1) - 1
-    subs_lo = np.arange(1 << n1, dtype=np.uint32)
-    pc_lo_size = _popcount_u32(subs_lo).astype(np.int16)
-    # per-vertex popcount tables against each half of the candidate set
-    in_lo = np.array([a & lo_mask for a in g.in_adj], dtype=np.uint32)
-    in_hi = np.array([a >> n1 for a in g.in_adj], dtype=np.uint32)
-    tab_lo = np.empty((n, 1 << n1), dtype=np.uint8)
-    for v in range(n):
-        tab_lo[v] = _popcount_u32(subs_lo & in_lo[v])
-    subs_hi = np.arange(1 << n2, dtype=np.uint32)
-    tab_hi = np.empty((n, 1 << n2), dtype=np.uint8)
-    for v in range(n):
-        tab_hi[v] = _popcount_u32(subs_hi & in_hi[v])
-    pc_hi_size = _popcount_u32(subs_hi).astype(np.int16)
+    tab_lo = _half_counts([a & lo_mask for a in g.in_adj], n1)
+    tab_hi = _half_counts([a >> n1 for a in g.in_adj], n2)
+    # L_0 and H_0 are all of V, so the terms k = thr and k = 0 are L_thr
+    # and H_thr; the terms in between need both halves.
+    l_thr = _at_least(tab_lo, thr)
+    h_thr = _at_least(tab_hi, thr)[:, None]
+    mids = [(_at_least(tab_lo, k), _at_least(tab_hi, thr - k)[:, None])
+            for k in range(max(1, thr - n2), min(thr - 1, n1) + 1)]
+    del tab_lo, tab_hi
+    full = np.uint32((1 << n) - 1)
 
+    pc_lo = _popcount_u32(np.arange(1 << n1, dtype=np.uint32)).astype(np.int16)
+    pc_hi = _popcount_u32(np.arange(1 << n2, dtype=np.uint32)).astype(np.int16)
+    # row c: which s_lo give an eligible |S| when |s_hi| = c, and how many
+    hi_size = np.arange(n2 + 1, dtype=np.int16)[:, None]
+    elig = (pc_lo >= lo - hi_size) & (pc_lo <= hi - hi_size)
+    elig_count = elig.sum(axis=1)
+
+    blk = 1 << min(_BLOCK_BITS, n2)
+    rn = np.empty((blk, 1 << n1), dtype=np.uint32)
     checked = 0
-    for s_hi in range(1 << n2):
-        sizes = pc_lo_size + pc_hi_size[s_hi]
-        elig = (sizes >= lo) & (sizes <= hi)
-        if not elig.any():
-            continue
-        cnt = tab_lo + tab_hi[:, s_hi][:, None]
-        rn = (cnt >= thr).sum(axis=0, dtype=np.int16)
-        bad = elig & (rn < sizes + thr)
-        checked += int(elig.sum())
-        if bad.any():
-            s_lo = int(np.flatnonzero(bad)[0])
-            s = (s_hi << n1) | s_lo
-            return ExpansionVerdict(
-                "violator", "exact", nu, tau, checked,
-                violator=s, rn_size=int(rn[s_lo]), set_size=int(sizes[s_lo]))
+    for b0 in range(0, 1 << n2, blk):
+        c = pc_hi[b0:b0 + blk]
+        np.bitwise_or(l_thr, h_thr[b0:b0 + blk], out=rn)
+        for l_k, h_k in mids:
+            rn |= l_k & h_k[b0:b0 + blk]
+        # S with RN(S) = V can violate only if |S| > n - thr
+        cand = rn != full
+        cand |= pc_lo > n - thr - c[:, None]
+        cand &= elig[c]
+        cand = np.flatnonzero(cand)
+        if cand.size:
+            r, s_lo = np.divmod(cand, 1 << n1)
+            set_size = pc_lo[s_lo] + c[r]
+            rn_size = _popcount_u32(rn.ravel()[cand]).astype(np.int16)
+            bad = rn_size < set_size + thr
+            if bad.any():
+                j = int(np.argmax(bad))
+                row = b0 + int(r[j])
+                checked += int(elig_count[c[:r[j] + 1]].sum())
+                return ExpansionVerdict(
+                    "violator", "exact", nu, tau, checked,
+                    violator=(row << n1) | int(s_lo[j]),
+                    rn_size=int(rn_size[j]), set_size=int(set_size[j]))
+        checked += int(elig_count[c].sum())
     return ExpansionVerdict("expander", "exact", nu, tau, checked)
 
 
@@ -253,67 +311,83 @@ def _cut_ratio(e_fwd: int, s1: int, s2: int) -> float:
     return e_fwd / (s1 * s2)
 
 
+def _half_sums(outdeg: list[int], out_adj: list[int], in_adj: list[int]) -> np.ndarray:
+    """f[s] = out-degree sum over s minus the edges inside s, for every
+    subset s of one half, by doubling over the half's bits (the adjacency
+    masks are shifted so that bit j is the half's vertex j)."""
+    f = np.zeros(1 << len(outdeg), dtype=np.int16)
+    for j, d in enumerate(outdeg):
+        subs = np.arange(1 << j, dtype=np.uint32)
+        touch = (_popcount_u32(subs & out_adj[j]).astype(np.int16)
+                 + _popcount_u32(subs & in_adj[j]))
+        f[1 << j:2 << j] = f[:1 << j] + (d - touch)
+    return f
+
+
 def _exact_cut_sweep(g: Digraph) -> tuple[int, int, float]:
     """Minimum-ratio cut over all 2^n - 2 ordered bipartitions.
 
-    Returns (mask of X1, e_forward, ratio), smallest mask on ties. Uses
-    e+(X, V\\X) = sum of out-degrees over X minus internal edges of X; the
-    internal count splits into four half-vs-half popcount terms that batch
-    over the low half.
+    Returns (mask of X1, e_forward, ratio), smallest mask on ties. With X1
+    split into a low half s_lo and a high half s_hi,
+    e+(X1, V\\X1) = f_lo[s_lo] + f_hi[s_hi] - X[s_hi, s_lo], where f_half
+    is out-degree sum minus internal edges and X[s_hi, s_lo] sums, over w
+    in s_hi, the edges T_w[s_lo] between w and s_lo in either direction.
+    A block of consecutive high halves is evaluated at once: its first row
+    of X sums T_w over the block's fixed high bits, and the other rows
+    follow by doubling, rows[2^j:2^(j+1)] = rows[:2^j] + T_j. The best
+    ratio is replaced only on strict improvement, block by block.
     """
     n = g.n
     n1 = (n + 1) // 2
     n2 = n - n1
     lo_mask = (1 << n1) - 1
-    subs_lo = np.arange(1 << n1, dtype=np.uint32)
-    pc_lo_size = _popcount_u32(subs_lo).astype(np.int32)
-    bit_lo = ((subs_lo[:, None] >> np.arange(n1)[None, :]) & 1).astype(np.uint8)
+    outdeg = [a.bit_count() for a in g.out_adj]
+    out_lo = [a & lo_mask for a in g.out_adj]
+    in_lo = [a & lo_mask for a in g.in_adj]
+    f_lo = _half_sums(outdeg[:n1], out_lo, in_lo)
+    f_hi = _half_sums(outdeg[n1:], [a >> n1 for a in g.out_adj[n1:]],
+                      [a >> n1 for a in g.in_adj[n1:]])
+    # T_w for w in the high half
+    cross = _half_counts(out_lo[n1:], n1, np.int16)
+    cross += _half_counts(in_lo[n1:], n1)
+    pc_lo = _popcount_u32(np.arange(1 << n1, dtype=np.uint32)).astype(np.intp)
+    pc_hi = _popcount_u32(np.arange(1 << n2, dtype=np.uint32)).astype(np.intp)
+    # row c: |X1|*|X2| for every s_lo when |s_hi| = c; the empty and the
+    # full set get 1 here and are masked out below
+    prod = np.array([k * (n - k) or 1 for k in range(n + 1)], dtype=np.float64)
+    denom = np.empty((n2 + 1, 1 << n1))
+    for c in range(n2 + 1):
+        denom[c] = prod[pc_lo + c]
 
-    out_lo = np.array([a & lo_mask for a in g.out_adj], dtype=np.uint32)
-    out_hi = np.array([a >> n1 for a in g.out_adj], dtype=np.uint32)
-    outdeg = np.array([a.bit_count() for a in g.out_adj], dtype=np.int32)
-
-    # A[s_lo] = sum over u in s_lo of |out(u) & s_lo| for u in the low half
-    tab_ll = np.empty((n1, 1 << n1), dtype=np.uint8)
-    for u in range(n1):
-        tab_ll[u] = _popcount_u32(subs_lo & out_lo[u])
-    a_term = (bit_lo.astype(np.int32) * tab_ll.T.astype(np.int32)).sum(axis=1)
-    od_lo = bit_lo.astype(np.int32) @ outdeg[:n1]
-
-    subs_hi = np.arange(1 << n2, dtype=np.uint32)
-    pc_hi_size = _popcount_u32(subs_hi).astype(np.int32)
-    # cross table: low-half u against high-half subset
-    tab_lh = np.empty((n1, 1 << n2), dtype=np.uint8)
-    for u in range(n1):
-        tab_lh[u] = _popcount_u32(subs_hi & out_hi[u])
-    # high-half u against low-half subset
-    tab_hl = np.empty((n2, 1 << n1), dtype=np.int32)
-    for i in range(n2):
-        tab_hl[i] = _popcount_u32(subs_lo & out_lo[n1 + i])
-
+    # int16 holds every count: at n = 24, f_half <= 12*23 and X <= 2*12*12
+    bb = min(_BLOCK_BITS, n2)
+    blk = 1 << bb
+    rows = np.empty((blk, 1 << n1), dtype=np.int16)
+    ratio = np.empty((blk, 1 << n1))
     best_ratio = np.inf
     best_mask = 0
     best_e = 0
-    bit_lo_i32 = bit_lo.astype(np.int32)
-    for s_hi in range(1 << n2):
-        sizes = pc_lo_size + pc_hi_size[s_hi]
-        denom = sizes * (n - sizes)
-        valid = denom > 0
-        if not valid.any():
-            continue
-        hi_bits = [i for i in range(n2) if s_hi >> i & 1]
-        b_term = sum(int((out_hi[n1 + i] & s_hi).bit_count()) for i in hi_bits)
-        e_in = a_term + b_term + bit_lo_i32 @ tab_lh[:, s_hi].astype(np.int32)
-        if hi_bits:
-            e_in = e_in + tab_hl[hi_bits].sum(axis=0)
-        od = od_lo + int(outdeg[n1:][np.array(hi_bits, dtype=np.intp)].sum()) if hi_bits else od_lo
-        e_fwd = od - e_in
-        ratio = np.where(valid, e_fwd / np.maximum(denom, 1), np.inf)
+    for b0 in range(0, 1 << n2, blk):
+        rows[0] = 0
+        for w in bits_of(b0):
+            rows[0] += cross[w]
+        for j in range(bb):
+            np.add(rows[:1 << j], cross[j], out=rows[1 << j:2 << j])
+        np.subtract(f_hi[b0:b0 + blk, None], rows, out=rows)
+        rows += f_lo
+        # ratio holds |X1|*|X2| until the division
+        np.take(denom, pc_hi[b0:b0 + blk], axis=0, out=ratio, mode="clip")
+        np.divide(rows, ratio, out=ratio)
+        if b0 == 0:
+            ratio[0, 0] = np.inf
+        if b0 + blk == 1 << n2:
+            ratio[-1, -1] = np.inf
         i = int(np.argmin(ratio))
-        if ratio[i] < best_ratio - 1e-15:
-            best_ratio = float(ratio[i])
-            best_mask = (s_hi << n1) | int(subs_lo[i])
-            best_e = int(e_fwd[i])
+        r, s_lo = divmod(i, 1 << n1)
+        if ratio[r, s_lo] < best_ratio - 1e-15:
+            best_ratio = float(ratio[r, s_lo])
+            best_mask = ((b0 + r) << n1) | s_lo
+            best_e = int(rows[r, s_lo])
     return best_mask, best_e, best_ratio
 
 

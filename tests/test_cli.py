@@ -132,6 +132,20 @@ def test_embed_oracle_mode(tmp_path):
     assert data["method"] == "oracle" and data["checker"]["valid"] is True
 
 
+def test_embed_beyond_spanning_cap_exits_failed(tmp_path):
+    graph = tmp_path / "b200.edges"
+    assert main(["generate", "--family", "blowup", "--sizes", "100,100",
+                 "--intra", "0.95", "--noise", "0.001", "--seed", "7",
+                 "--out", str(graph)]) == 0
+    out = tmp_path / "anti.json"
+    rc = main(["embed", "--input", str(graph), "--pattern", "antidirected",
+               "--out", str(out)])
+    assert rc == 1
+    data = json.loads(out.read_text())
+    assert data["status"] == "failed" and data["failure_step"]
+    assert any(f.endswith(":capability") for f in data["audit"]["failures"])
+
+
 def test_embed_pattern_length_mismatch(workdir):
     assert main(["embed", "--input", str(workdir / "graph.edges"),
                  "--pattern", "+-"]) == 2

@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from hamorient import (CutCertificate, DecompositionParams, HypothesisError,
-                       InputError, PreconditionError, StructurePartition,
-                       clean_cut, decompose, fit_decomposition_params,
-                       gen_blowup_tt, gen_complete_digraph,
-                       partition_from_json_dict, reverse_for_embedding,
-                       verify_partition)
+from hamorient import (CutCertificate, DecompositionParams, ExpansionParams,
+                       HypothesisError, InputError, PreconditionError,
+                       StructurePartition, certify_expander, clean_cut,
+                       decompose, fit_decomposition_params, gen_blowup_tt,
+                       gen_complete_digraph, partition_from_json_dict,
+                       reverse_for_embedding, verify_partition)
 from hamorient.bitset import mask_of
+from hamorient.digraph import induced
 
 from conftest import cycle_digraph
 
@@ -215,6 +216,18 @@ def test_verify_partition_independent_of_decompose():
     p = fit_decomposition_params(g)
     report = verify_partition(g, StructurePartition(24, tuple(masks), (), p), p)
     assert report.ok
+    assert [v.outcome for v in report.verdicts] == ["expander", "expander"]
+
+
+def test_decompose_verdicts_are_the_reports():
+    g, _ = planted([20, 20, 20], seed=7, intra=0.95, noise=0.001)
+    p = fit_decomposition_params(g)
+    sp = decompose(g, p)
+    assert sp.verdicts == sp.report.verdicts
+    assert len(sp.verdicts) == sp.t
+    for mask, verdict in zip(sp.classes, sp.verdicts):
+        sub, _ = induced(g, mask)
+        assert verdict == certify_expander(sub, ExpansionParams(p.nu, p.tau, mode="exact"))
 
 
 # --- serialization and ordering -------------------------------------------------

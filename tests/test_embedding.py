@@ -209,6 +209,25 @@ def test_pipeline_audit_contents():
     assert res.audit["forward_density_ok"]
 
 
+def test_pipeline_classes_above_spanning_cap():
+    # classes of 100: a fill that would span a whole class is beyond the
+    # exact search, so the plan fails with a named step instead of raising
+    g, sp = embedding_partition([100, 100], seed=7, intra=0.95, noise=0.001)
+    assert sp.sizes() == [100, 100]
+    for seed in (1, 2):
+        c = rand_pattern(200, seed)
+        res = embed_hamilton_orientation(g, sp, c)
+        assert res.status in ("embedded", "failed")
+        if res.ok:
+            assert validate_embedding(g, c, res.embedding.mapping,
+                                      spanning=True).valid
+        else:
+            assert res.failure_step
+    res = embed_hamilton_orientation(g, sp, CyclePattern.from_string("+-" * 100))
+    assert res.status == "failed" and res.method == "pipeline"
+    assert any(f.endswith(":capability") for f in res.audit["failures"])
+
+
 def test_pipeline_length_mismatch():
     g, sp = embedding_partition([12, 12])
     with pytest.raises(InputError):

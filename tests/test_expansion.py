@@ -1,20 +1,24 @@
+import math
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from hamorient import (CutSearchBudget, ExpansionParams, PreconditionError,
-                       certify_expander, find_sparse_cut, gen_blowup_tt,
-                       gen_complete_digraph, robust_out_neighborhood,
+from hamorient import (CutSearchBudget, Digraph, ExpansionParams,
+                       ExpansionVerdict, PreconditionError, certify_expander,
+                       find_sparse_cut, fit_decomposition_params,
+                       gen_blowup_tt, gen_complete_digraph,
+                       gen_random_min_degree, robust_out_neighborhood,
                        sparse_or_expander)
-from hamorient.bitset import int_ceil, mask_of
+from hamorient.bitset import bit_list, int_ceil, mask_of
+from hamorient.digraph import induced
+from hamorient.expansion import _exact_cut_sweep, _exact_expander_sweep
 
 from conftest import brute_robust_outnbhd, digraph
 
 
 def rand_digraph(n, p, seed):
-    from hamorient import Digraph
-
     rng = random.Random(seed)
     edges = [(u, v) for u in range(n) for v in range(n)
              if u != v and rng.random() < p]
@@ -87,6 +91,125 @@ def test_certify_expander_matches_brute_force():
                     verdict.violator.bit_count() + nu * g.n - 1e-9
 
 
+def brute_expander_sweep(g, nu, tau):
+    """Reference verdict: every S in the size window in ascending mask
+    order; the first violator wins, and checked_sets counts the window's
+    sets up to the end of the violator's high half (the bits from
+    ceil(n/2) up), as the exact sweep reports them."""
+    n = g.n
+    thr = max(1, math.ceil(nu * n - 1e-9))
+    lo = max(1, math.ceil(tau * n - 1e-9))
+    hi = math.floor((1 - tau) * n + 1e-9)
+    n1 = (n + 1) // 2
+    checked = 0
+    found = None
+    for s in range(1 << n):
+        if found is not None and s >> n1 != found[0] >> n1:
+            break
+        if not lo <= s.bit_count() <= hi:
+            continue
+        checked += 1
+        if found is None:
+            rn = brute_robust_outnbhd(g, s, nu).bit_count()
+            if rn < s.bit_count() + thr:
+                found = (s, rn)
+    if found is None:
+        return ExpansionVerdict("expander", "exact", nu, tau, checked)
+    s, rn = found
+    return ExpansionVerdict("violator", "exact", nu, tau, checked,
+                            violator=s, rn_size=rn, set_size=s.bit_count())
+
+
+def test_exact_expander_sweep_matches_brute_force():
+    # thr = ceil(nu*n) from 1 up to n - 1 and lo = ceil(tau*n) from 1 up
+    seen = Counter()
+    for n in range(1, 11):
+        for seed, p in enumerate((0.3, 0.7, 0.95)):
+            g = rand_digraph(n, p, seed + 700 + 10 * n)
+            for nu, tau in ((0.02, 0.05), (0.15, 0.25), (0.3, 0.3),
+                            (0.55, 0.2), (0.9, 0.45)):
+                want = brute_expander_sweep(g, nu, tau)
+                assert _exact_expander_sweep(g, nu, tau) == want, (n, p, nu, tau)
+                thr = max(1, int_ceil(nu * n))
+                seen[want.outcome, thr > 1, int_ceil(tau * n) > 1] += 1
+                if want.violator is not None and want.violator >> (n + 1) // 2:
+                    seen["violator in a later high half"] += 1
+    # (outcome, thr > 1, lo > 1); with thr > 1 every singleton violates,
+    # so an expander with thr > 1 needs lo > 1
+    for key in (("expander", False, False), ("expander", False, True),
+                ("expander", True, True), ("violator", False, False),
+                ("violator", True, False), ("violator", True, True),
+                ("violator", False, True)):
+        assert seen[key], key
+    assert seen["violator in a later high half"]
+
+
+def _reversed_labels(g):
+    n = g.n
+    return Digraph.from_edge_list(n, [(n - 1 - u, n - 1 - v) for u in range(n)
+                                      for v in bit_list(g.out_adj[u])])
+
+
+# Values the exact sweeps gave before they were blocked, at sizes brute
+# force cannot reach. Planted classes of gen_blowup_tt(sizes, 0.95, 0.001,
+# seed): (sizes, seed, first vertex of the class, cut (mask, e_forward),
+# checked_sets of the expander verdict at the fitted nu and tau, violator
+# (checked_sets, mask, rn_size, set_size) at nu = tau = 0.3).
+GOLDEN_PLANTED = [
+    ((24, 24), 3, 0, (524288, 20), 16777214, (794, 255, 12, 8)),
+    ((24, 24), 3, 24, (256, 20), 16777214, (794, 255, 9, 8)),
+    ((22, 22), 2, 0, (524289, 36), 4194302, (562, 127, 13, 7)),
+    ((22, 22), 2, 22, (4063231, 18), 4194302, (562, 127, 9, 7)),
+    ((21, 21), 5, 0, (1835007, 17), 2097150, (562, 127, 10, 7)),
+    ((21, 21), 5, 21, (33792, 34), 2097150, (562, 127, 11, 7)),
+]
+# Whole hosts whose closed block is the high half, so the first violator
+# lies in a later high half: (sizes, seed, cut (mask, e_forward), then
+# (nu, tau, checked_sets, mask, rn_size, set_size) twice).
+GOLDEN_REVERSED = [
+    ((12, 12), 4, (16773120, 0), (0.1, 0.25, 1026855, 1044483, 12, 10),
+     (0.2, 0.2, 30827, 28675, 9, 5)),
+    ((11, 12), 6, (8384512, 0), (0.1, 0.25, 507604, 520195, 11, 9),
+     (0.2, 0.2, 14913, 12295, 9, 5)),
+    ((10, 10), 1, (1047552, 0), (0.1, 0.25, 257924, 261121, 10, 9),
+     (0.2, 0.2, 3797, 3075, 7, 4)),
+]
+
+
+def _cut_triple(n, mask, e):
+    k = mask.bit_count()
+    return mask, e, e / (k * (n - k))
+
+
+def test_exact_sweeps_golden_planted_classes():
+    for sizes, seed, start, (mask, e), checked, viol in GOLDEN_PLANTED:
+        g = gen_blowup_tt(list(sizes), 0.95, 0.001, seed)
+        p = fit_decomposition_params(g, exact_threshold=24)
+        size = sizes[0] if start == 0 else sizes[1]
+        sub, _ = induced(g, mask_of(range(start, start + size)))
+        assert _exact_cut_sweep(sub) == _cut_triple(size, mask, e)
+        v = certify_expander(sub, ExpansionParams(p.nu, p.tau, mode="exact"))
+        assert v == ExpansionVerdict("expander", "exact", p.nu, p.tau, checked)
+        v = certify_expander(sub, ExpansionParams(0.3, 0.3, mode="exact"))
+        c, m, rn, sz = viol
+        assert v == ExpansionVerdict("violator", "exact", 0.3, 0.3, c,
+                                     violator=m, rn_size=rn, set_size=sz)
+
+
+def test_exact_sweeps_golden_large_threshold():
+    g = gen_random_min_degree(24, 32, seed=3)
+    assert _exact_cut_sweep(g) == (1, 23, 1.0)
+    v = certify_expander(g, ExpansionParams(0.15, 0.3, mode="exact"))
+    assert v == ExpansionVerdict("expander", "exact", 0.15, 0.3, 15704906)
+    for sizes, seed, (mask, e), *viols in GOLDEN_REVERSED:
+        g = _reversed_labels(gen_blowup_tt(list(sizes), 0.95, 0.001, seed))
+        assert _exact_cut_sweep(g) == _cut_triple(g.n, mask, e)
+        for nu, tau, c, m, rn, sz in viols:
+            v = certify_expander(g, ExpansionParams(nu, tau, mode="exact"))
+            assert v == ExpansionVerdict("violator", "exact", nu, tau, c,
+                                         violator=m, rn_size=rn, set_size=sz)
+
+
 def test_complete_digraph_is_expander():
     g = gen_complete_digraph(12)
     v = certify_expander(g, ExpansionParams(0.2, 0.25, mode="exact"))
@@ -151,6 +274,13 @@ def brute_min_ratio_cut(g):
 
 
 def test_exact_cut_matches_brute_force():
+    # odd n splits into unequal halves, even n into equal ones; the dense
+    # and complete hosts have many tied cuts, where the smallest mask wins
+    for n in range(2, 14):
+        for seed, p in enumerate((0.15, 0.5, 0.9, 1.0)):
+            g = rand_digraph(n, p, seed + 500 + 10 * n)
+            ratio, mask, e = brute_min_ratio_cut(g)
+            assert _exact_cut_sweep(g) == (mask, e, ratio), (n, p)
     for seed in range(10):
         g = rand_digraph(7, 0.5, seed + 500)
         res = find_sparse_cut(g, alpha=0.3)
@@ -221,8 +351,6 @@ def test_dichotomy_exact_expander():
 def test_dichotomy_never_neither_small():
     """On exact-mode sizes the two arms are exhaustive: a missing cut
     forces an expander certificate."""
-    from hamorient import gen_random_min_degree
-
     for seed in range(25):
         g = gen_random_min_degree(10, 13, seed=seed + 900)
         res = sparse_or_expander(g, eta=0.3, alpha=0.3, tau=0.25)
