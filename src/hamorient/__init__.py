@@ -28,8 +28,7 @@ from .digraph import (DegreeProfile, Digraph, cross_counts, degree_profile,
                       reverse_digraph, strongly_connected_components)
 from .embedding import (EmbedParams, Embedding, PipelineResult,
                         embed_hamilton_orientation, pancyclic_suite,
-                        select_connectors, split_expander, tt_embed_path,
-                        two_factor)
+                        select_connectors, tt_embed_path, two_factor)
 from .errors import (CapabilityError, HypothesisError, InputError,
                      PreconditionError, ResourceError)
 from .expansion import (CutCertificate, CutSearchBudget, CutSearchResult,
@@ -74,7 +73,7 @@ __all__ = [
     "partition_from_json_dict", "read_edges", "read_header_spec",
     "reverse_digraph", "reverse_for_embedding", "robust_out_neighborhood",
     "run_experiments", "save_json", "select_connectors", "sparse_or_expander",
-    "split_expander", "strongly_connected_components", "switch_count",
-    "switches", "tt_embed_path", "two_factor", "validate_embedding",
-    "verify_partition", "write_edges",
+    "strongly_connected_components", "switch_count", "switches",
+    "tt_embed_path", "two_factor", "validate_embedding", "verify_partition",
+    "write_edges",
 ]

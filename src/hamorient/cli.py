@@ -34,8 +34,7 @@ from .generators import GenSpec, family_names, family_param_names
 from .io import load_json, read_edges, save_json, write_edges
 from .oracle import exact_embed, validate_embedding
 from .patterns import CyclePattern
-from .workbench import (OUTCOMES, WORKER_ENV, ExperimentConfig,
-                        run as run_experiments)
+from .workbench import OUTCOMES, ExperimentConfig, run as run_experiments
 
 
 def _emit(obj: dict, out: str | None) -> None:
@@ -289,8 +288,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.trial is not None and args.suite is None:
         raise InputError("--trial requires --suite")
     config = ExperimentConfig.from_json_dict(load_json(args.config))
-    if args.workers is not None:
-        config = replace(config, workers=args.workers)
     summary = run_experiments(config, args.out, config_path=args.config,
                               only_suite=args.suite, only_trial=args.trial)
     buckets = summary["suites"].values()
@@ -378,8 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--suite", help="run only this suite")
     exp.add_argument("--trial", type=int, help="run only this trial index "
                                                "(requires --suite)")
-    exp.add_argument("--workers", type=int,
-                     help=f"suite-level parallelism (overrides ${WORKER_ENV})")
     exp.set_defaults(func=_cmd_experiment)
 
     return ap

@@ -34,7 +34,6 @@ from .digraph import (
     cross_counts,
     degree_profile,
     double_edge_graph,
-    induced,
     strongly_connected_components,
 )
 from .errors import (
@@ -43,7 +42,6 @@ from .errors import (
     PreconditionError,
     ResourceError,
 )
-from .expansion import ExpansionParams, certify_expander
 from .oracle import (
     SPANNING_CAP,
     exact_embed,
@@ -53,6 +51,7 @@ from .oracle import (
 from .patterns import (
     CyclePattern,
     PathPattern,
+    _directed_runs,
     canonical_rotation,
     classify_case,
     directed_run_decomposition_case1b,
@@ -104,11 +103,6 @@ class EmbedParams:
     def handoff_gadgets(self) -> int:
         """Sink relocations used alongside a hand-off window."""
         return max(1, int_floor(self.eta / (12 * self.beta)))
-
-    def fits_below(self, nu: float) -> bool:
-        """Whether beta sits under the expansion parameter as the plan
-        shapes assume (informational at this scale)."""
-        return self.beta <= nu / 4 + _EPS
 
 
 @dataclass(frozen=True)
@@ -262,36 +256,17 @@ class _Frame:
         return tuple(out)
 
 
-def _longest_forward_run(c: CyclePattern) -> tuple[int, int]:
-    """(vertex count, start) of the longest run of forward edges."""
-    o = c.orientation
-    n = c.n
-    if all(o):
-        return n, 0
-    best_len, best_start = 0, 0
-    start = 0
-    while o[start - 1] == o[start]:
-        start += 1
-    i, total = start, 0
-    while total < n:
-        j = i
-        run = 1
-        while o[(j + 1) % n] == o[i % n]:
-            j += 1
-            run += 1
-        if o[i % n]:
-            vlen = run + 1
-            if vlen > best_len:
-                best_len, best_start = vlen, i % n
-        total += run
-        i = j + 1
-    return best_len, best_start
-
-
 def _frame_case1(c: CyclePattern) -> _Frame:
-    """Frame with the longest directed run forward on positions [0, ell)."""
-    lf, sf = _longest_forward_run(c)
-    lb, sb = _longest_forward_run(reflect(c))
+    """Frame with the longest directed run forward on positions [0, ell).
+
+    A forward run beats an equally long backward one (a forward run of
+    reflect(c)); within one direction the smallest start wins."""
+    def best_forward(p: CyclePattern) -> tuple[int, int]:
+        return max(((vlen, start) for start, vlen, fw in _directed_runs(p)
+                    if fw), key=lambda run: run[0])
+
+    lf, sf = best_forward(c)
+    lb, sb = best_forward(reflect(c))
     if lb > lf:
         return _Frame(c.n, sb, True)
     return _Frame(c.n, sf, False)
@@ -692,6 +667,9 @@ def embed_hamilton_orientation(g: Digraph, sp, c: CyclePattern,
         return PipelineResult("rejected", None, "directed", "none", 0,
                               "precondition:directed-cycle", audit)
     if t == 1:
+        if g.n > SPANNING_CAP:
+            return PipelineResult("failed", None, "single-class", "none", 0,
+                                  "single-class:capability", audit)
         res = exact_embed(g, c, deadline=params.oracle_deadline)
         if res.found:
             return PipelineResult("embedded", Embedding(res.mapping, c.to_string()),
@@ -781,67 +759,7 @@ def embed_hamilton_orientation(g: Digraph, sp, c: CyclePattern,
 
 
 # ---------------------------------------------------------------------------
-# expander splitting, 2-factors, cycle spectrum
-
-
-def split_expander(g: Digraph, sizes, w0: int = 0,
-                   expansion: ExpansionParams | None = None,
-                   eta: float = 0.3, retries: int = 32,
-                   seed: int = 0) -> tuple[list[int], dict]:
-    """Randomly split V(G) into parts of prescribed sizes (part 0 fixed to
-    the given set) and resample until every other part passes a sampled
-    expansion check and keeps min semi-degree at least eta*size/4.
-
-    Returns (masks, report). Raises when sizes are inconsistent or all
-    retries fail; the error carries per-check failure statistics.
-    """
-    sizes = list(sizes)
-    n = g.n
-    if sum(sizes) != n:
-        raise PreconditionError(f"sizes sum to {sum(sizes)}, host has {n}")
-    if w0.bit_count() != sizes[0]:
-        raise PreconditionError(f"fixed part has {w0.bit_count()} vertices, "
-                                f"sizes[0] = {sizes[0]}")
-    expansion = expansion or ExpansionParams(0.01, 0.2, mode="sampled")
-    rng = random.Random(seed)
-    rest = [v for v in range(n) if not w0 >> v & 1]
-    stats = {"attempts": 0, "expansion_failures": 0, "degree_failures": 0}
-    for _ in range(retries):
-        stats["attempts"] += 1
-        rng.shuffle(rest)
-        masks = [w0]
-        at = 0
-        for m in sizes[1:]:
-            part = 0
-            for v in rest[at:at + m]:
-                part |= 1 << v
-            masks.append(part)
-            at += m
-        ok = True
-        checks = []
-        for i, mask in enumerate(masks):
-            if i == 0 or mask == 0:
-                checks.append({"part": i, "skipped": True})
-                continue
-            sub, _ = induced(g, mask)
-            m = sub.n
-            prof = degree_profile(sub)
-            need = eta * m / 4
-            deg_ok = prof.min_semi >= need - _EPS
-            verdict = certify_expander(sub, expansion)
-            exp_ok = verdict.outcome in ("expander", "inconclusive")
-            checks.append({"part": i, "size": m, "min_semi": prof.min_semi,
-                           "semi_bound": need, "degree_ok": deg_ok,
-                           "expansion": verdict.outcome})
-            if not deg_ok:
-                stats["degree_failures"] += 1
-                ok = False
-            if not exp_ok:
-                stats["expansion_failures"] += 1
-                ok = False
-        if ok:
-            return masks, {"checks": checks, **stats}
-    raise ResourceError(f"no admissible split in {retries} samples: {stats}")
+# 2-factors, cycle spectrum
 
 
 def two_factor(g: Digraph, k: int, deadline: float = 10.0) -> list[tuple[int, ...]]:
@@ -1008,8 +926,8 @@ def _sample_patterns(length: int, count: int | None, rng: random.Random):
 
 def _pancyclic_cell(g, gstar, pat, length, star_cycle, deadline, sp, params):
     base = star_cycle(length)
-    if base is not None:
-        return "found", "double-edge", _orient_on_ring(pat, base)
+    if base is not None:       # a double-edge ring realizes every orientation
+        return "found", "double-edge", base
     shorter = star_cycle(length - 1) if length - 1 >= 3 else None
     if shorter is not None:
         mapping = _extend_odd(g, shorter, pat)
@@ -1026,11 +944,6 @@ def _pancyclic_cell(g, gstar, pat, length, star_cycle, deadline, sp, params):
     if res.found:
         return "found", "oracle", res.mapping
     return res.status, "oracle", None
-
-
-def _orient_on_ring(pat: CyclePattern, ring: tuple[int, ...]):
-    """A double-edge ring realizes any orientation of its length directly."""
-    return tuple(ring)
 
 
 def _cycle_in_class(g: Digraph, pat: CyclePattern, sp, deadline: float):

@@ -209,6 +209,27 @@ def _exact_expander_sweep(g: Digraph, nu: float, tau: float) -> ExpansionVerdict
     return ExpansionVerdict("expander", "exact", nu, tau, checked)
 
 
+def _prefix_masks(g: Digraph, orders: int) -> list[int]:
+    """Proper prefixes of the condensation order, then of the first
+    `orders` degree orders: out-degree descending, in-degree descending,
+    out-degree ascending, in-degree ascending (ties to the smaller vertex)."""
+    n = g.n
+    masks: list[int] = []
+    acc = 0
+    for comp in strongly_connected_components(g)[:-1]:
+        acc |= comp
+        masks.append(acc)
+    prof = degree_profile(g)
+    keys = ((-1, prof.out_degrees), (-1, prof.in_degrees),
+            (1, prof.out_degrees), (1, prof.in_degrees))
+    for sign, deg in keys[:orders]:
+        acc = 0
+        for v in sorted(range(n), key=lambda u: (sign * deg[u], u))[:-1]:
+            acc |= 1 << v
+            masks.append(acc)
+    return masks
+
+
 def _sampled_candidates(g: Digraph, lo: int, hi: int, p: ExpansionParams) -> list[int]:
     n = g.n
     rng = random.Random(p.seed)
@@ -218,29 +239,9 @@ def _sampled_candidates(g: Digraph, lo: int, hi: int, p: ExpansionParams) -> lis
         size = lo + (hi - lo) * dec // 9 if hi > lo else lo
         for _ in range(p.samples_per_decile):
             cands.append(mask_of(rng.sample(range(n), size)))
-    # structured prefixes: condensation order and degree orders
-    sccs = strongly_connected_components(g)
-    acc = 0
-    for comp in sccs[:-1]:
-        acc |= comp
-        if lo <= acc.bit_count() <= hi:
-            cands.append(acc)
-    prof = degree_profile(g)
-    for keyed in (
-        sorted(range(n), key=lambda v: (-prof.out_degrees[v], v)),
-        sorted(range(n), key=lambda v: (-prof.in_degrees[v], v)),
-        sorted(range(n), key=lambda v: (prof.out_degrees[v], v)),
-    ):
-        acc = 0
-        for v in keyed[:-1]:
-            acc |= 1 << v
-            if lo <= acc.bit_count() <= hi:
-                cands.append(acc)
-    for h in p.hints:
-        h &= full_mask(n)
-        if lo <= h.bit_count() <= hi:
-            cands.append(h)
-    return cands
+    # structured prefixes and caller hints, within the size window
+    structured = _prefix_masks(g, 3) + [h & full_mask(n) for h in p.hints]
+    return cands + [s for s in structured if lo <= s.bit_count() <= hi]
 
 
 def certify_expander(g: Digraph, p: ExpansionParams) -> ExpansionVerdict:
@@ -430,28 +431,6 @@ def _hill_climb(g: Digraph, x1: int, max_steps: int = 10_000) -> tuple[int, int,
     return x1, e, ratio
 
 
-def _structured_starts(g: Digraph) -> list[int]:
-    n = g.n
-    starts: list[int] = []
-    sccs = strongly_connected_components(g)
-    acc = 0
-    for comp in sccs[:-1]:
-        acc |= comp
-        starts.append(acc)
-    prof = degree_profile(g)
-    for keyed in (
-        sorted(range(n), key=lambda v: (-prof.out_degrees[v], v)),
-        sorted(range(n), key=lambda v: (-prof.in_degrees[v], v)),
-        sorted(range(n), key=lambda v: (prof.out_degrees[v], v)),
-        sorted(range(n), key=lambda v: (prof.in_degrees[v], v)),
-    ):
-        acc = 0
-        for v in keyed[:-1]:
-            acc |= 1 << v
-            starts.append(acc)
-    return starts
-
-
 def find_sparse_cut(g: Digraph, alpha: float, budget: CutSearchBudget | None = None,
                     hints: tuple[int, ...] = ()) -> CutSearchResult:
     """Hunt a cut (X1, X2) with e+(X1,X2) <= alpha*|X1|*|X2|.
@@ -476,31 +455,30 @@ def find_sparse_cut(g: Digraph, alpha: float, budget: CutSearchBudget | None = N
     best: tuple[float, int, int] | None = None   # ratio, mask, e
     near: list[CutCertificate] = []
 
-    def consider(x1: int, climb: bool):
+    def consider(x1: int, e: int, ratio: float):
         nonlocal best
-        if x1 == 0 or x1 == g.vertex_mask:
-            return
-        if climb:
-            x1, e, ratio = _hill_climb(g, x1)
-        else:
-            e, ratio = _eval_cut(g, x1)
         if best is None or ratio < best[0] - 1e-15 or (abs(ratio - best[0]) <= 1e-15 and x1 < best[1]):
             best = (ratio, x1, e)
         if alpha < ratio <= 2 * alpha and len(near) < budget.near_miss_cap:
             near.append(CutCertificate(x1, g.vertex_mask & ~x1, e, ratio, False))
 
-    for s in _structured_starts(g):
-        consider(s, False)
+    def climb(x1: int):
+        if x1 != 0 and x1 != g.vertex_mask:
+            consider(*_hill_climb(g, x1))
+
+    # structured starts are proper, non-empty prefixes
+    starts = [(s, *_eval_cut(g, s)) for s in _prefix_masks(g, 4)]
+    for s, e, ratio in starts:
+        consider(s, e, ratio)
     for h in hints:
-        consider(h & g.vertex_mask, True)
-    seeds = _structured_starts(g)
+        climb(h & g.vertex_mask)
     # climb from the most promising structured starts, then random restarts
-    seeds.sort(key=lambda m: _eval_cut(g, m)[1])
-    for s in seeds[:8]:
-        consider(s, True)
+    starts.sort(key=lambda start: start[2])
+    for s, _, _ in starts[:8]:
+        climb(s)
     for _ in range(budget.restarts):
         size = rng.randint(max(1, n // 4), max(1, 3 * n // 4))
-        consider(mask_of(rng.sample(range(n), size)), True)
+        climb(mask_of(rng.sample(range(n), size)))
 
     assert best is not None
     ratio, mask, e = best

@@ -101,14 +101,12 @@ def gen_blowup_tt(part_sizes: list[int] | tuple[int, ...], intra: float = 1.0,
     return _build(n, out_sets)
 
 
-def gen_random_min_degree(n: int, delta_target: int, seed: int = 0,
-                          return_stats: bool = False):
+def gen_random_min_degree(n: int, delta_target: int, seed: int = 0) -> Digraph:
     """Random digraph conditioned on minimum total degree >= delta_target.
 
     Samples ordered pairs independently at a rate slightly above the
     target density, then greedily adds missing edges at deficient
-    vertices (random admissible partners) until the target holds. The
-    augmentation count is available via return_stats."""
+    vertices (random admissible partners) until the target holds."""
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
     if not 0 <= delta_target <= 2 * (n - 1):
@@ -129,7 +127,6 @@ def gen_random_min_degree(n: int, delta_target: int, seed: int = 0,
     def degree(v: int) -> int:
         return len(out_sets[v]) + in_deg[v]
 
-    augmented = 0
     for v in range(n):
         while degree(v) < delta_target:
             missing = [(v, w) for w in range(n) if w != v and w not in out_sets[v]]
@@ -139,11 +136,7 @@ def gen_random_min_degree(n: int, delta_target: int, seed: int = 0,
             a, b = missing[rng.randrange(len(missing))]
             out_sets[a].add(b)
             in_deg[b] += 1
-            augmented += 1
-    g = _build(n, out_sets)
-    if return_stats:
-        return g, {"augmented_edges": augmented}
-    return g
+    return _build(n, out_sets)
 
 
 def gen_tournament(n: int, kind: str = "random", seed: int = 0) -> Digraph:
@@ -167,7 +160,6 @@ _FAMILIES = {
     "complete": (gen_complete_digraph, ("n",), False),
     "bipartite_extremal": (gen_bipartite_extremal, ("n",), False),
     "split_cliques": (gen_split_cliques, ("n",), False),
-    "g1": (gen_blowup_tt, ("sizes", "intra", "noise"), True),
     "blowup": (gen_blowup_tt, ("sizes", "intra", "noise"), True),
     "random_min_degree": (gen_random_min_degree, ("n", "delta"), True),
     "tournament": (gen_tournament, ("n", "kind"), True),
@@ -199,7 +191,7 @@ class GenSpec:
 
     def build(self) -> Digraph:
         p = self.params
-        if self.family in ("g1", "blowup"):
+        if self.family == "blowup":
             return gen_blowup_tt(p["sizes"], p.get("intra", 1.0),
                                  p.get("noise", 0.0), self.seed)
         if self.family == "complete":

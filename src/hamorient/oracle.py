@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 
 from .bitset import bit_list, bits_of
-from .digraph import Digraph, strongly_connected_components
+from .digraph import Digraph, induced, strongly_connected_components
 from .errors import CapabilityError, InputError
 from .patterns import CyclePattern, PathPattern
 
@@ -309,12 +309,6 @@ def _dp_spanning(host: Digraph, orientation, is_cycle: bool, pins: dict[int, int
     return "none", None
 
 
-def _orientation_of(pattern) -> tuple[tuple[bool, ...], bool]:
-    if isinstance(pattern, CyclePattern):
-        return pattern.orientation, True
-    return pattern.orientation, False
-
-
 def _engine(host: Digraph, pattern, pins: dict[int, int], allowed: int,
             budget: _Budget, node_budget: int | None) -> tuple[str, tuple[int, ...] | None, str]:
     adj = _pattern_adjacency(pattern)
@@ -323,7 +317,6 @@ def _engine(host: Digraph, pattern, pins: dict[int, int], allowed: int,
         filt[p] &= 1 << v
     size = len(adj)
     spanning = size == allowed.bit_count()
-    orientation, is_cycle = _orientation_of(pattern)
 
     stage = _Budget(budget.t_end, budget.nodes + BT_STAGE_NODES)
     stage.nodes = budget.nodes
@@ -333,7 +326,9 @@ def _engine(host: Digraph, pattern, pins: dict[int, int], allowed: int,
         return status, mapping, "backtrack"
 
     if spanning and size <= DP_CAP:
-        status, mapping = _dp_spanning(host, orientation, is_cycle, pins, allowed, budget)
+        status, mapping = _dp_spanning(host, pattern.orientation,
+                                       isinstance(pattern, CyclePattern),
+                                       pins, allowed, budget)
         if status in ("found", "none", "timeout"):
             return status, mapping, "dp"
 
@@ -391,7 +386,7 @@ def exact_embed(host: Digraph, pattern, pins: dict[int, int] | None = None,
     is_cycle = isinstance(pattern, CyclePattern)
     if is_cycle and pattern.is_directed():
         # a directed cycle lives inside one strongly connected component
-        sub, verts = _restrict(host, allowed)
+        sub, verts = induced(host, allowed)
         comps = strongly_connected_components(sub)
         status_overall = "none"
         method = "scc"
@@ -413,12 +408,6 @@ def exact_embed(host: Digraph, pattern, pins: dict[int, int] | None = None,
 
     status, mapping, method = _engine(host, pattern, pins, allowed, budget, node_budget)
     return EmbedResult(status, mapping, budget.nodes, time.monotonic() - t0, method)
-
-
-def _restrict(host: Digraph, allowed: int) -> tuple[Digraph, list[int]]:
-    from .digraph import induced
-
-    return induced(host, allowed)
 
 
 def embed_path_between(host: Digraph, pattern: PathPattern, u: int, v: int,

@@ -14,7 +14,7 @@ aliases when a length is supplied.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .bitset import int_floor
 from .errors import InputError, PreconditionError
@@ -199,6 +199,21 @@ def distinct_path_patterns(length: int) -> list[PathPattern]:
     return out
 
 
+def _directed_runs(c: CyclePattern) -> Iterator[tuple[int, int, bool]]:
+    """Yield (start, vertex count, forward?) for each maximal run of equally
+    oriented edges, by ascending start, wrap-around included. A fully
+    directed cycle is one run of n vertices starting at 0."""
+    o = c.orientation
+    n = c.n
+    if c.is_directed():
+        yield 0, n, o[0]
+        return
+    # a run starts where the orientation changes; the last one wraps
+    starts = [i for i in range(n) if o[i] != o[i - 1]]
+    for s, end in zip(starts, starts[1:] + [starts[0] + n]):
+        yield s, end - s + 1, o[s]
+
+
 def longest_directed_segment(c: CyclePattern) -> tuple[int, int, bool]:
     """(vertex count, start position, forward?) of the longest directed run.
 
@@ -206,34 +221,8 @@ def longest_directed_segment(c: CyclePattern) -> tuple[int, int, bool]:
     vertices (edges + 1), wrap-around included. A fully directed cycle
     reports n vertices. Ties go to the smallest start position.
     """
-    o = c.orientation
-    n = c.n
-    if c.is_directed():
-        return n, 0, o[0]
-    # walk maximal runs; start at a run boundary so wrap runs come out whole
-    start = 0
-    while o[start - 1] == o[start]:
-        start += 1
-    best_len = 0
-    best_start = 0
-    best_fw = True
-    i = start
-    total = 0
-    while total < n:
-        j = i
-        run = 1
-        while o[(j + 1) % n] == o[i % n] and run < n:
-            j += 1
-            run += 1
-        vlen = run + 1
-        s = i % n
-        if vlen > best_len or (vlen == best_len and s < best_start):
-            best_len = vlen
-            best_start = s
-            best_fw = o[i % n]
-        total += run
-        i = j + 1
-    return best_len, best_start, best_fw
+    start, vlen, fw = max(_directed_runs(c), key=lambda run: run[1])
+    return vlen, start, fw
 
 
 def classify_case(c: CyclePattern, beta: float) -> tuple[str, int]:

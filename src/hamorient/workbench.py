@@ -15,7 +15,6 @@ import json
 import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +36,6 @@ from .generators import (
 )
 from .oracle import exact_embed, validate_embedding
 from .patterns import CyclePattern, PathPattern, canonical_rotation
-
-WORKER_ENV = "HAMORIENT_WORKERS"
 
 CSV_COLUMNS = ["suite", "n", "params", "seed", "outcome", "millis", "artifact"]
 
@@ -72,7 +69,6 @@ class TrialRecord:
 @dataclass(frozen=True)
 class ExperimentConfig:
     suites: tuple[dict, ...]
-    workers: int | None = None
 
     def __post_init__(self):
         if not self.suites:
@@ -96,7 +92,7 @@ class ExperimentConfig:
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict) or "suites" not in d:
             raise InputError("config error at top level: missing 'suites'")
-        return cls(suites=tuple(d["suites"]), workers=d.get("workers"))
+        return cls(suites=tuple(d["suites"]))
 
 
 def _timed(fn, *args, **kw):
@@ -143,35 +139,32 @@ def suite_ghouila_houri(max_n: int, mode: str = "exhaustive", trials: int = 0,
     connected, and >= n-1 yields a directed Hamilton path; assert the oracle
     confirms each qualifying instance. Exhaustive mode enumerates all
     digraphs on max_n <= 5 labeled vertices."""
-    if mode == "exhaustive":
-        if max_n > 5:
-            raise PreconditionError("exhaustive enumeration capped at n=5")
-        n = max_n
-        pairs = _pair_bits(n)
-        mins = _min_total_degrees(n)
-        cyc = CyclePattern.directed(n)
-        path = PathPattern.directed(n)
-        for mask in np.flatnonzero(mins >= n - 1):
-            mask = int(mask)
-            g = _graph_from_mask(n, mask, pairs)
-            degree = int(mins[mask])
-            if degree >= n and is_strongly_connected(g):
-                res, ms = _timed(exact_embed, g, cyc, deadline=deadline)
-                out = ("pass" if res.found else
-                       "timeout" if res.status == "timeout" else "fail")
-                yield TrialRecord("ghouila_houri", n,
-                                  {"claim": "cycle", "mask": mask}, seed, out,
-                                  ms, detail=res.status)
-            res, ms = _timed(exact_embed, g, path, deadline=deadline)
+    if mode not in ("exhaustive", "sampled"):
+        raise InputError(f"unknown mode {mode!r}")
+    if mode == "exhaustive" and max_n > 5:
+        raise PreconditionError("exhaustive enumeration capped at n=5")
+    n = max_n
+    cyc = CyclePattern.directed(n)
+    path = PathPattern.directed(n)
+
+    def trial_rows(g: Digraph, degree: int, key: dict):
+        strong = degree >= n and is_strongly_connected(g)
+        claims = [("cycle", cyc)] if strong else []
+        for claim, pattern in claims + [("path", path)]:
+            res, ms = _timed(exact_embed, g, pattern, deadline=deadline)
             out = ("pass" if res.found else
                    "timeout" if res.status == "timeout" else "fail")
-            yield TrialRecord("ghouila_houri", n,
-                              {"claim": "path", "mask": mask}, seed, out,
-                              ms, detail=res.status)
-    elif mode == "sampled":
-        n = max_n
-        cyc = CyclePattern.directed(n)
-        path = PathPattern.directed(n)
+            yield TrialRecord("ghouila_houri", n, {"claim": claim, **key},
+                              seed, out, ms, detail=res.status)
+
+    if mode == "exhaustive":
+        pairs = _pair_bits(n)
+        mins = _min_total_degrees(n)
+        for mask in np.flatnonzero(mins >= n - 1):
+            mask = int(mask)
+            yield from trial_rows(_graph_from_mask(n, mask, pairs),
+                                  int(mins[mask]), {"mask": mask})
+    else:
         for i in range(trials):
             g = gen_random_min_degree(n, n, seed=seed * 1_000_003 + i)
             degree = degree_profile(g).min_total
@@ -181,21 +174,7 @@ def suite_ghouila_houri(max_n: int, mode: str = "exhaustive", trials: int = 0,
                                   "inconclusive",
                                   detail=f"degree {degree} below threshold")
                 continue
-            if degree >= n and is_strongly_connected(g):
-                res, ms = _timed(exact_embed, g, cyc, deadline=deadline)
-                out = ("pass" if res.found else
-                       "timeout" if res.status == "timeout" else "fail")
-                yield TrialRecord("ghouila_houri", n,
-                                  {"claim": "cycle", "trial": i}, seed, out,
-                                  ms, detail=res.status)
-            res, ms = _timed(exact_embed, g, path, deadline=deadline)
-            out = ("pass" if res.found else
-                   "timeout" if res.status == "timeout" else "fail")
-            yield TrialRecord("ghouila_houri", n,
-                              {"claim": "path", "trial": i}, seed, out,
-                              ms, detail=res.status)
-    else:
-        raise InputError(f"unknown mode {mode!r}")
+            yield from trial_rows(g, degree, {"trial": i})
     if negative_controls:
         g = gen_split_cliques(8)
         res, ms = _timed(exact_embed, g, PathPattern.directed(8),
@@ -463,23 +442,10 @@ def run(config: ExperimentConfig, out_dir: str, config_path: str = "",
              if only_suite is None or s["suite"] == only_suite]
     if only_suite is not None and not specs:
         raise InputError(f"config error: no suite named {only_suite!r}")
-
-    workers = config.workers or int(os.environ.get(WORKER_ENV, "1") or "1")
-    results: dict[int, list[TrialRecord]] = {}
-    if workers > 1 and len(specs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_run_suite, s["suite"], s): i
-                       for i, s in specs}
-            for fut, i in futures.items():
-                results[i] = fut.result()
-    else:
-        for i, s in specs:
-            results[i] = _run_suite(s["suite"], s)
-
     summary: dict = {"suites": {}, "failures": [], "failed": False}
     for i, spec in specs:
         name = spec["suite"]
-        records = results[i]
+        records = _run_suite(name, spec)
         if only_trial is not None:
             if not 0 <= only_trial < len(records):
                 raise InputError(f"config error: trial {only_trial} outside "

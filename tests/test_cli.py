@@ -36,7 +36,7 @@ def test_generate_writes_readable_file(tmp_path):
 
 
 def test_generate_missing_param(tmp_path):
-    assert main(["generate", "--family", "g1",
+    assert main(["generate", "--family", "blowup",
                  "--out", str(tmp_path / "x.edges")]) == 2
 
 
@@ -144,6 +144,20 @@ def test_embed_beyond_spanning_cap_exits_failed(tmp_path):
     data = json.loads(out.read_text())
     assert data["status"] == "failed" and data["failure_step"]
     assert any(f.endswith(":capability") for f in data["audit"]["failures"])
+
+
+
+def test_embed_single_class_beyond_spanning_cap_exits_failed(tmp_path):
+    graph = tmp_path / "r100.edges"
+    assert main(["generate", "--family", "random_min_degree", "--n", "100",
+                 "--delta", "160", "--seed", "1", "--out", str(graph)]) == 0
+    out = tmp_path / "anti.json"
+    rc = main(["embed", "--input", str(graph), "--pattern", "antidirected",
+               "--out", str(out)])
+    assert rc == 1
+    data = json.loads(out.read_text())
+    assert data["status"] == "failed" and data["case"] == "single-class"
+    assert data["failure_step"] == "single-class:capability"
 
 
 def test_embed_pattern_length_mismatch(workdir):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,11 +6,12 @@ import pytest
 from hamorient import (CyclePattern, EmbedParams, InputError, PathPattern,
                        PreconditionError, ResourceError, decompose,
                        embed_hamilton_orientation, fit_decomposition_params,
-                       gen_blowup_tt, gen_complete_digraph, pancyclic_suite,
+                       gen_blowup_tt, gen_complete_digraph,
+                       gen_random_min_degree, pancyclic_suite,
                        reverse_for_embedding, select_connectors,
-                       split_expander, tt_embed_path, two_factor,
-                       validate_embedding)
+                       tt_embed_path, two_factor, validate_embedding)
 from hamorient.bitset import mask_of
+from hamorient.embedding import _frame_case1
 
 from conftest import cycle_digraph
 
@@ -234,38 +236,102 @@ def test_pipeline_length_mismatch():
         embed_hamilton_orientation(g, sp, CyclePattern.directed(10))
 
 
-# --- expander splitting ------------------------------------------------------------
+
+def test_pipeline_single_class_above_spanning_cap():
+    # one class of 100 vertices: the spanning search cannot run on it, so
+    # the pipeline names the failure instead of raising
+    g = gen_random_min_degree(100, 160, seed=1)
+    sp = decompose(g, fit_decomposition_params(g))
+    assert sp.t == 1
+    res = embed_hamilton_orientation(g, sp, CyclePattern.from_string("+-" * 50))
+    assert res.status == "failed" and res.case == "single-class"
+    assert res.failure_step == "single-class:capability"
 
 
-def test_split_expander_complete_host():
-    g = gen_complete_digraph(24)
-    w0 = mask_of(range(8))
-    masks, report = split_expander(g, [8, 8, 8], w0=w0, seed=1)
-    assert masks[0] == w0
-    assert len(masks) == 3
-    union = 0
-    for m in masks:
-        assert m.bit_count() == 8
-        assert not (m & union)
-        union |= m
-    assert union == g.vertex_mask
-    assert report["attempts"] >= 1
+def _mapping_digest(mapping):
+    return hashlib.sha256(",".join(map(str, mapping)).encode()).hexdigest()[:16]
 
 
-def test_split_expander_size_checks():
-    g = gen_complete_digraph(10)
-    with pytest.raises(PreconditionError):
-        split_expander(g, [4, 4], w0=mask_of(range(4)))
-    with pytest.raises(PreconditionError):
-        split_expander(g, [4, 6], w0=mask_of(range(3)))
+# (host block sizes, host seed, partition order, orientation, case, method,
+# mapping digest). "embedding" order is the one the planners expect; the
+# decomposition order starves them of forward connectors, so those rows
+# take the oracle fallback. Orientations: rand_pattern seeds, "long" (a
+# run of n-2 vertices) and "anti" (antidirected).
+GOLDEN_EMBEDDINGS = (
+    ((30, 30), 1, "embedding", 0, "case1b", "pipeline", "ff6b0783cb127ddc"),
+    ((30, 30), 1, "embedding", 1, "case1b", "pipeline", "61bbcf5e4e0624da"),
+    ((30, 30), 1, "embedding", 2, "case1b", "pipeline", "8f5a4e223f6bd7b6"),
+    ((30, 30), 1, "embedding", 3, "case1b", "pipeline", "eb30feff48dec487"),
+    ((30, 30), 1, "embedding", "long", "case1a", "pipeline", "058013900020ab17"),
+    ((30, 30), 1, "embedding", "anti", "case2", "pipeline", "a6bf53e0b225f1cc"),
+    ((30, 30), 1, "decomposition", 0, "case1", "oracle", "52c55d087380f10a"),
+    ((30, 30), 1, "decomposition", 1, "case1", "oracle", "d7e9434012484f7c"),
+    ((32, 32, 32), 2, "embedding", 0, "case1b", "pipeline", "7a8541696cfffdcc"),
+    ((32, 32, 32), 2, "embedding", 1, "case1b", "pipeline", "a568c470ac867f55"),
+    ((32, 32, 32), 2, "embedding", 2, "case2", "pipeline", "3a449369535b8cb5"),
+    ((32, 32, 32), 2, "embedding", 5, "case2", "pipeline", "3478b44888eec882"),
+    ((32, 32, 32), 2, "embedding", "long", "case1a", "pipeline", "a7471e9ee4075107"),
+    ((32, 32, 32), 2, "embedding", "anti", "case2", "pipeline", "b9f30253283cc872"),
+)
 
 
-def test_split_expander_deterministic():
-    g = gen_complete_digraph(20)
-    w0 = mask_of(range(5))
-    a, _ = split_expander(g, [5, 5, 10], w0=w0, seed=7)
-    b, _ = split_expander(g, [5, 5, 10], w0=w0, seed=7)
-    assert a == b
+def test_pipeline_golden_mappings():
+    hosts = {}
+    for sizes, seed, order, which, case, method, digest in GOLDEN_EMBEDDINGS:
+        if (sizes, seed) not in hosts:
+            g = gen_blowup_tt(list(sizes), intra=0.95, forward_noise=0.001,
+                              seed=seed)
+            hosts[sizes, seed] = g, decompose(g, fit_decomposition_params(g))
+        g, sp = hosts[sizes, seed]
+        part = reverse_for_embedding(sp) if order == "embedding" else sp
+        n = g.n
+        if which == "long":
+            c = CyclePattern(tuple([True] * (n - 3) + [False, True, False]))
+        elif which == "anti":
+            c = CyclePattern.antidirected(n)
+        else:
+            c = rand_pattern(n, which)
+        res = embed_hamilton_orientation(g, part, c)
+        assert res.ok, (sizes, order, which, res.failure_step)
+        assert (res.case, res.method, _mapping_digest(res.embedding.mapping)) \
+            == (case, method, digest), (sizes, order, which)
+
+
+def _maximal_runs(o):
+    """(start, vertex count, forward?) of every maximal run of equally
+    oriented edges of a non-directed cycle pattern."""
+    n = len(o)
+    runs = []
+    for s in range(n):
+        if o[s - 1] != o[s]:
+            k = 1
+            while o[(s + k) % n] == o[s]:
+                k += 1
+            runs.append((s, k + 1, o[s]))
+    return runs
+
+
+def test_frame_case1_brute_force():
+    # the frame puts a longest directed run forward on positions [0, ell);
+    # a forward run beats an equally long backward one, and within one
+    # direction the smallest start wins
+    for n in range(3, 13):
+        for bits in range(1, (1 << n) - 1):
+            o = tuple(bool(bits >> i & 1) for i in range(n))
+            runs = _maximal_runs(o)
+            ell = max(k for _, k, _ in runs)
+            fw_starts = [s for s, k, fw in runs if fw and k == ell]
+            if fw_starts:
+                want = (False, min(fw_starts))
+            else:
+                r = tuple(not o[(n - 1 - j) % n] for j in range(n))
+                want = (True, min(s for s, k, fw in _maximal_runs(r)
+                                  if fw and k == ell))
+            c = CyclePattern(o)
+            frame = _frame_case1(c)
+            assert (frame.reflected, frame.offset) == want, o
+            o2 = frame.pattern(c).orientation
+            assert all(o2[:ell - 1]) and not o2[ell - 1] and not o2[-1], o
 
 
 # --- directed 2-factors ---------------------------------------------------------------

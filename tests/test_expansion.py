@@ -318,6 +318,56 @@ def test_planted_cut_found_heuristic():
     assert res.certificate.e_forward == 0
 
 
+
+# Above the exact cap: (host, sampled verdicts as (nu, tau, seed, outcome,
+# checked_sets, violator), heuristic cuts as (alpha, budget seed, found,
+# best side1, best e_forward, near-miss side1 masks in report order)).
+# checked_sets counts the candidates probed, so it pins the order and the
+# size filter of the sampled candidate list; the near misses pin the order
+# in which cut search visits its starts.
+GOLDEN_ABOVE_CAP = (
+    (("random", 40, 56, 3),
+     ((0.05, 0.2, 1, "inconclusive", 715, None),
+      (0.2, 0.3, 2, "inconclusive", 691, None)),
+     ((0.05, 0, False, 16777216, 33, ()),
+      (0.4, 3, False, 16777216, 33, ()))),
+    (("blowup", (30, 30), None, 11),
+     ((0.05, 0.2, 1, "violator", 694, 801112063),
+      (0.2, 0.3, 2, "violator", 65, 216221475381313900)),
+     ((0.05, 0, True, 1073741823, 1,
+       (801079295, 801112063, 1125905275551743, 1125939635290111,
+        889192447, 905969663, 297237576480194559, 297238126236008447)),
+      (0.4, 3, True, 1073741823, 1,
+       (1, 9, 41, 105, 233, 489, 16873, 82409)))),
+    (("blowup", (34, 33, 33), None, 12),
+     ((0.05, 0.2, 1, "violator", 712, 8555593727),
+      (0.2, 0.3, 2, "violator", 4, 386750547495906060072202150610)),
+     ((0.05, 0, True, 17179869183, 1,
+       (3186884575, 4260626399, 8555593695, 8555593727, 25323127177215,
+        60507499266047, 130876243443711, 271613731799039)),
+      (0.4, 3, True, 17179869183, 1, ()))),
+)
+
+
+def test_sampled_certification_and_cut_search_golden():
+    for (kind, a, b, seed), verdicts, cuts in GOLDEN_ABOVE_CAP:
+        if kind == "random":
+            g = gen_random_min_degree(a, b, seed=seed)
+        else:
+            g = gen_blowup_tt(list(a), 0.95, 0.001, seed)
+        for nu, tau, s, outcome, checked, violator in verdicts:
+            v = certify_expander(g, ExpansionParams(nu, tau, mode="sampled",
+                                                    seed=s))
+            assert (v.outcome, v.checked_sets, v.violator) \
+                == (outcome, checked, violator), (g.n, nu, tau)
+        for alpha, s, found, side1, e, near in cuts:
+            res = find_sparse_cut(g, alpha, CutSearchBudget(seed=s))
+            assert res.mode == "heuristic"
+            assert (res.found, res.best.side1, res.best.e_forward) \
+                == (found, side1, e), (g.n, alpha)
+            assert tuple(c.side1 for c in res.near_misses) == near
+
+
 def test_complete_digraph_has_no_sparse_cut():
     g = gen_complete_digraph(10)
     res = find_sparse_cut(g, alpha=0.5)

@@ -106,7 +106,7 @@ def test_determinism():
 
 
 def test_genspec_round_trip():
-    spec = GenSpec("g1", {"sizes": [6, 6], "intra": 0.9, "noise": 0.01}, seed=4)
+    spec = GenSpec("blowup", {"sizes": [6, 6], "intra": 0.9, "noise": 0.01}, seed=4)
     d = spec.to_json_dict()
     spec2 = GenSpec.from_json_dict(d)
     assert spec2.build().out_adj == spec.build().out_adj
@@ -116,8 +116,8 @@ def test_genspec_round_trip():
 
 def test_family_registry():
     names = family_names()
-    assert {"complete", "g1", "blowup", "bipartite_extremal", "split_cliques",
+    assert {"complete", "blowup", "bipartite_extremal", "split_cliques",
             "random_min_degree", "tournament"} <= set(names)
-    assert family_param_names("g1") == ("sizes", "intra", "noise")
+    assert family_param_names("blowup") == ("sizes", "intra", "noise")
     with pytest.raises(InputError):
         family_param_names("bogus")

@@ -15,7 +15,7 @@ def test_edge_list_round_trip(tmp_path):
 
 
 def test_header_spec_round_trip(tmp_path):
-    spec = GenSpec("g1", {"sizes": [4, 4], "intra": 1.0, "noise": 0.0}, seed=2)
+    spec = GenSpec("blowup", {"sizes": [4, 4], "intra": 1.0, "noise": 0.0}, seed=2)
     g = spec.build()
     p = tmp_path / "g.edges"
     write_edges(g, p, header=spec.to_json_dict())

@@ -53,7 +53,7 @@ def test_config_validation():
     cfg = ExperimentConfig.from_json_dict(
         {"suites": [{"suite": "dichotomy", "seed": 0, "n": 10, "trials": 1}],
          "workers": 2})
-    assert cfg.workers == 2 and len(cfg.suites) == 1
+    assert len(cfg.suites) == 1          # unknown top-level keys are ignored
 
 
 # --- individual suites --------------------------------------------------------
@@ -132,12 +132,12 @@ def test_pancyclicity_suite():
 # --- the runner ------------------------------------------------------------------
 
 
-def small_config(**extra):
+def small_config():
     return ExperimentConfig.from_json_dict({
         "suites": [
             {"suite": "dichotomy", "seed": 0, "n": 10, "trials": 2},
             {"suite": "ghouila_houri", "seed": 0, "max_n": 3},
-        ], **extra})
+        ]})
 
 
 def test_run_outputs(tmp_path):
@@ -212,10 +212,3 @@ def test_run_deterministic_modulo_timing(tmp_path):
 
     assert rows_without_millis(tmp_path / "a") == \
         rows_without_millis(tmp_path / "b")
-
-
-def test_run_workers_match_serial(tmp_path):
-    serial = run(small_config(), str(tmp_path / "s"))
-    threaded = run(small_config(workers=2), str(tmp_path / "t"))
-    assert serial["suites"] == threaded["suites"]
-    assert serial["failed"] == threaded["failed"]
