@@ -51,10 +51,11 @@ from .oracle import (
 from .patterns import (
     CyclePattern,
     PathPattern,
+    _case1b_blocks,
     _directed_runs,
+    _framed_run_length,
     canonical_rotation,
     classify_case,
-    directed_run_decomposition_case1b,
     longest_directed_segment,
     necklace_classes,
     partition_case2,
@@ -435,9 +436,14 @@ def _plan_case1b(g: Digraph, c2: CyclePattern, pools: list[int],
 
     chosen = None
     d0 = params.block_size
-    for d in list(range(d0, 1, -1)) + list(range(d0 + 1, 2 * d0 + 1)):
+    block_caps = list(range(d0, 1, -1)) + list(range(d0 + 1, 2 * d0 + 1))
+    try:
+        run = _framed_run_length(c2)    # the same for every block cap
+    except PreconditionError:
+        block_caps = []                 # no cap can split the pattern
+    for d in block_caps:
         try:
-            bp = directed_run_decomposition_case1b(c2, d)
+            bp = _case1b_blocks(c2, run, d)
         except PreconditionError:
             continue
         if min(bp.block_sizes) < 2:

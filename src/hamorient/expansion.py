@@ -19,6 +19,16 @@ order would. Above the cap both directions degrade honestly: sampled
 certification can only return a violator or "inconclusive", and cut
 search becomes seeded local search whose empty result is flagged
 non-exhaustive.
+
+The above-cap paths share one 0/1 out-adjacency matrix A of the digraph.
+For a 0/1 matrix S whose rows are vertex sets, (S @ A)[i, v] counts the
+in-neighbours of v in set i: thresholding those counts gives every
+sampled robust out-neighbourhood at once, and summing them over the
+complement of each set gives every cut start's forward edge count. The
+hill climb keeps, per vertex, its out-neighbours in X2 minus its
+in-neighbours in X1, so the new ratio of every single-vertex move is one
+vector expression and a move updates that vector with one row and one
+column of A. All three give exactly the results of set-by-set loops.
 """
 
 from __future__ import annotations
@@ -75,6 +85,39 @@ def _at_least(tab: np.ndarray, k: int) -> np.ndarray:
     for v, row in enumerate(tab):
         out |= (row >= k).astype(np.uint32) << np.uint32(v)
     return out
+
+
+# Above the cap, vertex sets are 0/1 rows and the digraph is its 0/1
+# out-adjacency matrix; int16 holds every count up to N_MAX = 4096. Sets
+# are multiplied in chunks of _ROW_CHUNK rows, which bounds the temporary
+# matrices and lets certification stop at the chunk with the first violator.
+_ROW_CHUNK = 256
+
+
+def _set_rows(masks: list[int], n: int) -> np.ndarray:
+    """0/1 int16 matrix whose row i marks the vertices of masks[i]."""
+    width = (n + 7) // 8
+    buf = b"".join(m.to_bytes(width, "little") for m in masks)
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(masks), width)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(np.int16)
+
+
+def _adjacency(g: Digraph) -> np.ndarray:
+    """Out-adjacency matrix: entry [u, v] is 1 iff u -> v."""
+    return _set_rows(list(g.out_adj), g.n)
+
+
+def _row_chunks(masks: list[int], adj: np.ndarray):
+    """Yield (offset, rows, counts) per chunk of masks, where rows holds the
+    sets as 0/1 rows and counts = rows @ adj, i.e. counts[i, v] is the
+    number of in-neighbours of v in set i.
+
+    einsum multiplies int16 matrices with vectorised sum-of-products
+    loops, single-threaded and exact; matmul has no fast path for integer
+    types and is several times slower."""
+    for i in range(0, len(masks), _ROW_CHUNK):
+        rows = _set_rows(masks[i:i + _ROW_CHUNK], adj.shape[0])
+        yield i, rows, np.einsum("iu,uv->iv", rows, adj)
 
 
 def robust_out_neighborhood(g: Digraph, s: int, nu: float) -> int:
@@ -250,7 +293,11 @@ def certify_expander(g: Digraph, p: ExpansionParams) -> ExpansionVerdict:
     Exact mode sweeps every subset with tau*n <= |S| <= (1-tau)*n and is
     capped at n = 24. Sampled mode probes random sets per size decile plus
     condensation and degree-order prefixes plus caller hints; finding no
-    violator is reported as inconclusive, never as a certificate.
+    violator is reported as inconclusive, never as a certificate. The
+    candidates are multiplied by the adjacency matrix a chunk at a time:
+    |RN(S)| is the number of entries of S's row of counts that reach
+    ceil(nu*n), and the first candidate in order with
+    |RN(S)| < |S| + ceil(nu*n) is the violator, checked_sets its position.
     """
     mode = p.mode
     if mode == "auto":
@@ -264,15 +311,18 @@ def certify_expander(g: Digraph, p: ExpansionParams) -> ExpansionVerdict:
     if lo > hi:
         return ExpansionVerdict("expander", "sampled", p.nu, p.tau, 0)
     thr = max(1, int_ceil(p.nu * g.n))
-    checked = 0
-    for s in _sampled_candidates(g, lo, hi, p):
-        checked += 1
-        rn = robust_out_neighborhood(g, s, p.nu)
-        if rn.bit_count() < s.bit_count() + thr:
+    cands = _sampled_candidates(g, lo, hi, p)
+    for i, rows, counts in _row_chunks(cands, _adjacency(g)):
+        rn_size = (counts >= thr).sum(axis=1)
+        set_size = rows.sum(axis=1)
+        bad = np.flatnonzero(rn_size < set_size + thr)
+        if bad.size:
+            j = int(bad[0])
             return ExpansionVerdict(
-                "violator", "sampled", p.nu, p.tau, checked,
-                violator=s, rn_size=rn.bit_count(), set_size=s.bit_count())
-    return ExpansionVerdict("inconclusive", "sampled", p.nu, p.tau, checked)
+                "violator", "sampled", p.nu, p.tau, i + j + 1,
+                violator=cands[i + j], rn_size=int(rn_size[j]),
+                set_size=int(set_size[j]))
+    return ExpansionVerdict("inconclusive", "sampled", p.nu, p.tau, len(cands))
 
 
 @dataclass(frozen=True)
@@ -306,6 +356,7 @@ class CutSearchResult:
     best: CutCertificate | None       # best-ratio cut seen regardless of alpha
     near_misses: tuple[CutCertificate, ...]
     mode: str                         # exact | heuristic
+    climb_moves: int = 0              # accepted hill-climb moves, all climbs
 
 
 def _cut_ratio(e_fwd: int, s1: int, s2: int) -> float:
@@ -392,43 +443,58 @@ def _exact_cut_sweep(g: Digraph) -> tuple[int, int, float]:
     return best_mask, best_e, best_ratio
 
 
-def _eval_cut(g: Digraph, x1: int) -> tuple[int, float]:
-    x2 = g.vertex_mask & ~x1
-    e = sum((g.out_adj[u] & x2).bit_count() for u in bits_of(x1))
-    return e, _cut_ratio(e, x1.bit_count(), x2.bit_count())
+def _hill_climb(adj: np.ndarray, x1: int,
+                max_steps: int = 10_000) -> tuple[int, int, float, int]:
+    """Steepest-descent single-vertex moves on the forward-density ratio.
 
-
-def _hill_climb(g: Digraph, x1: int, max_steps: int = 10_000) -> tuple[int, int, float]:
-    """Steepest-descent single-vertex moves on the forward-density ratio."""
-    n = g.n
-    all_mask = g.vertex_mask
-    x2 = all_mask & ~x1
-    e = sum((g.out_adj[u] & x2).bit_count() for u in bits_of(x1))
+    Returns (X1, e_forward, ratio, accepted moves). gain[v] is the number
+    of out-neighbours of v in X2 minus its in-neighbours in X1, so moving
+    v changes e_forward by sign[v] * gain[v], with sign -1 on X1 and +1 on
+    X2, and a move updates gain with one row and one column of adj. The
+    move with the smallest new ratio wins, ties to the smallest vertex,
+    and is taken only if it beats the current ratio by more than 1e-15.
+    numpy's float64 division of these integers gives the same float as
+    Python's int / int.
+    """
+    n = adj.shape[0]
+    s = _set_rows([x1], n)[0]
+    in_x1 = s == 1
+    sign = 1 - 2 * s.astype(np.int64)
+    out2 = adj @ (1 - s)
+    gain = out2 - s @ adj
     s1 = x1.bit_count()
+    e = int(out2[in_x1].sum(dtype=np.int64))
     ratio = _cut_ratio(e, s1, n - s1)
+    moves = 0
     for _ in range(max_steps):
-        best = None
-        for v in range(n):
-            b = 1 << v
-            if x1 & b:
-                if s1 == 1:
-                    continue
-                ne = e - (g.out_adj[v] & x2).bit_count() + (g.in_adj[v] & x1 & ~b).bit_count()
-                ns1 = s1 - 1
-            else:
-                if s1 == n - 1:
-                    continue
-                ne = e + (g.out_adj[v] & x2 & ~b).bit_count() - (g.in_adj[v] & x1).bit_count()
-                ns1 = s1 + 1
-            nr = _cut_ratio(ne, ns1, n - ns1)
-            if nr < ratio - 1e-15 and (best is None or nr < best[0]):
-                best = (nr, v, ne, ns1)
-        if best is None:
+        ne = sign * gain
+        ne += e
+        # |X1| * |X2| after a move out of X1 (d1) or into X1 (d2); a
+        # move that would empty a side gets ratio inf
+        d1 = (s1 - 1) * (n - s1 + 1)
+        d2 = (s1 + 1) * (n - s1 - 1)
+        nr = ne / np.where(in_x1, d1 or 1, d2 or 1)
+        if not d1:
+            nr[in_x1] = np.inf
+        if not d2:
+            nr[~in_x1] = np.inf
+        v = int(nr.argmin())
+        if not nr[v] < ratio - 1e-15:
             break
-        ratio, v, e, s1 = best
+        ratio, e = float(nr[v]), int(ne[v])
+        if in_x1[v]:
+            s1 -= 1
+            gain += adj[v]
+            gain += adj[:, v]
+        else:
+            s1 += 1
+            gain -= adj[v]
+            gain -= adj[:, v]
+        in_x1[v] = not in_x1[v]
+        sign[v] = -sign[v]
         x1 ^= 1 << v
-        x2 = all_mask & ~x1
-    return x1, e, ratio
+        moves += 1
+    return x1, e, ratio, moves
 
 
 def find_sparse_cut(g: Digraph, alpha: float, budget: CutSearchBudget | None = None,
@@ -437,8 +503,11 @@ def find_sparse_cut(g: Digraph, alpha: float, budget: CutSearchBudget | None = N
 
     Exact sweep up to n = 24 (so an empty result is a proof of absence);
     beyond that, seeded local search from condensation prefixes, degree
-    prefixes, hint masks, and random balanced cuts. Near misses within a
-    factor 2 of alpha are reported for diagnostics.
+    prefixes, hint masks, and random balanced cuts. Every prefix start is
+    evaluated at once from its row of S @ A (A the adjacency matrix): its
+    forward edges are the counts on its complement. The climbs reuse A;
+    climb_moves sums their accepted moves. Near misses within a factor 2
+    of alpha are reported for diagnostics.
     """
     if g.n < 2:
         raise PreconditionError("cuts need at least 2 vertices")
@@ -452,8 +521,10 @@ def find_sparse_cut(g: Digraph, alpha: float, budget: CutSearchBudget | None = N
 
     rng = random.Random(budget.seed)
     n = g.n
+    adj = _adjacency(g)
     best: tuple[float, int, int] | None = None   # ratio, mask, e
     near: list[CutCertificate] = []
+    moves = 0
 
     def consider(x1: int, e: int, ratio: float):
         nonlocal best
@@ -463,11 +534,19 @@ def find_sparse_cut(g: Digraph, alpha: float, budget: CutSearchBudget | None = N
             near.append(CutCertificate(x1, g.vertex_mask & ~x1, e, ratio, False))
 
     def climb(x1: int):
+        nonlocal moves
         if x1 != 0 and x1 != g.vertex_mask:
-            consider(*_hill_climb(g, x1))
+            *cut, m = _hill_climb(adj, x1)
+            moves += m
+            consider(*cut)
 
     # structured starts are proper, non-empty prefixes
-    starts = [(s, *_eval_cut(g, s)) for s in _prefix_masks(g, 4)]
+    prefixes = _prefix_masks(g, 4)
+    fwd: list[int] = []
+    for _, rows, counts in _row_chunks(prefixes, adj):
+        fwd += (counts * (1 - rows)).sum(axis=1, dtype=np.int64).tolist()
+    starts = [(s, e, _cut_ratio(e, s.bit_count(), n - s.bit_count()))
+              for s, e in zip(prefixes, fwd)]
     for s, e, ratio in starts:
         consider(s, e, ratio)
     for h in hints:
@@ -484,7 +563,8 @@ def find_sparse_cut(g: Digraph, alpha: float, budget: CutSearchBudget | None = N
     ratio, mask, e = best
     cert = CutCertificate(mask, g.vertex_mask & ~mask, e, ratio, False)
     found = ratio <= alpha + 1e-12
-    return CutSearchResult(found, cert if found else None, cert, tuple(near), "heuristic")
+    return CutSearchResult(found, cert if found else None, cert, tuple(near),
+                           "heuristic", moves)
 
 
 @dataclass(frozen=True)

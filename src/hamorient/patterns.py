@@ -349,13 +349,25 @@ def directed_run_decomposition_case1b(c: CyclePattern, d: int) -> BlockPlan:
     forward on positions [0, ell). Errors if the run spans everything or
     the equal split would leave a block below D/2.
     """
-    o = c.orientation
-    n = c.n
+    return _case1b_blocks(c, _framed_run_length(c), d)
+
+
+def _framed_run_length(c: CyclePattern) -> int:
+    """ell of a pattern framed for case 1b: its longest directed run must
+    be forward on positions [0, ell) and must not span the whole cycle."""
     ell, start, fw = longest_directed_segment(c)
-    if ell >= n:
+    if ell >= c.n:
         raise PreconditionError("pattern is a directed cycle; nothing to block")
     if start != 0 or not fw:
         raise PreconditionError("pattern not framed with its run forward at position 0")
+    return ell
+
+
+def _case1b_blocks(c: CyclePattern, ell: int, d: int) -> BlockPlan:
+    """The block split of directed_run_decomposition_case1b for a pattern
+    whose framed run length ell is already known."""
+    o = c.orientation
+    n = c.n
     if d < 2:
         raise PreconditionError("block cap must be at least 2")
     rest = n - ell

@@ -10,7 +10,7 @@ from itertools import permutations
 
 import pytest
 
-from hamorient import Digraph, gen_blowup_tt
+from hamorient import Digraph, gen_blowup_tt, robust_out_neighborhood
 
 
 def digraph(n, *edges):
@@ -70,6 +70,56 @@ def brute_robust_outnbhd(g, s_mask, nu):
         if cnt >= thr:
             out |= 1 << v
     return out
+
+
+def brute_hill_climb(g, x1, max_steps=10_000):
+    """Reference hill climb: every step recomputes the gain of each
+    single-vertex move with fresh popcounts, vertex by vertex, and takes
+    the first strictly best move that beats the current ratio by more
+    than 1e-15. Returns (X1, e_forward, ratio, moves taken)."""
+    n = g.n
+    all_mask = g.vertex_mask
+    x2 = all_mask & ~x1
+    e = sum((g.out_adj[u] & x2).bit_count() for u in range(n) if x1 >> u & 1)
+    s1 = x1.bit_count()
+    ratio = e / (s1 * (n - s1))
+    moves = 0
+    for _ in range(max_steps):
+        best = None
+        for v in range(n):
+            b = 1 << v
+            if x1 & b:
+                if s1 == 1:
+                    continue
+                ne = e - (g.out_adj[v] & x2).bit_count() + (g.in_adj[v] & x1 & ~b).bit_count()
+                ns1 = s1 - 1
+            else:
+                if s1 == n - 1:
+                    continue
+                ne = e + (g.out_adj[v] & x2 & ~b).bit_count() - (g.in_adj[v] & x1).bit_count()
+                ns1 = s1 + 1
+            nr = ne / (ns1 * (n - ns1))
+            if nr < ratio - 1e-15 and (best is None or nr < best[0]):
+                best = (nr, v, ne, ns1)
+        if best is None:
+            break
+        ratio, v, e, s1 = best
+        x1 ^= 1 << v
+        x2 = all_mask & ~x1
+        moves += 1
+    return x1, e, ratio, moves
+
+
+def brute_sampled_verdict(g, cands, nu):
+    """Reference sampled certification over a candidate list: probe each
+    set in order with robust_out_neighborhood. Returns (outcome,
+    checked_sets, violator, rn_size, set_size)."""
+    thr = max(1, math.ceil(nu * g.n - 1e-9))
+    for i, s in enumerate(cands):
+        rn = robust_out_neighborhood(g, s, nu)
+        if rn.bit_count() < s.bit_count() + thr:
+            return "violator", i + 1, s, rn.bit_count(), s.bit_count()
+    return "inconclusive", len(cands), None, None, None
 
 
 @pytest.fixture

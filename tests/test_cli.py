@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hamorient import partition_from_json_dict
+from hamorient import CutSearchBudget, find_sparse_cut, partition_from_json_dict
 from hamorient.cli import main
 from hamorient.io import read_edges, read_header_spec
 
@@ -212,11 +212,25 @@ def test_verify_cut_found_and_absent(workdir, tmp_path):
     assert data["outcome"] == "cut"
     assert sorted(data["cut"]) == data["cut"] and len(data["cut"]) == 12
     assert data["counts"]["e_forward"] == 0
+    assert data["mode"] == "exact" and data["counts"]["climb_moves"] == 0
 
     dense = tmp_path / "k12.edges"
     assert main(["generate", "--family", "complete", "--n", "12",
                  "--out", str(dense)]) == 0
     assert main(["verify", "--input", str(dense), "--alpha", "0.05"]) == 1
+
+
+def test_verify_cut_reports_climb_moves(tmp_path):
+    graph = tmp_path / "b60.edges"
+    assert main(["generate", "--family", "blowup", "--sizes", "30,30",
+                 "--seed", "11", "--out", str(graph)]) == 0
+    out = tmp_path / "cut.json"
+    main(["verify", "--input", str(graph), "--alpha", "0.05", "--seed", "1",
+          "--out", str(out)])
+    data = json.loads(out.read_text())
+    res = find_sparse_cut(read_edges(graph), 0.05, CutSearchBudget(seed=1))
+    assert data["mode"] == "heuristic"
+    assert data["counts"]["climb_moves"] == res.climb_moves > 0
 
 
 def test_verify_selector_errors(workdir):

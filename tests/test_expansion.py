@@ -11,11 +11,15 @@ from hamorient import (CutSearchBudget, Digraph, ExpansionParams,
                        gen_blowup_tt, gen_complete_digraph,
                        gen_random_min_degree, robust_out_neighborhood,
                        sparse_or_expander)
+from hamorient import expansion
 from hamorient.bitset import bit_list, int_ceil, mask_of
 from hamorient.digraph import induced
-from hamorient.expansion import _exact_cut_sweep, _exact_expander_sweep
+from hamorient.expansion import (_adjacency, _exact_cut_sweep,
+                                 _exact_expander_sweep, _hill_climb,
+                                 _sampled_candidates, _size_bounds)
 
-from conftest import brute_robust_outnbhd, digraph
+from conftest import (brute_hill_climb, brute_robust_outnbhd,
+                      brute_sampled_verdict, digraph)
 
 
 def rand_digraph(n, p, seed):
@@ -366,6 +370,99 @@ def test_sampled_certification_and_cut_search_golden():
             assert (res.found, res.best.side1, res.best.e_forward) \
                 == (found, side1, e), (g.n, alpha)
             assert tuple(c.side1 for c in res.near_misses) == near
+
+
+def _two_communities(n, seed):
+    """Two shuffled dense halves joined by one out-edge per vertex: the
+    degree and condensation prefixes mix the halves, and either half is a
+    violator for small nu."""
+    rng = random.Random(seed)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    h = n // 2
+    edges = set()
+    for u in range(n):
+        for v in range(n):
+            if u != v and (u < h) == (v < h) and rng.random() < 0.9:
+                edges.add((perm[u], perm[v]))
+        v = rng.choice([w for w in range(n) if (w < h) != (u < h)])
+        edges.add((perm[u], perm[v]))
+    return Digraph.from_edge_list(n, sorted(edges)), mask_of(perm[:h])
+
+
+def test_hill_climb_matches_reference():
+    hosts = []
+    for n in (25, 40, 70, 130):
+        hosts += [gen_random_min_degree(n, int(1.3 * n), seed=n),
+                  gen_blowup_tt([n // 2, n - n // 2], 0.95, 0.01, seed=n),
+                  # identical blocks: many moves tie on every step
+                  gen_blowup_tt([n // 3, n // 3, n - 2 * (n // 3)], 1.0, 0.0,
+                                seed=n)]
+    hosts += [gen_complete_digraph(25), gen_complete_digraph(40)]
+    moved = 0
+    for g in hosts:
+        n = g.n
+        adj = _adjacency(g)
+        rng = random.Random(n)
+        starts = [1 << rng.randrange(n), 1 << (n - 1),
+                  g.vertex_mask ^ (1 << rng.randrange(n)),
+                  g.vertex_mask ^ 1]
+        starts += [mask_of(rng.sample(range(n), rng.randint(1, n - 1)))
+                   for _ in range(5)]
+        for x1 in starts:
+            got = _hill_climb(adj, x1)
+            assert got == brute_hill_climb(g, x1), (n, x1)
+            moved += got[3] > 0
+    assert moved > 50
+
+
+def test_sampled_certification_matches_reference():
+    comm, half = _two_communities(40, 8)
+    hosts = [gen_random_min_degree(40, 56, seed=3),
+             gen_random_min_degree(70, 100, seed=4),
+             gen_blowup_tt([30, 30], 0.95, 0.001, 11),
+             gen_blowup_tt([20, 20, 20], 0.95, 0.001, 5),
+             gen_complete_digraph(30), comm]
+    outcomes = Counter()
+    for g in hosts:
+        n = g.n
+        blocks = tuple(mask_of(range(i, min(n, i + 20)))
+                       for i in range(0, n, 20))
+        calls = [(0.05, 0.2, 1, 64, ()), (0.2, 0.3, 2, 64, ()),
+                 (0.05, 0.2, 3, 1, blocks),
+                 (0.1, 0.25, 4, 2, (blocks[0] | 1 << (n + 3),))]
+        if g is comm:
+            # the hint is the only violator among the candidates
+            calls += [(0.1, 0.25, 5, spd, (half,)) for spd in (0, 1, 64)]
+        for nu, tau, seed, spd, hints in calls:
+            p = ExpansionParams(nu, tau, mode="sampled", seed=seed,
+                                samples_per_decile=spd, hints=hints)
+            cands = _sampled_candidates(g, *_size_bounds(n, tau), p)
+            v = certify_expander(g, p)
+            got = (v.outcome, v.checked_sets, v.violator, v.rn_size,
+                   v.set_size)
+            assert got == brute_sampled_verdict(g, cands, nu), (n, nu, seed)
+            if g is comm and hints == (half,):
+                assert (v.violator, v.checked_sets) == (half, len(cands))
+            outcomes[v.outcome] += 1
+    assert outcomes["violator"] >= 8 and outcomes["inconclusive"] >= 8
+
+
+def test_climb_moves_sum_over_climbs(monkeypatch):
+    moves = []
+
+    def spy(adj, x1):
+        out = _hill_climb(adj, x1)
+        moves.append(out[3])
+        return out
+
+    monkeypatch.setattr(expansion, "_hill_climb", spy)
+    g = gen_blowup_tt([30, 30], 0.95, 0.001, 11)
+    res = find_sparse_cut(g, 0.05, CutSearchBudget(seed=1))
+    assert len(moves) == 8 + 32           # best prefix starts, restarts
+    assert res.mode == "heuristic" and res.climb_moves == sum(moves) > 0
+    exact = find_sparse_cut(gen_blowup_tt([10, 10], 0.95, 0.001, 1), 0.05)
+    assert exact.mode == "exact" and exact.climb_moves == 0
 
 
 def test_complete_digraph_has_no_sparse_cut():
