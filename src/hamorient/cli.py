@@ -25,7 +25,7 @@ from .decomposition import (DecompositionParams, decompose,
                             fit_decomposition_params, partition_from_json_dict,
                             reverse_for_embedding, verify_partition)
 from .digraph import Digraph
-from .embedding import EmbedParams, embed_hamilton_orientation
+from .embedding import embed_hamilton_orientation
 from .errors import (CapabilityError, HypothesisError, InputError,
                      PreconditionError, ResourceError)
 from .expansion import (CutSearchBudget, ExpansionParams, certify_expander,
@@ -122,8 +122,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     g = read_edges(args.input)
     params = _decomposition_params(g, args)
     sp = decompose(g, params, cut_budget=CutSearchBudget(seed=args.seed))
-    report = sp.report or verify_partition(g, sp, sp.params)
-    sp = replace(sp, report=report)
+    report = sp.report
     _emit(sp.to_json_dict(g), args.out)
     sizes = "+".join(str(s) for s in sp.sizes())
     print(f"partitioned n={g.n} into t={sp.t} classes ({sizes}); "
@@ -152,8 +151,7 @@ def _embed_via_pipeline(g: Digraph, c: CyclePattern, args: argparse.Namespace) -
     else:
         params = fit_decomposition_params(g)
         sp = reverse_for_embedding(decompose(g, params))
-    res = embed_hamilton_orientation(g, sp, c, EmbedParams(
-        oracle_deadline=args.deadline, fill_deadline=args.deadline))
+    res = embed_hamilton_orientation(g, sp, c)
     out = {
         "status": res.status,
         "case": res.case,
@@ -171,7 +169,7 @@ def _embed_via_pipeline(g: Digraph, c: CyclePattern, args: argparse.Namespace) -
 
 
 def _embed_via_oracle(g: Digraph, c: CyclePattern, args: argparse.Namespace) -> dict:
-    res = exact_embed(g, c, deadline=args.deadline)
+    res = exact_embed(g, c)
     out = {
         "status": "embedded" if res.found else res.status,
         "case": "",
@@ -351,8 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     emb.add_argument("--partition", help="partition JSON from the partition "
                                          "subcommand (omit to compute one)")
     emb.add_argument("--mode", choices=("pipeline", "oracle"), default="pipeline")
-    emb.add_argument("--deadline", type=float, default=10.0,
-                     help="seconds per exact-search call")
     emb.add_argument("--out", help="embedding JSON output (default stdout)")
     emb.set_defaults(func=_cmd_embed)
 

@@ -76,14 +76,14 @@ class EmbedParams:
     a non-spanning run (adapted downward/upward if the equal split or the
     blueprint capacity fails). connector_retries bounds how many
     alternative connector selections are tried before oracle fallback.
+    Every exact search the pipeline makes (stretch fills, the oracle
+    fallback) is bounded by the oracle's node budget, not by time.
     """
     beta: float = 0.1
     rho: float = 0.0025
     eta: float = 0.3
     block_size: int = 6
     connector_retries: int = 16
-    oracle_deadline: float = 10.0
-    fill_deadline: float = 10.0
 
     def __post_init__(self):
         if not 0 < self.beta < 1:
@@ -378,7 +378,7 @@ def _fill_stretches(g: Digraph, c2: CyclePattern, plan: EmbedPlan,
                 return None, f"fill:class{cls}:capability"
             res = exact_embed(g, pattern,
                               pins={0: vstart, pattern.length - 1: vend},
-                              allowed=allowed, deadline=params.fill_deadline)
+                              allowed=allowed)
             if not res.found:
                 return None, (f"fill:class{cls}:stretch@{s.start}"
                               f":{res.status}")
@@ -676,7 +676,7 @@ def embed_hamilton_orientation(g: Digraph, sp, c: CyclePattern,
         if g.n > SPANNING_CAP:
             return PipelineResult("failed", None, "single-class", "none", 0,
                                   "single-class:capability", audit)
-        res = exact_embed(g, c, deadline=params.oracle_deadline)
+        res = exact_embed(g, c)
         if res.found:
             return PipelineResult("embedded", Embedding(res.mapping, c.to_string()),
                                   "single-class", "oracle", 1, None, audit)
@@ -751,7 +751,7 @@ def embed_hamilton_orientation(g: Digraph, sp, c: CyclePattern,
             break                    # plans fail before connector choice matters
     audit["failures"] = failures
     if n <= SPANNING_CAP:
-        res = exact_embed(g, c, deadline=params.oracle_deadline)
+        res = exact_embed(g, c)
         if res.found:
             check = validate_embedding(g, c, res.mapping, spanning=True)
             if check.valid:
@@ -768,7 +768,7 @@ def embed_hamilton_orientation(g: Digraph, sp, c: CyclePattern,
 # 2-factors, cycle spectrum
 
 
-def two_factor(g: Digraph, k: int, deadline: float = 10.0) -> list[tuple[int, ...]]:
+def two_factor(g: Digraph, k: int) -> list[tuple[int, ...]]:
     """Cover V(G) by at most k vertex-disjoint directed cycles.
 
     Requires min total degree at least n + floor(n/(k+1)) - 1 and
@@ -800,7 +800,7 @@ def two_factor(g: Digraph, k: int, deadline: float = 10.0) -> list[tuple[int, ..
     for comp in comps:
         size = comp.bit_count()
         pattern = CyclePattern.directed(size)
-        res = exact_embed(g, pattern, allowed=comp, deadline=deadline)
+        res = exact_embed(g, pattern, allowed=comp)
         if res.status == "timeout":
             raise ResourceError(f"search timed out on a component of {size}")
         if not res.found:
@@ -825,10 +825,9 @@ class PancyclicReport:
         return all(cell["outcome"] == "found" for cell in self.cells)
 
 
-def _double_edge_cycle(gstar: Digraph, length: int,
-                       deadline: float):
+def _double_edge_cycle(gstar: Digraph, length: int):
     try:
-        res = exact_embed(gstar, CyclePattern.directed(length), deadline=deadline)
+        res = exact_embed(gstar, CyclePattern.directed(length))
     except CapabilityError:
         return None
     return res.mapping if res.found else None
@@ -863,8 +862,7 @@ def _extend_odd(g: Digraph, base: tuple[int, ...], pattern: CyclePattern):
 
 def pancyclic_suite(g: Digraph, k: int, gamma: float, seed: int = 0,
                     lengths=None, orientations_per_length: int | None = 4,
-                    deadline: float = 5.0, sp=None,
-                    params: EmbedParams | None = None) -> PancyclicReport:
+                    sp=None) -> PancyclicReport:
     """Hunt an oriented cycle of every length and sampled orientation.
 
     Strategy chain per cell: (1) a cycle of that length in the
@@ -889,7 +887,7 @@ def pancyclic_suite(g: Digraph, k: int, gamma: float, seed: int = 0,
 
     def star_cycle(m: int):
         if m not in star_cycles:
-            star_cycles[m] = _double_edge_cycle(gstar, m, deadline)
+            star_cycles[m] = _double_edge_cycle(gstar, m)
         return star_cycles[m]
 
     for length in lengths:
@@ -897,7 +895,7 @@ def pancyclic_suite(g: Digraph, k: int, gamma: float, seed: int = 0,
         for pat in patterns:
             t0 = time.monotonic()
             outcome, method, mapping = _pancyclic_cell(
-                g, gstar, pat, length, star_cycle, deadline, sp, params)
+                g, gstar, pat, length, star_cycle, sp)
             if mapping is not None:
                 check = validate_embedding(g, pat, mapping)
                 if not check.valid:
@@ -930,7 +928,7 @@ def _sample_patterns(length: int, count: int | None, rng: random.Random):
     return pats
 
 
-def _pancyclic_cell(g, gstar, pat, length, star_cycle, deadline, sp, params):
+def _pancyclic_cell(g, gstar, pat, length, star_cycle, sp):
     base = star_cycle(length)
     if base is not None:       # a double-edge ring realizes every orientation
         return "found", "double-edge", base
@@ -940,11 +938,11 @@ def _pancyclic_cell(g, gstar, pat, length, star_cycle, deadline, sp, params):
         if mapping is not None:
             return "found", "odd-extension", mapping
     if sp is not None and not pat.is_directed():
-        mapping = _cycle_in_class(g, pat, sp, deadline)
+        mapping = _cycle_in_class(g, pat, sp)
         if mapping is not None:
             return "found", "in-class", mapping
     try:
-        res = exact_embed(g, pat, deadline=deadline)
+        res = exact_embed(g, pat)
     except CapabilityError:
         return "inconclusive", "oracle-capped", None
     if res.found:
@@ -952,7 +950,7 @@ def _pancyclic_cell(g, gstar, pat, length, star_cycle, deadline, sp, params):
     return res.status, "oracle", None
 
 
-def _cycle_in_class(g: Digraph, pat: CyclePattern, sp, deadline: float):
+def _cycle_in_class(g: Digraph, pat: CyclePattern, sp):
     pools = sorted(sp.classes, key=lambda m: -m.bit_count())
     n = pat.n
     for pool in pools:
@@ -964,14 +962,9 @@ def _cycle_in_class(g: Digraph, pat: CyclePattern, sp, deadline: float):
         sub_edges = [(u, v) for u in bit_list(pool)
                      for v in bit_list(g.out_adj[u] & pool)]
         for u, v in sub_edges[:24]:
-            if fwd_wrap:
-                res = embed_path_between(g, path, v, u,
-                                         forbidden=g.vertex_mask & ~pool,
-                                         deadline=deadline)
-            else:
-                res = embed_path_between(g, path, u, v,
-                                         forbidden=g.vertex_mask & ~pool,
-                                         deadline=deadline)
+            first, last = (v, u) if fwd_wrap else (u, v)
+            res = embed_path_between(g, path, first, last,
+                                     forbidden=g.vertex_mask & ~pool)
             if res.found:
                 return res.mapping
     return None

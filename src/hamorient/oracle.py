@@ -2,19 +2,24 @@
 
 exact_embed answers "does this host contain an injective, orientation
 respecting copy of this cycle/path pattern" definitively whenever it
-finishes inside its deadline: a "found" comes with the mapping, a "none"
-means the search space was exhausted. Three cooperating engines:
+finishes inside its work budgets: a "found" comes with the mapping, a
+"none" means the search space was exhausted, and "timeout" means the
+node budget ran out. Budgets count work, not seconds, so a seeded call
+gives the same answer on any machine. Three cooperating engines:
 
   1. backtracking with fewest-candidates-first position selection and
      bitset forward checking (fast on satisfiable dense instances),
+     first for BT_STAGE_NODES nodes;
   2. a subset dynamic program over (used-set, last-vertex) states for
      spanning patterns on at most 16 usable vertices (merges the
-     exponential backtrack tree on refutations),
-  3. for fully directed cycle patterns, restriction to single strongly
-     connected components first (a directed cycle cannot cross them).
+     exponential backtrack tree on refutations), abandoned past
+     DP_STATE_BUDGET states;
+  3. backtracking again until the call has spent node_budget nodes
+     (default NODE_BUDGET).
 
-Spanning searches are capped at 64 vertices; anything larger times out in
-practice and callers are told up front.
+Fully directed cycle patterns are first restricted to single strongly
+connected components (a directed cycle cannot cross them). Spanning
+searches are capped at 64 vertices; callers are told up front.
 """
 
 from __future__ import annotations
@@ -29,8 +34,9 @@ from .patterns import CyclePattern, PathPattern
 
 SPANNING_CAP = 64
 DP_CAP = 16
-BT_STAGE_NODES = 20_000
+BT_STAGE_NODES = 20_480
 DP_STATE_BUDGET = 400_000
+NODE_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -126,17 +132,10 @@ def _static_filter(host: Digraph, adj, allowed: int) -> list[int]:
     return filt
 
 
-class _Budget:
-    __slots__ = ("t_end", "node_cap", "nodes")
-
-    def __init__(self, t_end: float, node_cap: int | None):
-        self.t_end = t_end
-        self.node_cap = node_cap
-        self.nodes = 0
-
-
 def _backtrack(host: Digraph, adj, filt, pins: dict[int, int], allowed: int,
-               budget: _Budget) -> tuple[str, tuple[int, ...] | None]:
+               nodes: int, cap: int) -> tuple[str, tuple[int, ...] | None, int]:
+    """Search until a mapping is found, the tree is exhausted, or the
+    running node count reaches cap ("budget")."""
     size = len(adj)
     out_adj = host.out_adj
     in_adj = host.in_adj
@@ -147,7 +146,7 @@ def _backtrack(host: Digraph, adj, filt, pins: dict[int, int], allowed: int,
         used |= 1 << v
     remaining = size - len(pins)
     if remaining == 0:
-        return "found", tuple(assign)
+        return "found", tuple(assign), nodes
 
     front = {p for p in range(size)
              if assign[p] < 0 and any(assign[q] >= 0 for q, _ in adj[p])}
@@ -180,10 +179,6 @@ def _backtrack(host: Digraph, adj, filt, pins: dict[int, int], allowed: int,
 
     p0, c0 = select()
     stack: list[list[int]] = [[p0, c0, -1]]    # position, candidates left, tried vertex
-    nodes = budget.nodes
-    node_cap = budget.node_cap
-    t_end = budget.t_end
-    check_at = nodes + 2048
 
     while stack:
         ent = stack[-1]
@@ -203,17 +198,12 @@ def _backtrack(host: Digraph, adj, filt, pins: dict[int, int], allowed: int,
         if not c:
             stack.pop()
             continue
+        if nodes >= cap:
+            return "budget", None, nodes
+        nodes += 1
         low = c & -c
         ent[1] = c ^ low
         v = low.bit_length() - 1
-        nodes += 1
-        if nodes >= check_at:
-            budget.nodes = nodes
-            if time.monotonic() > t_end:
-                return "timeout", None
-            if node_cap is not None and nodes >= node_cap:
-                return "budget", None
-            check_at = nodes + 2048
         assign[p] = v
         used |= low
         ent[2] = v
@@ -229,17 +219,15 @@ def _backtrack(host: Digraph, adj, filt, pins: dict[int, int], allowed: int,
         if not ok:
             continue
         if len(stack) == remaining:
-            budget.nodes = nodes
-            return "found", tuple(assign)
+            return "found", tuple(assign), nodes
         np_, nc = select()
         stack.append([np_, nc, -1])
 
-    budget.nodes = nodes
-    return "none", None
+    return "none", None, nodes
 
 
 def _dp_spanning(host: Digraph, orientation, is_cycle: bool, pins: dict[int, int],
-                 allowed: int, budget: _Budget) -> tuple[str, tuple[int, ...] | None]:
+                 allowed: int) -> tuple[str, tuple[int, ...] | None]:
     """Layered subset DP; complete for spanning patterns, aborts on a state
     budget so dense instances fall back to plain search."""
     out_adj = host.out_adj
@@ -251,8 +239,6 @@ def _dp_spanning(host: Digraph, orientation, is_cycle: bool, pins: dict[int, int
     total_states = 0
 
     for v0 in starts:
-        if time.monotonic() > budget.t_end:
-            return "timeout", None
         layers: list[dict[int, int]] = [{1 << v0: 1 << v0}]
         dead = False
         for d in range(size - 1):
@@ -310,7 +296,7 @@ def _dp_spanning(host: Digraph, orientation, is_cycle: bool, pins: dict[int, int
 
 
 def _engine(host: Digraph, pattern, pins: dict[int, int], allowed: int,
-            budget: _Budget, node_budget: int | None) -> tuple[str, tuple[int, ...] | None, str]:
+            nodes: int, node_budget: int) -> tuple[str, tuple[int, ...] | None, str, int]:
     adj = _pattern_adjacency(pattern)
     filt = _static_filter(host, adj, allowed)
     for p, v in pins.items():
@@ -318,37 +304,34 @@ def _engine(host: Digraph, pattern, pins: dict[int, int], allowed: int,
     size = len(adj)
     spanning = size == allowed.bit_count()
 
-    stage = _Budget(budget.t_end, budget.nodes + BT_STAGE_NODES)
-    stage.nodes = budget.nodes
-    status, mapping = _backtrack(host, adj, filt, pins, allowed, stage)
-    budget.nodes = stage.nodes
-    if status in ("found", "none", "timeout"):
-        return status, mapping, "backtrack"
+    status, mapping, nodes = _backtrack(host, adj, filt, pins, allowed, nodes,
+                                        min(nodes + BT_STAGE_NODES, node_budget))
+    if status != "budget":
+        return status, mapping, "backtrack", nodes
 
     if spanning and size <= DP_CAP:
         status, mapping = _dp_spanning(host, pattern.orientation,
                                        isinstance(pattern, CyclePattern),
-                                       pins, allowed, budget)
-        if status in ("found", "none", "timeout"):
-            return status, mapping, "dp"
+                                       pins, allowed)
+        if status != "budget":
+            return status, mapping, "dp", nodes
 
-    stage = _Budget(budget.t_end, node_budget)
-    stage.nodes = budget.nodes
-    status, mapping = _backtrack(host, adj, filt, pins, allowed, stage)
-    budget.nodes = stage.nodes
+    status, mapping, nodes = _backtrack(host, adj, filt, pins, allowed, nodes,
+                                        node_budget)
     if status == "budget":
         status = "timeout"
-    return status, mapping, "backtrack"
+    return status, mapping, "backtrack", nodes
 
 
 def exact_embed(host: Digraph, pattern, pins: dict[int, int] | None = None,
-                allowed: int | None = None, deadline: float = 10.0,
-                node_budget: int | None = None) -> EmbedResult:
+                allowed: int | None = None,
+                node_budget: int = NODE_BUDGET) -> EmbedResult:
     """Search for an orientation-respecting injective embedding.
 
     pins maps pattern positions to required host vertices; allowed
-    restricts usable host vertices (default all). Within the deadline the
-    answer is definitive; "timeout" is an explicit outcome, not a guess.
+    restricts usable host vertices (default all). Backtracking stops
+    after node_budget nodes in all; "timeout" then says so explicitly,
+    and every other answer is definitive.
     """
     t0 = time.monotonic()
     pins = dict(pins or {})
@@ -380,9 +363,7 @@ def exact_embed(host: Digraph, pattern, pins: dict[int, int] | None = None,
             v = (allowed & -allowed).bit_length() - 1
         return EmbedResult("found", (v,), 0, time.monotonic() - t0, "trivial")
 
-    t_end = t0 + deadline if deadline is not None else float("inf")
-    budget = _Budget(t_end, None)
-
+    nodes = 0
     is_cycle = isinstance(pattern, CyclePattern)
     if is_cycle and pattern.is_directed():
         # a directed cycle lives inside one strongly connected component
@@ -398,21 +379,22 @@ def exact_embed(host: Digraph, pattern, pins: dict[int, int] | None = None,
                 continue
             if any(not comp_mask >> v & 1 for v in pins.values()):
                 continue
-            status, mapping, m = _engine(host, pattern, pins, comp_mask, budget, node_budget)
+            status, mapping, m, nodes = _engine(host, pattern, pins, comp_mask,
+                                                nodes, node_budget)
             if status == "found":
-                return EmbedResult("found", mapping, budget.nodes, time.monotonic() - t0, "scc+" + m)
+                return EmbedResult("found", mapping, nodes, time.monotonic() - t0, "scc+" + m)
             if status == "timeout":
                 status_overall = "timeout"
                 break
-        return EmbedResult(status_overall, None, budget.nodes, time.monotonic() - t0, method)
+        return EmbedResult(status_overall, None, nodes, time.monotonic() - t0, method)
 
-    status, mapping, method = _engine(host, pattern, pins, allowed, budget, node_budget)
-    return EmbedResult(status, mapping, budget.nodes, time.monotonic() - t0, method)
+    status, mapping, method, nodes = _engine(host, pattern, pins, allowed, nodes,
+                                             node_budget)
+    return EmbedResult(status, mapping, nodes, time.monotonic() - t0, method)
 
 
 def embed_path_between(host: Digraph, pattern: PathPattern, u: int, v: int,
-                       forbidden: int = 0, deadline: float = 10.0,
-                       node_budget: int | None = None) -> EmbedResult:
+                       forbidden: int = 0) -> EmbedResult:
     """Embed an oriented path with both endpoint images fixed.
 
     u takes position 0 and v the final position; forbidden vertices are
@@ -426,4 +408,4 @@ def embed_path_between(host: Digraph, pattern: PathPattern, u: int, v: int,
     if u == v:
         raise InputError("endpoints must differ")
     return exact_embed(host, pattern, pins={0: u, pattern.length - 1: v},
-                       allowed=allowed, deadline=deadline, node_budget=node_budget)
+                       allowed=allowed)

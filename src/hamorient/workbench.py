@@ -11,6 +11,7 @@ JSON artifacts for notable trials, and a summary with per-suite counts.
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import os
 import random
@@ -21,12 +22,7 @@ import numpy as np
 
 from .digraph import Digraph, degree_profile, is_strongly_connected
 from .decomposition import decompose, fit_decomposition_params, reverse_for_embedding
-from .embedding import (
-    EmbedParams,
-    embed_hamilton_orientation,
-    pancyclic_suite,
-    two_factor,
-)
+from .embedding import embed_hamilton_orientation, pancyclic_suite, two_factor
 from .errors import InputError, PreconditionError, ResourceError
 from .expansion import sparse_or_expander
 from .generators import (
@@ -80,9 +76,18 @@ class ExperimentConfig:
             if name not in SUITES:
                 raise InputError(f"config error at suites[{i}].suite: "
                                  f"unknown suite {name!r}")
+            params = inspect.signature(SUITES[name]).parameters
+            for key in spec:
+                if key != "suite" and key not in params:
+                    raise InputError(f"config error at suites[{i}].{key}: "
+                                     f"unknown parameter")
             if "seed" not in spec:
                 raise InputError(f"config error at suites[{i}].seed: "
                                  f"seeds must be explicit")
+            for key, param in params.items():
+                if param.default is param.empty and key not in spec:
+                    raise InputError(f"config error at suites[{i}].{key}: "
+                                     f"missing parameter")
             for key in ("n_grid", "k_grid"):
                 if key in spec and not spec[key]:
                     raise InputError(f"config error at suites[{i}].{key}: "
@@ -133,8 +138,7 @@ def _graph_from_mask(n: int, mask: int, pairs) -> Digraph:
 
 
 def suite_ghouila_houri(max_n: int, mode: str = "exhaustive", trials: int = 0,
-                        seed: int = 0, deadline: float = 5.0,
-                        negative_controls: bool = True):
+                        seed: int = 0, negative_controls: bool = True):
     """Every digraph with min total degree >= n is Hamiltonian when strongly
     connected, and >= n-1 yields a directed Hamilton path; assert the oracle
     confirms each qualifying instance. Exhaustive mode enumerates all
@@ -151,7 +155,7 @@ def suite_ghouila_houri(max_n: int, mode: str = "exhaustive", trials: int = 0,
         strong = degree >= n and is_strongly_connected(g)
         claims = [("cycle", cyc)] if strong else []
         for claim, pattern in claims + [("path", path)]:
-            res, ms = _timed(exact_embed, g, pattern, deadline=deadline)
+            res, ms = _timed(exact_embed, g, pattern)
             out = ("pass" if res.found else
                    "timeout" if res.status == "timeout" else "fail")
             yield TrialRecord("ghouila_houri", n, {"claim": claim, **key},
@@ -177,8 +181,7 @@ def suite_ghouila_houri(max_n: int, mode: str = "exhaustive", trials: int = 0,
             yield from trial_rows(g, degree, {"trial": i})
     if negative_controls:
         g = gen_split_cliques(8)
-        res, ms = _timed(exact_embed, g, PathPattern.directed(8),
-                         deadline=deadline)
+        res, ms = _timed(exact_embed, g, PathPattern.directed(8))
         out = "pass" if res.status == "none" else "fail"
         yield TrialRecord("ghouila_houri", 8,
                           {"claim": "path", "control": "split-cliques"},
@@ -186,8 +189,7 @@ def suite_ghouila_houri(max_n: int, mode: str = "exhaustive", trials: int = 0,
 
 
 def suite_main_theorem(n_grid, eta: float = 0.25, pattern_sample: int = 6,
-                       seed: int = 0, deadline: float = 10.0,
-                       intra: float = 0.95, noise: float = 0.001):
+                       seed: int = 0, intra: float = 0.95, noise: float = 0.001):
     """Planted dense instances embed every sampled non-directed Hamilton
     orientation through the full partition + pipeline path; results are
     checker-validated and cross-checked against the oracle when n <= 14."""
@@ -231,12 +233,11 @@ def suite_main_theorem(n_grid, eta: float = 0.25, pattern_sample: int = 6,
             if canon.orientation in seen:
                 continue
             seen.add(canon.orientation)
-            res, ms = _timed(embed_hamilton_orientation, g, rsp, canon,
-                             EmbedParams(oracle_deadline=deadline))
+            res, ms = _timed(embed_hamilton_orientation, g, rsp, canon)
             if res.ok:
                 out, detail = "pass", f"{res.case}/{res.method}"
                 if n <= 14:
-                    cross = exact_embed(g, canon, deadline=deadline)
+                    cross = exact_embed(g, canon)
                     if not cross.found:
                         out, detail = "fail", "oracle disagrees with pipeline"
             else:
@@ -288,7 +289,6 @@ def suite_dichotomy(n: int, trials: int, eta: float = 0.3, alpha: float = 0.3,
 
 
 def suite_pancyclicity(n_grid, k_grid, gamma: float = 0.05, seed: int = 0,
-                       deadline: float = 5.0,
                        orientations_per_length: int | None = 4):
     """Random dense instances: hunt every cycle length and orientation.
     Rows with min degree >= floor(3n/2)-1 (the k=1 spectrum threshold)
@@ -307,7 +307,7 @@ def suite_pancyclicity(n_grid, k_grid, gamma: float = 0.05, seed: int = 0,
                 continue
             gamma_eff = degree / n - 1 - 1 / (k + 1)
             report, ms = _timed(pancyclic_suite, g, k, min(gamma, gamma_eff),
-                                seed=seed, deadline=deadline,
+                                seed=seed,
                                 orientations_per_length=orientations_per_length)
             tally = report.outcomes()
             asserted = k == 1 and degree >= (3 * n) // 2 - 1
@@ -328,8 +328,7 @@ def suite_pancyclicity(n_grid, k_grid, gamma: float = 0.05, seed: int = 0,
         bad = []
         t0 = time.monotonic()
         for length in range(m + 1, n + 1):
-            res = exact_embed(g, CyclePattern.directed(length),
-                              deadline=deadline)
+            res = exact_embed(g, CyclePattern.directed(length))
             if res.status != "none":
                 bad.append((length, res.status))
         out = "pass" if not bad else "fail"
@@ -339,8 +338,7 @@ def suite_pancyclicity(n_grid, k_grid, gamma: float = 0.05, seed: int = 0,
                           detail=f"directed cycles beyond block: {bad}")
 
 
-def suite_two_factor(n_grid, k_grid, trials: int, seed: int = 0,
-                     deadline: float = 10.0):
+def suite_two_factor(n_grid, k_grid, trials: int, seed: int = 0):
     """Qualifying instances decompose into at most k vertex-disjoint
     directed cycles covering every vertex; the blown-up tournament sitting
     just below the degree threshold must be rejected."""
@@ -361,7 +359,7 @@ def suite_two_factor(n_grid, k_grid, trials: int, seed: int = 0,
                     continue
                 t0 = time.monotonic()
                 try:
-                    cycles = two_factor(g, k, deadline=deadline)
+                    cycles = two_factor(g, k)
                     out, detail = _validate_two_factor(g, cycles, k)
                 except ResourceError as e:
                     out = "timeout" if "timed out" in str(e) else "fail"
@@ -378,7 +376,7 @@ def suite_two_factor(n_grid, k_grid, trials: int, seed: int = 0,
         g = gen_blowup_tt([m] * (k + 1), intra=1.0, forward_noise=0.0, seed=0)
         t0 = time.monotonic()
         try:
-            two_factor(g, k, deadline=deadline)
+            two_factor(g, k)
             out, detail = "fail", "threshold witness was not rejected"
         except PreconditionError:
             out, detail = "pass", "expected-precondition-reject"

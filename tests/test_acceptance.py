@@ -114,13 +114,13 @@ def test_c2_extremal_witnesses_have_no_spanning_orientation():
         g = gen_bipartite_extremal(n)
         for c in necklace_classes(n):
             cells += 1
-            res = exact_embed(g, c, deadline=60.0)
+            res = exact_embed(g, c)
             if res.status != "none":
                 violations.append(("bipartite", n, c.to_string(), res.status))
         h = gen_split_cliques(n)
         for p in distinct_path_patterns(n):
             cells += 1
-            res = exact_embed(h, p, deadline=60.0)
+            res = exact_embed(h, p)
             if res.status != "none":
                 violations.append(("split", n, p.to_string(), res.status))
     dt = time.monotonic() - t0
@@ -145,8 +145,7 @@ def test_c3_blowup_degree_and_cycle_length_tightness():
                 violations.append(("degree", k, m, got, want))
             for length in range(m + 1, n + 1):
                 checked += 1
-                res = exact_embed(g, CyclePattern.directed(length),
-                                  deadline=60.0)
+                res = exact_embed(g, CyclePattern.directed(length))
                 if res.status != "none":
                     violations.append(("cycle", k, m, length, res.status))
     dt = time.monotonic() - t0
@@ -249,7 +248,7 @@ def test_c7_bounded_cycle_covers():
                                           seed=(n * 10 + k) * 100_000 + i)
                 assert degree_profile(g).min_total >= target
                 try:
-                    cycles = two_factor(g, k, deadline=30.0)
+                    cycles = two_factor(g, k)
                 except Exception as e:
                     violations.append((n, k, i, f"error: {e}"))
                     continue
@@ -324,7 +323,7 @@ def test_c9_full_oriented_cycle_spectrum():
         for L, pats in patterns.items():
             for c in pats:
                 cells += 1
-                res = exact_embed(g, c, deadline=30.0)
+                res = exact_embed(g, c)
                 if not res.found or not validate_embedding(
                         g, c, res.mapping).valid:
                     violations.append((i, L, c.to_string(), res.status))

@@ -262,6 +262,16 @@ def test_experiment_end_to_end(tmp_path, capsys):
     assert "experiment:" in capsys.readouterr().out
 
 
+def test_experiment_unknown_suite_parameter_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": [
+        {"suite": "dichotomy", "seed": 0, "n": 8, "trials": 2, "bogus": 1},
+    ]}))
+    assert main(["experiment", "--config", str(cfg),
+                 "--out", str(tmp_path / "r")]) == 2
+    assert "suites[0].bogus: unknown parameter" in capsys.readouterr().err
+
+
 def test_experiment_trial_requires_suite(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"suites": [

@@ -37,7 +37,7 @@ def test_cycle_embed_matches_brute_force():
         n = 5 + seed % 3          # hosts on 5..7 vertices
         g = rand_digraph(n, 0.45, seed)
         c = rand_cycle_pattern(n, seed * 7 + 1)
-        res = exact_embed(g, c, deadline=30.0)
+        res = exact_embed(g, c)
         brute = brute_cycle_embed(g, c)
         assert res.status in ("found", "none")
         assert res.found == (brute is not None), (seed, c.to_string())
@@ -51,7 +51,7 @@ def test_path_embed_matches_brute_force():
         g = rand_digraph(n, 0.35, seed + 100)
         rng = random.Random(seed)
         p = PathPattern(tuple(rng.random() < 0.5 for _ in range(3)))
-        res = exact_embed(g, p, deadline=30.0)
+        res = exact_embed(g, p)
         brute = brute_path_embed(g, p)
         assert res.found == (brute is not None)
         if res.found:
@@ -64,7 +64,7 @@ def test_pinned_path_matches_brute_force():
         rng = random.Random(seed)
         p = PathPattern(tuple(rng.random() < 0.5 for _ in range(4)))
         u, v = 0, 5
-        res = embed_path_between(g, p, u, v, deadline=30.0)
+        res = embed_path_between(g, p, u, v)
         assert res.found == _brute_pinned(g, p, u, v)
         if res.found:
             assert res.mapping[0] == u and res.mapping[-1] == v
@@ -253,14 +253,22 @@ def test_checker_is_adversarial_on_near_misses():
 def test_node_budget_times_out():
     g = rand_digraph(14, 0.5, 42)
     c = rand_cycle_pattern(14, 1)
-    res = exact_embed(g, c, node_budget=1, deadline=30.0)
-    assert res.status in ("found", "timeout")  # budget 1 can still luck out
-    res_full = exact_embed(g, c, deadline=30.0)
+    res = exact_embed(g, c, node_budget=1)
+    assert res.nodes <= 1
+    assert res.status in ("found", "timeout")  # the subset DP can still answer
+    res_full = exact_embed(g, c)
     assert res_full.status in ("found", "none")
 
 
-def test_deadline_zero_times_out_cleanly():
-    g = rand_digraph(12, 0.5, 7)
-    c = rand_cycle_pattern(12, 2)
-    res = exact_embed(g, c, deadline=0.0)
-    assert res.status in ("found", "timeout")
+def test_node_budget_bounds_the_budgeted_stage():
+    """A spanning search too large for the subset DP runs past the first
+    backtracking stage and stops at exactly node_budget nodes, the same
+    way on every call."""
+    g = gen_blowup_tt([20, 20, 20], 0.95, 0.001, 4242)
+    c = CyclePattern.from_string(
+        "++---+++-++--++---++---+++++-+++++++++++-+-+--++++-+---+-+++")
+    first, second = (exact_embed(g, c, node_budget=60_000) for _ in range(2))
+    assert (first.status, first.nodes, first.method) == \
+        ("timeout", 60_000, "backtrack")
+    assert (second.status, second.mapping, second.nodes, second.method) == \
+        (first.status, first.mapping, first.nodes, first.method)

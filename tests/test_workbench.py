@@ -50,10 +50,22 @@ def test_config_validation():
                                   "n_grid": []},))
     with pytest.raises(InputError):
         ExperimentConfig.from_json_dict({})
+    with pytest.raises(InputError, match=r"suites\[0\]\.trials: missing"):
+        ExperimentConfig(suites=({"suite": "dichotomy", "seed": 0, "n": 8},))
     cfg = ExperimentConfig.from_json_dict(
         {"suites": [{"suite": "dichotomy", "seed": 0, "n": 10, "trials": 1}],
          "workers": 2})
     assert len(cfg.suites) == 1          # unknown top-level keys are ignored
+
+
+@pytest.mark.parametrize("key", ["bogus", "deadline"])
+def test_config_rejects_unknown_suite_parameter(key):
+    spec = {"suite": "dichotomy", "seed": 0, "n": 8, "trials": 2, key: 1}
+    with pytest.raises(InputError) as exc:
+        ExperimentConfig(suites=({"suite": "two_factor", "seed": 0,
+                                  "n_grid": [10], "k_grid": [1],
+                                  "trials": 1}, spec))
+    assert str(exc.value) == f"config error at suites[1].{key}: unknown parameter"
 
 
 # --- individual suites --------------------------------------------------------
