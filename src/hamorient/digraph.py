@@ -6,6 +6,13 @@ operation downstream (degrees, cut sizes, robust neighborhoods) reduces
 to mask intersections and popcounts, so these two tuples are the whole
 representation. No parallel edges; antiparallel pairs u->v, v->u are fine
 and are how "double edges" are modeled.
+
+The two structural primitives never walk edges one at a time. Strong
+components come from a forward DFS whose next child is the lowest bit of
+out_adj[v] & unvisited, then reverse sweeps that OR in_adj over each
+frontier: O(n) big-int operations on a dense host. Induced subgraphs are
+cut from the 0/1 adjacency matrix (set_rows, which the vectorised cut
+search and certification share) and packed back into masks.
 """
 
 from __future__ import annotations
@@ -14,7 +21,9 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .bitset import bit_list, bits_of, full_mask, mask_of
+import numpy as np
+
+from .bitset import bit_list, bits_of, full_mask
 from .errors import InputError
 
 # hard cap so masks and the numpy sweep tables stay sane
@@ -101,26 +110,32 @@ def cross_counts(g: Digraph, a: int, b: int) -> tuple[int, int, int]:
     return fwd, bwd, fwd + bwd
 
 
+def set_rows(masks: Sequence[int], n: int) -> np.ndarray:
+    """0/1 uint8 matrix whose row i marks the vertices of masks[i]; each
+    mask must lie in 0..n-1."""
+    width = (n + 7) // 8
+    buf = b"".join(m.to_bytes(width, "little") for m in masks)
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(masks), width)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little")
+
+
+def _row_masks(rows: np.ndarray) -> tuple[int, ...]:
+    """Inverse of set_rows: one int mask per 0/1 row."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
 def induced(g: Digraph, mask: int) -> tuple[Digraph, list[int]]:
     """Induced subgraph on the masked vertices, relabeled 0..m-1.
 
     Returns the subgraph and the sorted original-vertex list; position i of
-    the list is the original identity of new vertex i.
+    the list is the original identity of new vertex i. The masked rows of
+    the 0/1 out-adjacency matrix, cut to the masked columns, are the new
+    out-neighbourhoods; their transpose gives the in-neighbourhoods.
     """
     verts = bit_list(mask)
-    index = {v: i for i, v in enumerate(verts)}
-    out = []
-    inn = []
-    for v in verts:
-        om = 0
-        for w in bits_of(g.out_adj[v] & mask):
-            om |= 1 << index[w]
-        im = 0
-        for w in bits_of(g.in_adj[v] & mask):
-            im |= 1 << index[w]
-        out.append(om)
-        inn.append(im)
-    return Digraph(len(verts), tuple(out), tuple(inn)), verts
+    rows = set_rows([g.out_adj[v] for v in verts], g.n)[:, verts]
+    return Digraph(len(verts), _row_masks(rows), _row_masks(rows.T)), verts
 
 
 def reverse_digraph(g: Digraph) -> Digraph:
@@ -133,68 +148,65 @@ def strongly_connected_components(g: Digraph) -> list[int]:
     Topological means every edge between distinct components goes from an
     earlier list entry to a later one. Ties (incomparable components) are
     broken by smallest contained vertex index, so the output is stable.
+
+    Kosaraju on bitsets: a forward DFS takes the lowest bit of
+    out_adj[v] & unvisited as v's next child, so it makes O(n) mask
+    operations in all and yields the vertices in finishing order. In
+    reverse finishing order, each unassigned vertex then grows its
+    component by OR-ing in_adj over a frontier, within the unassigned
+    vertices. A component's successors are the components met by the OR
+    of its members' out_adj.
     """
     n = g.n
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comp_of = [-1] * n
-    comps: list[list[int]] = []
-    counter = 0
+    out_adj, in_adj = g.out_adj, g.in_adj
+    unvisited = full_mask(n)
+    finish: list[int] = []
+    while unvisited:
+        root = unvisited & -unvisited
+        unvisited ^= root
+        stack = [root.bit_length() - 1]
+        while stack:
+            nxt = out_adj[stack[-1]] & unvisited
+            if nxt:
+                low = nxt & -nxt
+                unvisited ^= low
+                stack.append(low.bit_length() - 1)
+            else:
+                finish.append(stack.pop())
 
-    # iterative Tarjan; explicit work stack holds (v, neighbor iterator)
-    for root in range(n):
-        if index[root] != -1:
+    comps: list[int] = []
+    comp_of = [0] * n
+    left = full_mask(n)
+    for v in reversed(finish):
+        if not left >> v & 1:
             continue
-        work = [(root, iter(bit_list(g.out_adj[root])))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(bit_list(g.out_adj[w]))))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp_of[w] = len(comps)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
+        comp = frontier = 1 << v
+        while frontier:
+            reach = 0
+            for u in bits_of(frontier):
+                reach |= in_adj[u]
+            frontier = reach & left & ~comp
+            comp |= frontier
+        left ^= comp
+        for u in bits_of(comp):
+            comp_of[u] = len(comps)
+        comps.append(comp)
 
     # Kahn over the condensation, heap keyed by smallest member vertex
     k = len(comps)
-    succ: list[set[int]] = [set() for _ in range(k)]
+    succ: list[list[int]] = [[] for _ in range(k)]
     indeg = [0] * k
-    for u in range(n):
-        cu = comp_of[u]
-        for w in bits_of(g.out_adj[u]):
-            cw = comp_of[w]
-            if cu != cw and cw not in succ[cu]:
-                succ[cu].add(cw)
-                indeg[cw] += 1
-    key = [min(c) for c in comps]
+    for i, comp in enumerate(comps):
+        reach = 0
+        for u in bits_of(comp):
+            reach |= out_adj[u]
+        reach &= ~comp
+        while reach:
+            j = comp_of[(reach & -reach).bit_length() - 1]
+            reach &= ~comps[j]
+            succ[i].append(j)
+            indeg[j] += 1
+    key = [(c & -c).bit_length() - 1 for c in comps]
     heap = [(key[i], i) for i in range(k) if indeg[i] == 0]
     heapq.heapify(heap)
     order: list[int] = []
@@ -205,7 +217,7 @@ def strongly_connected_components(g: Digraph) -> list[int]:
             indeg[j] -= 1
             if indeg[j] == 0:
                 heapq.heappush(heap, (key[j], j))
-    return [mask_of(comps[i]) for i in order]
+    return [comps[i] for i in order]
 
 
 def double_edge_graph(g: Digraph) -> Digraph:

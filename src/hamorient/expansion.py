@@ -39,7 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bitset import bit_list, bits_of, full_mask, int_ceil, int_floor, mask_of
-from .digraph import Digraph, degree_profile, strongly_connected_components
+from .digraph import (Digraph, degree_profile, set_rows,
+                      strongly_connected_components)
 from .errors import CapabilityError, InputError, PreconditionError
 
 EXACT_SWEEP_CAP = 24
@@ -94,17 +95,9 @@ def _at_least(tab: np.ndarray, k: int) -> np.ndarray:
 _ROW_CHUNK = 256
 
 
-def _set_rows(masks: list[int], n: int) -> np.ndarray:
-    """0/1 int16 matrix whose row i marks the vertices of masks[i]."""
-    width = (n + 7) // 8
-    buf = b"".join(m.to_bytes(width, "little") for m in masks)
-    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(masks), width)
-    return np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(np.int16)
-
-
 def _adjacency(g: Digraph) -> np.ndarray:
     """Out-adjacency matrix: entry [u, v] is 1 iff u -> v."""
-    return _set_rows(list(g.out_adj), g.n)
+    return set_rows(g.out_adj, g.n).astype(np.int16)
 
 
 def _row_chunks(masks: list[int], adj: np.ndarray):
@@ -116,7 +109,7 @@ def _row_chunks(masks: list[int], adj: np.ndarray):
     loops, single-threaded and exact; matmul has no fast path for integer
     types and is several times slower."""
     for i in range(0, len(masks), _ROW_CHUNK):
-        rows = _set_rows(masks[i:i + _ROW_CHUNK], adj.shape[0])
+        rows = set_rows(masks[i:i + _ROW_CHUNK], adj.shape[0]).astype(np.int16)
         yield i, rows, np.einsum("iu,uv->iv", rows, adj)
 
 
@@ -457,7 +450,7 @@ def _hill_climb(adj: np.ndarray, x1: int,
     Python's int / int.
     """
     n = adj.shape[0]
-    s = _set_rows([x1], n)[0]
+    s = set_rows([x1], n)[0].astype(np.int16)
     in_x1 = s == 1
     sign = 1 - 2 * s.astype(np.int64)
     out2 = adj @ (1 - s)

@@ -8,14 +8,16 @@ node budget ran out. Budgets count work, not seconds, so a seeded call
 gives the same answer on any machine. Three cooperating engines:
 
   1. backtracking with fewest-candidates-first position selection and
-     bitset forward checking (fast on satisfiable dense instances),
-     first for BT_STAGE_NODES nodes;
+     bitset forward checking (fast on satisfiable dense instances);
   2. a subset dynamic program over (used-set, last-vertex) states for
-     spanning patterns on at most 16 usable vertices (merges the
+     spanning patterns on at most DP_CAP usable vertices (merges the
      exponential backtrack tree on refutations), abandoned past
-     DP_STATE_BUDGET states;
-  3. backtracking again until the call has spent node_budget nodes
-     (default NODE_BUDGET).
+     DP_STATE_BUDGET states.
+
+A search the DP can serve backtracks for BT_STAGE_NODES nodes, then runs
+the DP, and only if that is abandoned backtracks again from the root.
+Every other search is one backtracking pass. Either way the call stops
+once it has spent node_budget nodes (default NODE_BUDGET).
 
 Fully directed cycle patterns are first restricted to single strongly
 connected components (a directed cycle cannot cross them). Spanning
@@ -304,12 +306,11 @@ def _engine(host: Digraph, pattern, pins: dict[int, int], allowed: int,
     size = len(adj)
     spanning = size == allowed.bit_count()
 
-    status, mapping, nodes = _backtrack(host, adj, filt, pins, allowed, nodes,
-                                        min(nodes + BT_STAGE_NODES, node_budget))
-    if status != "budget":
-        return status, mapping, "backtrack", nodes
-
     if spanning and size <= DP_CAP:
+        status, mapping, nodes = _backtrack(host, adj, filt, pins, allowed, nodes,
+                                            min(nodes + BT_STAGE_NODES, node_budget))
+        if status != "budget":
+            return status, mapping, "backtrack", nodes
         status, mapping = _dp_spanning(host, pattern.orientation,
                                        isinstance(pattern, CyclePattern),
                                        pins, allowed)

@@ -16,6 +16,8 @@ import json
 import os
 import random
 import time
+import types
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +64,21 @@ class TrialRecord:
                 self.seed, self.outcome, round(self.millis, 3), self.artifact]
 
 
+def _fits(value, hint) -> bool:
+    """Whether a config value has a suite parameter's annotated type. A
+    bool is not a number, an int is a float, a grid is a list or tuple."""
+    origin = typing.get_origin(hint)
+    if origin is types.UnionType:
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if origin is list:
+        (item,) = typing.get_args(hint)
+        return (isinstance(value, (list, tuple))
+                and all(_fits(v, item) for v in value))
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     suites: tuple[dict, ...]
@@ -77,10 +94,17 @@ class ExperimentConfig:
                 raise InputError(f"config error at suites[{i}].suite: "
                                  f"unknown suite {name!r}")
             params = inspect.signature(SUITES[name]).parameters
-            for key in spec:
-                if key != "suite" and key not in params:
+            hints = typing.get_type_hints(SUITES[name])
+            for key, value in spec.items():
+                if key == "suite":
+                    continue
+                if key not in params:
                     raise InputError(f"config error at suites[{i}].{key}: "
                                      f"unknown parameter")
+                if not _fits(value, hints[key]):
+                    raise InputError(
+                        f"config error at suites[{i}].{key}: expected "
+                        f"{params[key].annotation}, got {value!r}")
             if "seed" not in spec:
                 raise InputError(f"config error at suites[{i}].seed: "
                                  f"seeds must be explicit")
@@ -188,8 +212,9 @@ def suite_ghouila_houri(max_n: int, mode: str = "exhaustive", trials: int = 0,
                           seed, out, ms, detail="expected-absent")
 
 
-def suite_main_theorem(n_grid, eta: float = 0.25, pattern_sample: int = 6,
-                       seed: int = 0, intra: float = 0.95, noise: float = 0.001):
+def suite_main_theorem(n_grid: list[int], eta: float = 0.25,
+                       pattern_sample: int = 6, seed: int = 0,
+                       intra: float = 0.95, noise: float = 0.001):
     """Planted dense instances embed every sampled non-directed Hamilton
     orientation through the full partition + pipeline path; results are
     checker-validated and cross-checked against the oracle when n <= 14."""
@@ -288,7 +313,8 @@ def suite_dichotomy(n: int, trials: int, eta: float = 0.3, alpha: float = 0.3,
                           detail=detail)
 
 
-def suite_pancyclicity(n_grid, k_grid, gamma: float = 0.05, seed: int = 0,
+def suite_pancyclicity(n_grid: list[int], k_grid: list[int],
+                       gamma: float = 0.05, seed: int = 0,
                        orientations_per_length: int | None = 4):
     """Random dense instances: hunt every cycle length and orientation.
     Rows with min degree >= floor(3n/2)-1 (the k=1 spectrum threshold)
@@ -338,7 +364,8 @@ def suite_pancyclicity(n_grid, k_grid, gamma: float = 0.05, seed: int = 0,
                           detail=f"directed cycles beyond block: {bad}")
 
 
-def suite_two_factor(n_grid, k_grid, trials: int, seed: int = 0):
+def suite_two_factor(n_grid: list[int], k_grid: list[int], trials: int,
+                     seed: int = 0):
     """Qualifying instances decompose into at most k vertex-disjoint
     directed cycles covering every vertex; the blown-up tournament sitting
     just below the degree threshold must be rejected."""

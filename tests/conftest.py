@@ -5,12 +5,14 @@ itertools sweeps with no pruning, used to cross-check the real search
 engines on instances small enough to enumerate completely.
 """
 
+import heapq
 import math
 from itertools import permutations
 
 import pytest
 
 from hamorient import Digraph, gen_blowup_tt, robust_out_neighborhood
+from hamorient.bitset import bit_list, bits_of, mask_of
 
 
 def digraph(n, *edges):
@@ -120,6 +122,98 @@ def brute_sampled_verdict(g, cands, nu):
         if rn.bit_count() < s.bit_count() + thr:
             return "violator", i + 1, s, rn.bit_count(), s.bit_count()
     return "inconclusive", len(cands), None, None, None
+
+
+def ref_induced(g, mask):
+    """Reference induced subgraph: re-index every edge one at a time."""
+    verts = bit_list(mask)
+    index = {v: i for i, v in enumerate(verts)}
+    out = []
+    inn = []
+    for v in verts:
+        om = 0
+        for w in bits_of(g.out_adj[v] & mask):
+            om |= 1 << index[w]
+        im = 0
+        for w in bits_of(g.in_adj[v] & mask):
+            im |= 1 << index[w]
+        out.append(om)
+        inn.append(im)
+    return Digraph(len(verts), tuple(out), tuple(inn)), verts
+
+
+def ref_scc(g):
+    """Reference strong components: iterative Tarjan over every out-edge,
+    then Kahn over the condensation with a heap keyed by smallest member
+    vertex."""
+    n = g.n
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    comp_of = [-1] * n
+    comps = []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, iter(bit_list(g.out_adj[root])))]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if index[w] == -1:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(bit_list(g.out_adj[w]))))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                pv = work[-1][0]
+                low[pv] = min(low[pv], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp_of[w] = len(comps)
+                    comp.append(w)
+                    if w == v:
+                        break
+                comps.append(comp)
+    k = len(comps)
+    succ = [set() for _ in range(k)]
+    indeg = [0] * k
+    for u in range(n):
+        cu = comp_of[u]
+        for w in bits_of(g.out_adj[u]):
+            cw = comp_of[w]
+            if cu != cw and cw not in succ[cu]:
+                succ[cu].add(cw)
+                indeg[cw] += 1
+    key = [min(c) for c in comps]
+    heap = [(key[i], i) for i in range(k) if indeg[i] == 0]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        _, i = heapq.heappop(heap)
+        order.append(i)
+        for j in succ[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heapq.heappush(heap, (key[j], j))
+    return [mask_of(comps[i]) for i in order]
 
 
 @pytest.fixture

@@ -272,6 +272,18 @@ def test_experiment_unknown_suite_parameter_exits_2(tmp_path, capsys):
     assert "suites[0].bogus: unknown parameter" in capsys.readouterr().err
 
 
+def test_experiment_wrongly_typed_suite_value_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": [
+        {"suite": "dichotomy", "seed": 0, "n": "8", "trials": 2},
+    ]}))
+    assert main(["experiment", "--config", str(cfg),
+                 "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert "config error at suites[0].n: expected int, got '8'" in err
+    assert "Traceback" not in err
+
+
 def test_experiment_trial_requires_suite(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"suites": [

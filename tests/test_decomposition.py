@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -170,6 +172,26 @@ def test_decompose_recovers_planted_noisy():
     assert sp.report.clause1[0]
     assert sp.report.clause3[0]
     assert sp.report.clause4[0]
+
+
+# sha256 of the sorted-key partition JSON (with the cross matrix) of two
+# hosts whose classes are too large for the exact sweeps, so the hill
+# climb, sampled certification, strong components and induced subgraphs
+# all shape the result.
+GOLDEN_HEURISTIC_PARTITIONS = (
+    ([48, 48], 4848,
+     "9970fc5817a5a319f79e8fd9fefd3466773044d110fffb283fe5c4ab38cc56ca"),
+    ([36, 36, 36], 3636,
+     "687ac873018934c03882aefcc222c12acd5811f89913f1d7e15074cb686f45dd"),
+)
+
+
+@pytest.mark.parametrize("sizes,seed,digest", GOLDEN_HEURISTIC_PARTITIONS)
+def test_decompose_golden_heuristic_partitions(sizes, seed, digest):
+    g = gen_blowup_tt(sizes, intra=0.95, forward_noise=0.001, seed=seed)
+    sp = decompose(g, fit_decomposition_params(g, exact_threshold=20))
+    text = json.dumps(sp.to_json_dict(g), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_decompose_audit_trail():

@@ -1,11 +1,15 @@
+import random
+
 import pytest
 
 from hamorient import (Digraph, InputError, cross_counts, degree_profile,
-                       double_edge_graph, induced, is_strongly_connected,
-                       reverse_digraph, strongly_connected_components)
+                       double_edge_graph, gen_blowup_tt, induced,
+                       is_strongly_connected, reverse_digraph,
+                       strongly_connected_components)
 from hamorient.bitset import mask_of
 
-from conftest import complete_digraph, cycle_digraph, digraph
+from conftest import (complete_digraph, cycle_digraph, digraph, ref_induced,
+                      ref_scc)
 
 
 def test_construction_and_degrees():
@@ -131,3 +135,65 @@ def test_double_edge_graph():
 def test_not_strongly_connected():
     assert not is_strongly_connected(digraph(2, (0, 1)))
     assert is_strongly_connected(digraph(1))
+
+
+def _from_out_masks(out):
+    n = len(out)
+    inn = [0] * n
+    for u, m in enumerate(out):
+        for v in range(n):
+            if m >> v & 1:
+                inn[v] |= 1 << u
+    return Digraph(n, tuple(out), tuple(inn))
+
+
+def _random_digraph(rng, n, p, order=None, back=0.0):
+    """Each pair u -> v with probability p; with a vertex order given, only
+    forward pairs get probability p and backward ones `back`."""
+    pos = {v: i for i, v in enumerate(order or range(n))}
+    out = []
+    for u in range(n):
+        m = 0
+        for v in range(n):
+            if u != v and rng.random() < (p if pos[u] < pos[v] or order is None
+                                          else back):
+                m |= 1 << v
+        out.append(m)
+    return _from_out_masks(out)
+
+
+def test_scc_and_induced_match_reference_on_every_small_digraph():
+    for n in range(5):
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        for code in range(1 << len(pairs)):
+            out = [0] * n
+            for i, (u, v) in enumerate(pairs):
+                if code >> i & 1:
+                    out[u] |= 1 << v
+            g = _from_out_masks(out)
+            assert strongly_connected_components(g) == ref_scc(g), (n, code)
+            for mask in range(1 << n):
+                assert induced(g, mask) == ref_induced(g, mask), (n, code, mask)
+
+
+def test_scc_and_induced_match_reference_on_random_digraphs():
+    rng = random.Random(2024)
+    for n in (1, 2, 7, 31, 64, 65, 129, 300):
+        order = rng.sample(range(n), n)
+        hosts = [_random_digraph(rng, n, p) for p in (0.0, 0.01, 0.05, 0.3, 0.9)]
+        # DAG-like: a hidden order, rare or no backward edges
+        hosts += [_random_digraph(rng, n, p, order, back)
+                  for p, back in ((0.1, 0.0), (0.6, 0.0), (0.6, 0.002))]
+        for g in hosts:
+            assert strongly_connected_components(g) == ref_scc(g), n
+            masks = [0, g.vertex_mask, 1 << (n - 1)]
+            masks += [rng.getrandbits(n) for _ in range(3)]
+            for mask in masks:
+                assert induced(g, mask) == ref_induced(g, mask), n
+
+
+def test_scc_and_induced_match_reference_on_large_blowup():
+    g = gen_blowup_tt([500, 500], 0.95, 0.001, 3)
+    assert strongly_connected_components(g) == ref_scc(g)
+    half = (1 << 500) - 1
+    assert induced(g, half | 1 << 700) == ref_induced(g, half | 1 << 700)

@@ -5,7 +5,9 @@ import pytest
 
 from hamorient import (CapabilityError, CyclePattern, Digraph, InputError,
                        PathPattern, embed_path_between, exact_embed,
-                       gen_blowup_tt, validate_embedding)
+                       gen_bipartite_extremal, gen_blowup_tt,
+                       validate_embedding)
+from hamorient import oracle
 from hamorient.bitset import mask_of
 
 from conftest import (brute_cycle_embed, brute_path_embed, complete_digraph,
@@ -261,9 +263,9 @@ def test_node_budget_times_out():
 
 
 def test_node_budget_bounds_the_budgeted_stage():
-    """A spanning search too large for the subset DP runs past the first
-    backtracking stage and stops at exactly node_budget nodes, the same
-    way on every call."""
+    """A spanning search too large for the subset DP runs one backtracking
+    pass and stops at exactly node_budget nodes, the same way on every
+    call."""
     g = gen_blowup_tt([20, 20, 20], 0.95, 0.001, 4242)
     c = CyclePattern.from_string(
         "++---+++-++--++---++---+++++-+++++++++++-+-+--++++-+---+-+++")
@@ -272,3 +274,18 @@ def test_node_budget_bounds_the_budgeted_stage():
         ("timeout", 60_000, "backtrack")
     assert (second.status, second.mapping, second.nodes, second.method) == \
         (first.status, first.mapping, first.nodes, first.method)
+
+
+def test_search_the_dp_cannot_serve_is_one_backtracking_pass():
+    """A non-spanning refutation longer than BT_STAGE_NODES nodes reports
+    the node count of a single backtracking pass from the root."""
+    g = gen_bipartite_extremal(10)
+    c = CyclePattern.from_string("++-+-----")   # odd, on 9 of 10 vertices
+    res = exact_embed(g, c)
+    adj = oracle._pattern_adjacency(c)
+    filt = oracle._static_filter(g, adj, g.vertex_mask)
+    status, _, nodes = oracle._backtrack(g, adj, filt, {}, g.vertex_mask, 0,
+                                         oracle.NODE_BUDGET)
+    assert (res.status, res.method, status) == ("none", "backtrack", "none")
+    assert res.nodes == nodes == 31_162
+    assert nodes > oracle.BT_STAGE_NODES

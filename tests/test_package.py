@@ -19,3 +19,10 @@ def test_no_wall_clock_deadline_parameters():
             continue             # exception classes carry no signature
         params = inspect.signature(fn).parameters
         assert not [p for p in params if "deadline" in p], fn
+
+
+def test_every_suite_parameter_is_annotated():
+    """Experiment configs are type-checked against these annotations."""
+    for name, fn in SUITES.items():
+        for p in inspect.signature(fn).parameters.values():
+            assert p.annotation is not p.empty, (name, p.name)

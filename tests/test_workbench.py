@@ -68,6 +68,40 @@ def test_config_rejects_unknown_suite_parameter(key):
     assert str(exc.value) == f"config error at suites[1].{key}: unknown parameter"
 
 
+@pytest.mark.parametrize("key,value,expected", [
+    ("n", "8", "int"),
+    ("n", 8.0, "int"),
+    ("trials", True, "int"),
+    ("eta", "0.3", "float"),
+    ("negative_controls", 1, "bool"),
+])
+def test_config_rejects_wrongly_typed_suite_value(key, value, expected):
+    spec = {"suite": "dichotomy", "seed": 0, "n": 8, "trials": 2, key: value}
+    with pytest.raises(InputError) as exc:
+        ExperimentConfig(suites=(spec,))
+    assert str(exc.value) == (f"config error at suites[0].{key}: "
+                              f"expected {expected}, got {value!r}")
+
+
+def test_config_type_check_covers_grids_floats_and_optionals():
+    ok = ExperimentConfig(suites=(
+        {"suite": "dichotomy", "seed": 0, "n": 8, "trials": 2, "eta": 1},
+        {"suite": "pancyclicity", "seed": 0, "n_grid": [10], "k_grid": [1],
+         "orientations_per_length": None},
+        {"suite": "ghouila_houri", "seed": 0, "max_n": 3,
+         "mode": "exhaustive", "negative_controls": False},
+    ))
+    assert len(ok.suites) == 3
+    with pytest.raises(InputError, match=r"suites\[0\]\.n_grid: expected "
+                                         r"list\[int\], got \[10, '12'\]"):
+        ExperimentConfig(suites=({"suite": "two_factor", "seed": 0,
+                                  "n_grid": [10, "12"], "k_grid": [1],
+                                  "trials": 1},))
+    with pytest.raises(InputError, match=r"suites\[0\]\.seed: expected int"):
+        ExperimentConfig(suites=({"suite": "dichotomy", "seed": None, "n": 8,
+                                  "trials": 2},))
+
+
 # --- individual suites --------------------------------------------------------
 
 
