@@ -28,10 +28,9 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .bitset import bit_list, int_floor
+from .bitset import bit_list, bits_of, int_floor
 from .digraph import (
     Digraph,
-    cross_counts,
     degree_profile,
     double_edge_graph,
     strongly_connected_components,
@@ -196,8 +195,7 @@ def select_connectors(g: Digraph, x_mask: int, y_mask: int, count: int,
         raise InputError(f"unknown direction {direction!r}")
     xm = x_mask & ~excluded
     ym = y_mask & ~excluded
-    total = sum((g.out_adj[u] & ym).bit_count() for u in bit_list(xm))
-    if total == 0:
+    if not any(g.out_adj[u] & ym for u in bits_of(xm)):
         raise PreconditionError("no edges available between the given sets")
     chosen: list[tuple[int, int]] = []
     burn = skip
@@ -340,8 +338,10 @@ def _check_plan(plan: EmbedPlan, sizes: list[int]) -> list[Stretch]:
 
 
 def _fill_stretches(g: Digraph, c2: CyclePattern, plan: EmbedPlan,
-                    pools: list[int], params: EmbedParams) -> tuple[tuple[int, ...] | None, str]:
-    """Fill every stretch by exact in-class path search with pinned ends.
+                    sts: list[Stretch], pools: list[int],
+                    params: EmbedParams) -> tuple[tuple[int, ...] | None, str]:
+    """Fill every stretch of the plan (sts, as _check_plan returns them) by
+    exact in-class path search with pinned ends.
 
     A stretch that must span its whole remaining pool is beyond the exact
     search above SPANNING_CAP vertices; that is reported as a capability
@@ -353,7 +353,6 @@ def _fill_stretches(g: Digraph, c2: CyclePattern, plan: EmbedPlan,
     for pos, v in plan.pins.items():
         mapping[pos] = v
         used |= 1 << v
-    sts = plan.stretches()
     by_class: dict[int, list[Stretch]] = {}
     for s in sts:
         by_class.setdefault(s.cls, []).append(s)
@@ -688,7 +687,7 @@ def embed_hamilton_orientation(g: Digraph, sp, c: CyclePattern,
     beta_eff = min(params.beta, min(sizes) / (3.5 * n))
     audit["eta_eff"] = eta_eff
     audit["beta_eff"] = beta_eff
-    cross_ok = all(cross_counts(g, pools[i], pools[j])[0] > 0
+    cross_ok = all(any(g.out_adj[u] & pools[j] for u in bits_of(pools[i]))
                    for i in range(t) for j in range(i + 1, t))
     audit["forward_density_ok"] = cross_ok
 
@@ -727,13 +726,13 @@ def embed_hamilton_orientation(g: Digraph, sp, c: CyclePattern,
         for planner in chain:
             try:
                 frame, c2, plan = planner(attempt)
-                _check_plan(plan, sizes)
+                sts = _check_plan(plan, sizes)
             except (_PlanError, InputError, PreconditionError,
                     ResourceError) as e:
                 failures.append(f"attempt {attempt}: {e}")
                 continue
             progressed = True
-            mapping2, tag = _fill_stretches(g, c2, plan, pools, params)
+            mapping2, tag = _fill_stretches(g, c2, plan, sts, pools, params)
             if mapping2 is None:
                 failures.append(f"attempt {attempt}: {plan.case}: {tag}")
                 continue

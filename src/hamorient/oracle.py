@@ -5,7 +5,7 @@ respecting copy of this cycle/path pattern" definitively whenever it
 finishes inside its work budgets: a "found" comes with the mapping, a
 "none" means the search space was exhausted, and "timeout" means the
 node budget ran out. Budgets count work, not seconds, so a seeded call
-gives the same answer on any machine. Three cooperating engines:
+gives the same answer on any machine. Two cooperating engines:
 
   1. backtracking with fewest-candidates-first position selection and
      bitset forward checking (fast on satisfiable dense instances);
@@ -13,6 +13,11 @@ gives the same answer on any machine. Three cooperating engines:
      spanning patterns on at most DP_CAP usable vertices (merges the
      exponential backtrack tree on refutations), abandoned past
      DP_STATE_BUDGET states.
+
+Backtracking starts from a static filter that keeps, per position, the
+allowed vertices whose host in/out degree meets the position's need; it
+looks only at the allowed vertices, so a stretch fill inside one class
+pays for that class, not for the whole host.
 
 A search the DP can serve backtracks for BT_STAGE_NODES nodes, then runs
 the DP, and only if that is abandoned backtracks again from the root.
@@ -115,22 +120,38 @@ def _pattern_adjacency(pattern) -> list[list[tuple[int, int]]]:
 
 
 def _static_filter(host: Digraph, adj, allowed: int) -> list[int]:
-    """Per-position mask of hosts with enough in/out degree to sit there."""
+    """Per-position mask of the allowed vertices with enough in/out degree
+    (counted in the whole host) to sit there.
+
+    Only the vertices of allowed are counted and thresholded, so a call
+    costs O(|allowed|); a need that the minimum degrees over allowed
+    already meet maps to allowed itself, without a per-vertex pass. This
+    is a search-side prefilter only: validate_embedding does not use it
+    and recounts everything from the raw adjacency.
+    """
+    verts = bit_list(allowed)
+    out_deg = [host.out_adj[v].bit_count() for v in verts]
+    in_deg = [host.in_adj[v].bit_count() for v in verts]
+    min_out = min(out_deg, default=0)
+    min_in = min(in_deg, default=0)
     need_masks = {}
-    out_deg = [m.bit_count() for m in host.out_adj]
-    in_deg = [m.bit_count() for m in host.in_adj]
     filt = []
     for entries in adj:
-        no = sum(1 for _, m in entries if m == 0)
-        ni = len(entries) - no
+        ni = 0                          # mode 1 entries are arcs into p
+        for _, mode in entries:
+            ni += mode
+        no = len(entries) - ni
         key = (no, ni)
         if key not in need_masks:
-            m = 0
-            for v in range(host.n):
-                if out_deg[v] >= no and in_deg[v] >= ni:
-                    m |= 1 << v
+            if no <= min_out and ni <= min_in:
+                m = allowed
+            else:
+                m = 0
+                for v, do, di in zip(verts, out_deg, in_deg):
+                    if do >= no and di >= ni:
+                        m |= 1 << v
             need_masks[key] = m
-        filt.append(need_masks[key] & allowed)
+        filt.append(need_masks[key])
     return filt
 
 

@@ -8,7 +8,8 @@ positions 0..n-1 with this convention.
 
 String form uses '+' for forward and '-' for backward, e.g. "++-+" is a
 4-cycle with one backward edge. "directed" and "antidirected" are accepted
-aliases when a length is supplied.
+aliases when a length is supplied. The string form also ranks rotations:
+canonical_rotation takes the least length-n slice of the doubled string.
 """
 
 from __future__ import annotations
@@ -165,11 +166,16 @@ def canonical_rotation(c: CyclePattern) -> tuple[CyclePattern, int]:
 
     Maximizing the leading forward run means that whenever the pattern has
     any switch, position 0 of the canonical form is a source. Returns the
-    rotated pattern and the offset r used (new i = old (i + r) mod n).
+    rotated pattern and the offset r used (new i = old (i + r) mod n); on
+    a tie (a periodic pattern) the smallest offset wins.
+
+    Rotation r is the length-n slice at r of the doubled string form, so
+    the offsets are ranked by comparing slices in C: '+' (43) sorts before
+    '-' (45), and min keeps the first of equal slices.
     """
     n = c.n
-    key = lambda r: tuple(0 if c.orientation[(i + r) % n] else 1 for i in range(n))
-    best = min(range(n), key=lambda r: (key(r), r))
+    doubled = c.to_string() * 2
+    best = min(range(n), key=lambda r: doubled[r:r + n])
     return rotate(c, best), best
 
 

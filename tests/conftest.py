@@ -13,6 +13,7 @@ import pytest
 
 from hamorient import Digraph, gen_blowup_tt, robust_out_neighborhood
 from hamorient.bitset import bit_list, bits_of, mask_of
+from hamorient.patterns import rotate
 
 
 def digraph(n, *edges):
@@ -214,6 +215,36 @@ def ref_scc(g):
             if indeg[j] == 0:
                 heapq.heappush(heap, (key[j], j))
     return [mask_of(comps[i]) for i in order]
+
+
+def ref_canonical_rotation(c):
+    """Reference canonical rotation: build the n-tuple key of every offset
+    and take the smallest (key, offset)."""
+    n = c.n
+    key = lambda r: tuple(0 if c.orientation[(i + r) % n] else 1 for i in range(n))
+    best = min(range(n), key=lambda r: (key(r), r))
+    return rotate(c, best), best
+
+
+def ref_static_filter(host, adj, allowed):
+    """Reference static filter: count the degrees of every host vertex,
+    threshold all of them per (out, in) need, then AND with allowed."""
+    need_masks = {}
+    out_deg = [m.bit_count() for m in host.out_adj]
+    in_deg = [m.bit_count() for m in host.in_adj]
+    filt = []
+    for entries in adj:
+        no = sum(1 for _, m in entries if m == 0)
+        ni = len(entries) - no
+        key = (no, ni)
+        if key not in need_masks:
+            m = 0
+            for v in range(host.n):
+                if out_deg[v] >= no and in_deg[v] >= ni:
+                    m |= 1 << v
+            need_masks[key] = m
+        filt.append(need_masks[key] & allowed)
+    return filt
 
 
 @pytest.fixture

@@ -212,20 +212,31 @@ def test_pipeline_audit_contents():
 
 
 def test_pipeline_classes_above_spanning_cap():
-    # classes of 100: a fill that would span a whole class is beyond the
-    # exact search, so the plan fails with a named step instead of raising
+    # classes of 100 (n = 200): every orientation ends embedded and
+    # checker-valid, or failed with a named step; none raises. A fill that
+    # would span a whole class is beyond the exact search, so such a plan
+    # fails with a named step instead of raising
     g, sp = embedding_partition([100, 100], seed=7, intra=0.95, noise=0.001)
     assert sp.sizes() == [100, 100]
-    for seed in (1, 2):
-        c = rand_pattern(200, seed)
+    patterns = [rand_pattern(200, 1), rand_pattern(200, 2)]
+    rng = random.Random(5)
+    while len(patterns) < 12:
+        c = CyclePattern(tuple(rng.random() < 0.5 for _ in range(g.n)))
+        if not c.is_directed():
+            patterns.append(c)
+    anti = CyclePattern.from_string("+-" * 100)
+    embedded = 0
+    for c in patterns + [anti]:
         res = embed_hamilton_orientation(g, sp, c)
         assert res.status in ("embedded", "failed")
         if res.ok:
+            embedded += 1
             assert validate_embedding(g, c, res.embedding.mapping,
                                       spanning=True).valid
         else:
             assert res.failure_step
-    res = embed_hamilton_orientation(g, sp, CyclePattern.from_string("+-" * 100))
+    assert embedded >= 1
+    # the antidirected cycle, embedded last, is blocked by that capability
     assert res.status == "failed" and res.method == "pipeline"
     assert any(f.endswith(":capability") for f in res.audit["failures"])
 
@@ -295,6 +306,45 @@ def test_pipeline_golden_mappings():
         assert res.ok, (sizes, order, which, res.failure_step)
         assert (res.case, res.method, _mapping_digest(res.embedding.mapping)) \
             == (case, method, digest), (sizes, order, which)
+
+
+def _perfbench_fixed_host(sizes, seed, count):
+    """A fixed planted host of perfbench's planted-heuristic workload with
+    its orientations, drawn the same way: random.Random("fixed:<sizes>:<seed>")
+    gives non-directed cycles with each edge forward with probability 1/2."""
+    rng = random.Random(f"fixed:{list(sizes)}:{seed}")
+    g = gen_blowup_tt(list(sizes), intra=0.95, forward_noise=0.001, seed=seed)
+    sp = decompose(g, fit_decomposition_params(g, exact_threshold=20))
+    patterns = []
+    while len(patterns) < count:
+        c = CyclePattern(tuple(rng.random() < 0.5 for _ in range(g.n)))
+        if not c.is_directed():
+            patterns.append(c)
+    return g, reverse_for_embedding(sp), patterns
+
+
+# (block sizes, host seed, orientations, failures, digest of every result)
+GOLDEN_OUTCOMES = (
+    ((48, 48), 4848, 30, 0, "2d518bc4d9bc8d66"),
+    ((40, 40, 40), 1120, 100, 3, "66e44c3f82e665d9"),
+)
+
+
+def test_pipeline_golden_outcomes_above_spanning_cap():
+    """Pin failures as well as successes above 64 vertices, where there is
+    no oracle fallback: status, case, method, attempts, failure step and
+    mapping of every orientation."""
+    for sizes, seed, count, failures, digest in GOLDEN_OUTCOMES:
+        g, sp, patterns = _perfbench_fixed_host(sizes, seed, count)
+        rows = []
+        for c in patterns:
+            res = embed_hamilton_orientation(g, sp, c)
+            mapping = res.embedding.mapping if res.ok else None
+            rows.append(f"{res.status}|{res.case}|{res.method}|{res.attempts}|"
+                        f"{res.failure_step}|{mapping}")
+        assert sum(not row.startswith("embedded|") for row in rows) == failures
+        got = hashlib.sha256("\n".join(rows).encode()).hexdigest()[:16]
+        assert got == digest, sizes
 
 
 def _maximal_runs(o):

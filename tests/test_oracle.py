@@ -11,7 +11,7 @@ from hamorient import oracle
 from hamorient.bitset import mask_of
 
 from conftest import (brute_cycle_embed, brute_path_embed, complete_digraph,
-                      cycle_digraph, digraph)
+                      cycle_digraph, digraph, ref_static_filter)
 
 
 def rand_digraph(n, p, seed):
@@ -289,3 +289,38 @@ def test_search_the_dp_cannot_serve_is_one_backtracking_pass():
     assert (res.status, res.method, status) == ("none", "backtrack", "none")
     assert res.nodes == nodes == 31_162
     assert nodes > oracle.BT_STAGE_NODES
+
+
+def test_static_filter_matches_reference():
+    """The filter thresholds only the allowed vertices; it must give the
+    reference's whole-host masks ANDed with allowed, including on hosts
+    with isolated and low-degree vertices where thresholds fail."""
+    rng = random.Random(808)
+    for trial in range(60):
+        n = rng.randrange(1, 40)
+        g = rand_digraph(n, rng.choice((0.05, 0.15, 0.4, 0.8)), 9000 + trial)
+        # drop most arcs at three vertices: isolated and low-degree ones
+        out = list(g.out_adj)
+        inn = list(g.in_adj)
+        for v in rng.sample(range(n), min(n, 3)):
+            for w in range(n):
+                if out[v] >> w & 1 and rng.random() < 0.8:
+                    out[v] &= ~(1 << w)
+                    inn[w] &= ~(1 << v)
+                if inn[v] >> w & 1 and rng.random() < 0.8:
+                    inn[v] &= ~(1 << w)
+                    out[w] &= ~(1 << v)
+        g = Digraph(n, tuple(out), tuple(inn))
+        full = g.vertex_mask
+        lo = rng.randrange(n)
+        masks = [0, full, rng.getrandbits(n) & full,
+                 full & ~((1 << lo) - 1) & ((1 << rng.randrange(lo, n + 1)) - 1)]
+        patterns = [PathPattern.from_string("+"), PathPattern.from_string("+-+--")]
+        if n >= 3:
+            patterns += [rand_cycle_pattern(n, trial), CyclePattern.directed(3),
+                         CyclePattern.from_string("+-+-")]
+        for pattern in patterns:
+            adj = oracle._pattern_adjacency(pattern)
+            for allowed in masks:
+                assert oracle._static_filter(g, adj, allowed) == \
+                    ref_static_filter(g, adj, allowed), (trial, pattern, allowed)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hamorient import (CyclePattern, InputError, PathPattern,
@@ -7,6 +9,8 @@ from hamorient import (CyclePattern, InputError, PathPattern,
                        longest_directed_segment, necklace_classes,
                        partition_case2, switch_count, switches)
 from hamorient.patterns import reflect, rotate
+
+from conftest import ref_canonical_rotation
 
 
 def test_parse_and_print():
@@ -88,6 +92,38 @@ def test_canonical_rotation_minimal():
     assert canon.to_string() == "++--"
     # canonical form is a fixed point
     assert canonical_rotation(canon)[0] == canon
+
+
+def test_canonical_rotation_matches_reference():
+    # every cycle pattern with n = 3..12
+    for n in range(3, 13):
+        for bits in range(1 << n):
+            c = CyclePattern(tuple(bool(bits >> i & 1) for i in range(n)))
+            assert canonical_rotation(c) == ref_canonical_rotation(c), c
+
+
+def test_canonical_rotation_periodic_ties_take_smallest_offset():
+    # a k-fold repeat has k equal minimal rotations; the smallest offset wins
+    rng = random.Random(11)
+    for _ in range(200):
+        base = tuple(rng.random() < 0.5 for _ in range(rng.randrange(1, 9)))
+        k = rng.randrange(2, 6)
+        if len(base) * k < 3:
+            continue
+        c = CyclePattern(base * k)
+        got = canonical_rotation(c)
+        assert got == ref_canonical_rotation(c), c
+        assert got[1] < len(base), c
+    assert canonical_rotation(CyclePattern.from_string("-+-+-+"))[1] == 1
+    assert canonical_rotation(CyclePattern.from_string("+++"))[1] == 0
+
+
+def test_canonical_rotation_matches_reference_on_long_patterns():
+    rng = random.Random(2025)
+    for n in (13, 40, 120, 333, 1000):
+        for p in (0.5, 0.9, 0.1):
+            c = CyclePattern(tuple(rng.random() < p for _ in range(n)))
+            assert canonical_rotation(c) == ref_canonical_rotation(c), (n, p)
 
 
 def test_canonical_rotation_source_at_zero():
