@@ -222,7 +222,8 @@ def _verify_cut(g: Digraph, args: argparse.Namespace) -> tuple[dict, bool]:
         "outcome": "cut" if res.found else "no-cut",
         "params": {"nu": None, "tau": None, "alpha": args.alpha},
         "counts": {"near_misses": len(res.near_misses),
-                   "climb_moves": res.climb_moves},
+                   "climb_moves": res.climb_moves,
+                   "climb_steps": res.climb_steps},
         "mode": res.mode,
     }
     cert = res.certificate or res.best

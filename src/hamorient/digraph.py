@@ -119,7 +119,7 @@ def set_rows(masks: Sequence[int], n: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=n, bitorder="little")
 
 
-def _row_masks(rows: np.ndarray) -> tuple[int, ...]:
+def row_masks(rows: np.ndarray) -> tuple[int, ...]:
     """Inverse of set_rows: one int mask per 0/1 row."""
     packed = np.packbits(rows, axis=1, bitorder="little")
     return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
@@ -135,7 +135,7 @@ def induced(g: Digraph, mask: int) -> tuple[Digraph, list[int]]:
     """
     verts = bit_list(mask)
     rows = set_rows([g.out_adj[v] for v in verts], g.n)[:, verts]
-    return Digraph(len(verts), _row_masks(rows), _row_masks(rows.T)), verts
+    return Digraph(len(verts), row_masks(rows), row_masks(rows.T)), verts
 
 
 def reverse_digraph(g: Digraph) -> Digraph:

@@ -25,10 +25,13 @@ For a 0/1 matrix S whose rows are vertex sets, (S @ A)[i, v] counts the
 in-neighbours of v in set i: thresholding those counts gives every
 sampled robust out-neighbourhood at once, and summing them over the
 complement of each set gives every cut start's forward edge count. The
-hill climb keeps, per vertex, its out-neighbours in X2 minus its
-in-neighbours in X1, so the new ratio of every single-vertex move is one
-vector expression and a move updates that vector with one row and one
-column of A. All three give exactly the results of set-by-set loops.
+hill climbs of one cut search run in lockstep, one row per climb of a
+k x n int16 matrix of per-vertex gains (out-neighbours in X2 minus
+in-neighbours in X1), offset so that every X1 entry lies below every X2
+entry: each step takes every live climb's best move out of X1 with one
+row-wise argmin and its best move into X1 with one argmax, and a move of
+v updates its row with row v plus column v of A. A climb leaves the batch
+when it stops. All three give exactly the results of set-by-set loops.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bitset import bit_list, bits_of, full_mask, int_ceil, int_floor, mask_of
-from .digraph import (Digraph, degree_profile, set_rows,
+from .digraph import (Digraph, degree_profile, row_masks, set_rows,
                       strongly_connected_components)
 from .errors import CapabilityError, InputError, PreconditionError
 
@@ -350,6 +353,7 @@ class CutSearchResult:
     near_misses: tuple[CutCertificate, ...]
     mode: str                         # exact | heuristic
     climb_moves: int = 0              # accepted hill-climb moves, all climbs
+    climb_steps: int = 0              # lockstep steps of the climbs
 
 
 def _cut_ratio(e_fwd: int, s1: int, s2: int) -> float:
@@ -436,58 +440,99 @@ def _exact_cut_sweep(g: Digraph) -> tuple[int, int, float]:
     return best_mask, best_e, best_ratio
 
 
-def _hill_climb(adj: np.ndarray, x1: int,
-                max_steps: int = 10_000) -> tuple[int, int, float, int]:
-    """Steepest-descent single-vertex moves on the forward-density ratio.
+# A climb stops after this many accepted moves.
+_CLIMB_STEP_CAP = 10_000
+# Key offset of the lockstep climbs: above every |gain| <= N_MAX - 1, and
+# small enough that every key fits int16.
+_KEY_OFFSET = 1 << 13
 
-    Returns (X1, e_forward, ratio, accepted moves). gain[v] is the number
-    of out-neighbours of v in X2 minus its in-neighbours in X1, so moving
-    v changes e_forward by sign[v] * gain[v], with sign -1 on X1 and +1 on
-    X2, and a move updates gain with one row and one column of adj. The
-    move with the smallest new ratio wins, ties to the smallest vertex,
-    and is taken only if it beats the current ratio by more than 1e-15.
-    numpy's float64 division of these integers gives the same float as
-    Python's int / int.
+
+def _hill_climbs(adj: np.ndarray,
+                 starts: list[int]) -> tuple[list[tuple[int, int, float, int]], int]:
+    """Steepest-descent single-vertex moves on the forward-density ratio,
+    one climb per start, all run in lockstep.
+
+    Returns, per start, (X1, e_forward, ratio, accepted moves), and the
+    number of lockstep steps. gain[v] is the number of out-neighbours of v
+    in X2 minus its in-neighbours in X1, so moving v changes e_forward by
+    -gain[v] from X1 and by +gain[v] from X2; moving v changes every gain
+    by +-(row v + column v of adj). Each climb is one row of the int16
+    matrix key = -(OFF + gain) on X1 and OFF - gain on X2: every X1 key is
+    below every X2 key, so the row's argmin is the best move out of X1 and
+    its argmax the best move into X1, both ties to the smallest vertex.
+    The move with the smaller new ratio wins (ties to the smaller vertex),
+    a move that would empty a side gets ratio inf, and the move is taken
+    only if it beats the current ratio by more than 1e-15. numpy's float64
+    division of these integers gives the same float as Python's int / int.
+    A climb that stops, or reaches _CLIMB_STEP_CAP moves, leaves the batch.
     """
     n = adj.shape[0]
-    s = set_rows([x1], n)[0].astype(np.int16)
-    in_x1 = s == 1
-    sign = 1 - 2 * s.astype(np.int64)
-    out2 = adj @ (1 - s)
-    gain = out2 - s @ adj
-    s1 = x1.bit_count()
-    e = int(out2[in_x1].sum(dtype=np.int64))
-    ratio = _cut_ratio(e, s1, n - s1)
-    moves = 0
-    for _ in range(max_steps):
-        ne = sign * gain
-        ne += e
-        # |X1| * |X2| after a move out of X1 (d1) or into X1 (d2); a
-        # move that would empty a side gets ratio inf
-        d1 = (s1 - 1) * (n - s1 + 1)
-        d2 = (s1 + 1) * (n - s1 - 1)
-        nr = ne / np.where(in_x1, d1 or 1, d2 or 1)
-        if not d1:
-            nr[in_x1] = np.inf
-        if not d2:
-            nr[~in_x1] = np.inf
-        v = int(nr.argmin())
-        if not nr[v] < ratio - 1e-15:
-            break
-        ratio, e = float(nr[v]), int(ne[v])
-        if in_x1[v]:
-            s1 -= 1
-            gain += adj[v]
-            gain += adj[:, v]
-        else:
-            s1 += 1
-            gain -= adj[v]
-            gain -= adj[:, v]
-        in_x1[v] = not in_x1[v]
-        sign[v] = -sign[v]
-        x1 ^= 1 << v
+    out: list = [None] * len(starts)
+    if not starts:
+        return out, 0
+    # a move of v subtracts row v (out of X1) or row n + v (into X1) of
+    # step from the key: +-(row v + column v of adj), with the diagonal
+    # entry moving v's own key across the offset
+    step = np.empty((2 * n, n), dtype=np.int16)
+    sym = np.add(adj, adj.T, out=step[:n])
+    np.negative(sym, out=step[n:])
+    outdeg = adj.sum(axis=1)
+    rows = set_rows(starts, n).astype(np.int16)
+    gain = outdeg.astype(np.int16) - np.einsum("iu,uv->iv", rows, sym)
+    key = np.int16(_KEY_OFFSET) * (1 - 2 * rows) - gain
+    # sum over X1 of out-degree + gain = 2 * e_forward
+    e = (rows @ outdeg + (rows * gain).sum(axis=1)) // 2
+    s1 = rows.sum(axis=1)
+    ratio = e / (s1 * (n - s1))
+    del rows, gain
+    diag = np.arange(n)
+    step[diag, diag] = -2 * _KEY_OFFSET
+    step[n + diag, diag] = 2 * _KEY_OFFSET
+    # |X1| * |X2| after a move out of (into) X1, by the current |X1|; 1
+    # stands in for the 0 of a move that would empty a side
+    size = np.arange(n + 1)
+    d_out = np.maximum((size - 1) * (n - size + 1), 1)
+    d_in = np.maximum((size + 1) * (n - size - 1), 1)
+    live = np.arange(len(starts))
+    base = live * n
+    # a move's new e_forward is eo + key out of X1 and eo - key into X1
+    eo = e + _KEY_OFFSET
+    steps = moves = 0
+
+    def leave(keep: np.ndarray):
+        gone = np.flatnonzero(~keep)
+        masks = row_masks(key[gone] < 0)
+        for j, x1 in zip(gone, masks):
+            out[live[j]] = (x1, int(eo[j]) - _KEY_OFFSET, float(ratio[j]), moves)
+
+    while moves < _CLIMB_STEP_CAP:
+        steps += 1
+        v_out = key.argmin(axis=1)
+        v_in = key.argmax(axis=1)
+        flat = key.ravel()
+        ne_out = eo + flat[base + v_out]
+        ne_in = eo - flat[base + v_in]
+        r_out = np.where(s1 > 1, ne_out / d_out[s1], np.inf)
+        r_in = np.where(s1 < n - 1, ne_in / d_in[s1], np.inf)
+        take_out = (r_out < r_in) | ((r_out == r_in) & (v_out < v_in))
+        r = np.where(take_out, r_out, r_in)
+        ok = r < ratio - 1e-15
+        if not ok.all():
+            leave(ok)
+            live, key, s1 = live[ok], key[ok], s1[ok]
+            v_out, v_in, take_out = v_out[ok], v_in[ok], take_out[ok]
+            ne_out, ne_in, r = ne_out[ok], ne_in[ok], r[ok]
+            base = np.arange(live.size) * n
+            if not live.size:
+                break
         moves += 1
-    return x1, e, ratio, moves
+        key -= step[np.where(take_out, v_out, v_in + n)]
+        eo = np.where(take_out, ne_out, ne_in) + _KEY_OFFSET
+        s1 = np.where(take_out, s1 - 1, s1 + 1)
+        ratio = r
+    if live.size:
+        leave(np.zeros(live.size, dtype=bool))
+    return out, steps
 
 
 def find_sparse_cut(g: Digraph, alpha: float, budget: CutSearchBudget | None = None,
@@ -498,9 +543,13 @@ def find_sparse_cut(g: Digraph, alpha: float, budget: CutSearchBudget | None = N
     beyond that, seeded local search from condensation prefixes, degree
     prefixes, hint masks, and random balanced cuts. Every prefix start is
     evaluated at once from its row of S @ A (A the adjacency matrix): its
-    forward edges are the counts on its complement. The climbs reuse A;
-    climb_moves sums their accepted moves. Near misses within a factor 2
-    of alpha are reported for diagnostics.
+    forward edges are the counts on its complement. The restart sets are
+    drawn first, then one lockstep batch climbs from the hints, the 8 best
+    prefix starts and the restarts; the results are considered in that
+    order, after the prefix starts. climb_moves sums the accepted moves of
+    all climbs, climb_steps counts the lockstep steps (at most the longest
+    climb's moves plus one). Near misses within a factor 2 of alpha are
+    reported for diagnostics.
     """
     if g.n < 2:
         raise PreconditionError("cuts need at least 2 vertices")
@@ -517,7 +566,6 @@ def find_sparse_cut(g: Digraph, alpha: float, budget: CutSearchBudget | None = N
     adj = _adjacency(g)
     best: tuple[float, int, int] | None = None   # ratio, mask, e
     near: list[CutCertificate] = []
-    moves = 0
 
     def consider(x1: int, e: int, ratio: float):
         nonlocal best
@@ -526,38 +574,33 @@ def find_sparse_cut(g: Digraph, alpha: float, budget: CutSearchBudget | None = N
         if alpha < ratio <= 2 * alpha and len(near) < budget.near_miss_cap:
             near.append(CutCertificate(x1, g.vertex_mask & ~x1, e, ratio, False))
 
-    def climb(x1: int):
-        nonlocal moves
-        if x1 != 0 and x1 != g.vertex_mask:
-            *cut, m = _hill_climb(adj, x1)
-            moves += m
-            consider(*cut)
-
-    # structured starts are proper, non-empty prefixes
+    # structured starts are proper, non-empty prefixes; the comprehension
+    # frees the last chunk's matrices before the climbs allocate theirs
     prefixes = _prefix_masks(g, 4)
-    fwd: list[int] = []
-    for _, rows, counts in _row_chunks(prefixes, adj):
-        fwd += (counts * (1 - rows)).sum(axis=1, dtype=np.int64).tolist()
+    fwd = [e for _, rows, counts in _row_chunks(prefixes, adj)
+           for e in (counts * (1 - rows)).sum(axis=1, dtype=np.int64).tolist()]
     starts = [(s, e, _cut_ratio(e, s.bit_count(), n - s.bit_count()))
               for s, e in zip(prefixes, fwd)]
     for s, e, ratio in starts:
         consider(s, e, ratio)
-    for h in hints:
-        climb(h & g.vertex_mask)
-    # climb from the most promising structured starts, then random restarts
+    # climb from the hints, the most promising structured starts, then
+    # random restarts
     starts.sort(key=lambda start: start[2])
-    for s, _, _ in starts[:8]:
-        climb(s)
+    climbs = [h & g.vertex_mask for h in hints] + [s for s, _, _ in starts[:8]]
     for _ in range(budget.restarts):
         size = rng.randint(max(1, n // 4), max(1, 3 * n // 4))
-        climb(mask_of(rng.sample(range(n), size)))
+        climbs.append(mask_of(rng.sample(range(n), size)))
+    results, steps = _hill_climbs(
+        adj, [x1 for x1 in climbs if 0 < x1 < g.vertex_mask])
+    for *cut, _ in results:
+        consider(*cut)
 
     assert best is not None
     ratio, mask, e = best
     cert = CutCertificate(mask, g.vertex_mask & ~mask, e, ratio, False)
     found = ratio <= alpha + 1e-12
     return CutSearchResult(found, cert if found else None, cert, tuple(near),
-                           "heuristic", moves)
+                           "heuristic", sum(r[3] for r in results), steps)
 
 
 @dataclass(frozen=True)

@@ -109,11 +109,12 @@ def validate_embedding(host: Digraph, pattern, mapping, *, spanning: bool = Fals
     return CheckReport(not errors, tuple(errors))
 
 
-def _pattern_adjacency(pattern) -> list[list[tuple[int, int]]]:
-    """adj[p] lists (q, mode): mode 0 means arc p->q, mode 1 means q->p."""
-    size = pattern_size(pattern)
+def _pattern_adjacency(size: int,
+                       edges: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+    """adj[p] lists (q, mode): mode 0 means arc p->q, mode 1 means q->p,
+    for the pattern edges of a pattern with size positions."""
     adj: list[list[tuple[int, int]]] = [[] for _ in range(size)]
-    for a, b in pattern_edges(pattern):
+    for a, b in edges:
         adj[a].append((b, 0))
         adj[b].append((a, 1))
     return adj
@@ -318,9 +319,8 @@ def _dp_spanning(host: Digraph, orientation, is_cycle: bool, pins: dict[int, int
     return "none", None
 
 
-def _engine(host: Digraph, pattern, pins: dict[int, int], allowed: int,
+def _engine(host: Digraph, pattern, adj, pins: dict[int, int], allowed: int,
             nodes: int, node_budget: int) -> tuple[str, tuple[int, ...] | None, str, int]:
-    adj = _pattern_adjacency(pattern)
     filt = _static_filter(host, adj, allowed)
     for p, v in pins.items():
         filt[p] &= 1 << v
@@ -374,7 +374,8 @@ def exact_embed(host: Digraph, pattern, pins: dict[int, int] | None = None,
     if size > pool:
         return EmbedResult("none", None, 0, time.monotonic() - t0, "size")
     # pinned pattern edges must already exist
-    for a, b in pattern_edges(pattern):
+    edges = pattern_edges(pattern)
+    for a, b in edges:
         if a in pins and b in pins and not host.has_edge(pins[a], pins[b]):
             return EmbedResult("none", None, 0, time.monotonic() - t0, "pins")
     if size == 1:
@@ -385,6 +386,7 @@ def exact_embed(host: Digraph, pattern, pins: dict[int, int] | None = None,
             v = (allowed & -allowed).bit_length() - 1
         return EmbedResult("found", (v,), 0, time.monotonic() - t0, "trivial")
 
+    adj = _pattern_adjacency(size, edges)
     nodes = 0
     is_cycle = isinstance(pattern, CyclePattern)
     if is_cycle and pattern.is_directed():
@@ -401,7 +403,7 @@ def exact_embed(host: Digraph, pattern, pins: dict[int, int] | None = None,
                 continue
             if any(not comp_mask >> v & 1 for v in pins.values()):
                 continue
-            status, mapping, m, nodes = _engine(host, pattern, pins, comp_mask,
+            status, mapping, m, nodes = _engine(host, pattern, adj, pins, comp_mask,
                                                 nodes, node_budget)
             if status == "found":
                 return EmbedResult("found", mapping, nodes, time.monotonic() - t0, "scc+" + m)
@@ -410,8 +412,8 @@ def exact_embed(host: Digraph, pattern, pins: dict[int, int] | None = None,
                 break
         return EmbedResult(status_overall, None, nodes, time.monotonic() - t0, method)
 
-    status, mapping, method, nodes = _engine(host, pattern, pins, allowed, nodes,
-                                             node_budget)
+    status, mapping, method, nodes = _engine(host, pattern, adj, pins, allowed,
+                                             nodes, node_budget)
     return EmbedResult(status, mapping, nodes, time.monotonic() - t0, method)
 
 

@@ -212,7 +212,8 @@ def test_verify_cut_found_and_absent(workdir, tmp_path):
     assert data["outcome"] == "cut"
     assert sorted(data["cut"]) == data["cut"] and len(data["cut"]) == 12
     assert data["counts"]["e_forward"] == 0
-    assert data["mode"] == "exact" and data["counts"]["climb_moves"] == 0
+    assert data["mode"] == "exact"
+    assert data["counts"]["climb_moves"] == data["counts"]["climb_steps"] == 0
 
     dense = tmp_path / "k12.edges"
     assert main(["generate", "--family", "complete", "--n", "12",
@@ -231,6 +232,8 @@ def test_verify_cut_reports_climb_moves(tmp_path):
     res = find_sparse_cut(read_edges(graph), 0.05, CutSearchBudget(seed=1))
     assert data["mode"] == "heuristic"
     assert data["counts"]["climb_moves"] == res.climb_moves > 0
+    # the climbs run in lockstep: fewer steps than moves
+    assert 0 < data["counts"]["climb_steps"] == res.climb_steps < res.climb_moves
 
 
 def test_verify_selector_errors(workdir):

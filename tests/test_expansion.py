@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from collections import Counter
@@ -15,7 +16,7 @@ from hamorient import expansion
 from hamorient.bitset import bit_list, int_ceil, mask_of
 from hamorient.digraph import induced
 from hamorient.expansion import (_adjacency, _exact_cut_sweep,
-                                 _exact_expander_sweep, _hill_climb,
+                                 _exact_expander_sweep, _hill_climbs,
                                  _sampled_candidates, _size_bounds)
 
 from conftest import (brute_hill_climb, brute_robust_outnbhd,
@@ -390,7 +391,7 @@ def _two_communities(n, seed):
     return Digraph.from_edge_list(n, sorted(edges)), mask_of(perm[:h])
 
 
-def test_hill_climb_matches_reference():
+def test_hill_climb_matches_reference(monkeypatch):
     hosts = []
     for n in (25, 40, 70, 130):
         hosts += [gen_random_min_degree(n, int(1.3 * n), seed=n),
@@ -399,7 +400,7 @@ def test_hill_climb_matches_reference():
                   gen_blowup_tt([n // 3, n // 3, n - 2 * (n // 3)], 1.0, 0.0,
                                 seed=n)]
     hosts += [gen_complete_digraph(25), gen_complete_digraph(40)]
-    moved = 0
+    moved = capped = 0
     for g in hosts:
         n = g.n
         adj = _adjacency(g)
@@ -409,11 +410,22 @@ def test_hill_climb_matches_reference():
                   g.vertex_mask ^ 1]
         starts += [mask_of(rng.sample(range(n), rng.randint(1, n - 1)))
                    for _ in range(5)]
-        for x1 in starts:
-            got = _hill_climb(adj, x1)
-            assert got == brute_hill_climb(g, x1), (n, x1)
-            moved += got[3] > 0
-    assert moved > 50
+        # a duplicate, and a local minimum that takes no move
+        starts += [starts[-1], brute_hill_climb(g, starts[-2])[0]]
+        for cap in (10_000, 3):
+            monkeypatch.setattr(expansion, "_CLIMB_STEP_CAP", cap)
+            got, steps = _hill_climbs(adj, starts)
+            want = [brute_hill_climb(g, x1, max_steps=cap) for x1 in starts]
+            assert got == want, (n, cap)
+            assert got[-1][3] == 0 and got[-2] == got[-3]
+            # a climb that stops takes one more step to find no move
+            assert steps == max(min(m + 1, cap) for *_, m in got)
+            if cap == 3:
+                capped += sum(m == cap for *_, m in got)
+            else:
+                moved += sum(m > 0 for *_, m in got)
+    assert moved > 50 and capped > 30
+    assert _hill_climbs(_adjacency(hosts[0]), []) == ([], 0)
 
 
 def test_sampled_certification_matches_reference():
@@ -449,20 +461,70 @@ def test_sampled_certification_matches_reference():
 
 
 def test_climb_moves_sum_over_climbs(monkeypatch):
-    moves = []
+    calls = []
 
-    def spy(adj, x1):
-        out = _hill_climb(adj, x1)
-        moves.append(out[3])
+    def spy(adj, starts):
+        out = _hill_climbs(adj, starts)
+        calls.append((len(starts), [m for *_, m in out[0]], out[1]))
         return out
 
-    monkeypatch.setattr(expansion, "_hill_climb", spy)
+    monkeypatch.setattr(expansion, "_hill_climbs", spy)
     g = gen_blowup_tt([30, 30], 0.95, 0.001, 11)
     res = find_sparse_cut(g, 0.05, CutSearchBudget(seed=1))
-    assert len(moves) == 8 + 32           # best prefix starts, restarts
+    [(climbs, moves, steps)] = calls
+    assert climbs == 8 + 32               # best prefix starts, restarts
     assert res.mode == "heuristic" and res.climb_moves == sum(moves) > 0
+    # the climbs run in lockstep: one step per move of the longest climb,
+    # and one to find that it has no move left
+    assert res.climb_steps == steps == max(moves) + 1
     exact = find_sparse_cut(gen_blowup_tt([10, 10], 0.95, 0.001, 1), 0.05)
-    assert exact.mode == "exact" and exact.climb_moves == 0
+    assert exact.mode == "exact" and exact.climb_moves == exact.climb_steps == 0
+
+
+# sha256 of find_sparse_cut's results (certificate, best cut, near misses
+# in order, climb moves) above the exact cap, with and without hints; the
+# last call of each host climbs from the hints sparse_or_expander's retry
+# builds from a sampled violator. Recorded with the one-climb-at-a-time
+# search that the lockstep climbs replaced.
+GOLDEN_CUT_SEARCH = \
+    "a0f1110dae0775bb55c35b933623cec12affd08f343d5218930c4414bc1b0514"
+
+
+def _cut_text(c):
+    return "-" if c is None else f"{c.side1:x}/{c.e_forward}/{c.alpha_achieved!r}"
+
+
+def test_cut_search_golden():
+    hosts = [gen_random_min_degree(n, int(1.3 * n), seed=n)
+             for n in (30, 60, 120)]
+    hosts += [gen_blowup_tt(sizes, 0.95, 0.001, seed)
+              for sizes, seed in (([15, 15], 3), ([50, 50], 5),
+                                  ([30, 30, 30], 9), ([150, 150], 11))]
+    lines = []
+    for g in hosts:
+        n = g.n
+        rng = random.Random(n)
+        # the empty and the full hint are skipped; the last one is cut to
+        # the single vertex 0
+        hints = (rng.getrandbits(n), mask_of(rng.sample(range(n), n // 3)),
+                 0, g.vertex_mask, 1 << n | 1)
+        p = ExpansionParams(0.3, 0.25, mode="sampled", seed=n)
+        s = certify_expander(g, p).violator
+        rn = robust_out_neighborhood(g, s, p.nu)
+        retry = (s, s | rn, g.vertex_mask & ~rn)
+        # an uncapped near-miss list records the climbs' results in order
+        for alpha, seed, cap, h in ((0.05, 0, 8, ()), (0.05, 1, 8, hints),
+                                    (0.3, 2, 8, ()), (0.3, 3, 8, hints),
+                                    (0.4, 5, 100, hints), (0.02, 4, 8, retry)):
+            budget = CutSearchBudget(seed=seed, near_miss_cap=cap)
+            r = find_sparse_cut(g, alpha, budget, hints=h)
+            assert r.mode == "heuristic"
+            lines.append(" ".join([str(n), str(r.found), _cut_text(r.certificate),
+                                   _cut_text(r.best),
+                                   ",".join(map(_cut_text, r.near_misses)),
+                                   str(r.climb_moves), str(len(h))]))
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CUT_SEARCH
 
 
 def test_complete_digraph_has_no_sparse_cut():

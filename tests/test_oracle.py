@@ -282,7 +282,7 @@ def test_search_the_dp_cannot_serve_is_one_backtracking_pass():
     g = gen_bipartite_extremal(10)
     c = CyclePattern.from_string("++-+-----")   # odd, on 9 of 10 vertices
     res = exact_embed(g, c)
-    adj = oracle._pattern_adjacency(c)
+    adj = oracle._pattern_adjacency(c.n, oracle.pattern_edges(c))
     filt = oracle._static_filter(g, adj, g.vertex_mask)
     status, _, nodes = oracle._backtrack(g, adj, filt, {}, g.vertex_mask, 0,
                                          oracle.NODE_BUDGET)
@@ -320,7 +320,8 @@ def test_static_filter_matches_reference():
             patterns += [rand_cycle_pattern(n, trial), CyclePattern.directed(3),
                          CyclePattern.from_string("+-+-")]
         for pattern in patterns:
-            adj = oracle._pattern_adjacency(pattern)
+            adj = oracle._pattern_adjacency(oracle.pattern_size(pattern),
+                                            oracle.pattern_edges(pattern))
             for allowed in masks:
                 assert oracle._static_filter(g, adj, allowed) == \
                     ref_static_filter(g, adj, allowed), (trial, pattern, allowed)
