@@ -26,9 +26,9 @@ from .decomposition import (CleanedCut, DecompositionParams, PartitionReport,
 from .digraph import (DegreeProfile, Digraph, cross_counts, degree_profile,
                       double_edge_graph, induced, is_strongly_connected,
                       reverse_digraph, strongly_connected_components)
-from .embedding import (EmbedParams, Embedding, PipelineResult,
-                        embed_hamilton_orientation, pancyclic_suite,
-                        select_connectors, tt_embed_path, two_factor)
+from .embedding import (Embedding, PipelineResult, embed_hamilton_orientation,
+                        pancyclic_suite, select_connectors, tt_embed_path,
+                        two_factor)
 from .errors import (CapabilityError, HypothesisError, InputError,
                      PreconditionError, ResourceError)
 from .expansion import (CutCertificate, CutSearchBudget, CutSearchResult,
@@ -56,7 +56,7 @@ __all__ = [
     "BlockPlan", "CapabilityError", "CheckReport", "CleanedCut",
     "CutCertificate", "CutSearchBudget", "CutSearchResult", "CyclePattern",
     "DecompositionParams", "DegreeProfile", "DichotomyResult", "Digraph",
-    "EmbedParams", "EmbedResult", "Embedding", "ExpansionParams",
+    "EmbedResult", "Embedding", "ExpansionParams",
     "ExpansionVerdict", "ExperimentConfig", "GenSpec", "HypothesisError",
     "InputError", "PartitionReport", "PathPattern", "PipelineResult",
     "PreconditionError", "ResourceError", "SegmentPlan", "StructurePartition",

@@ -121,7 +121,7 @@ def _decomposition_params(g: Digraph, args: argparse.Namespace) -> Decomposition
 def _cmd_partition(args: argparse.Namespace) -> int:
     g = read_edges(args.input)
     params = _decomposition_params(g, args)
-    sp = decompose(g, params, cut_budget=CutSearchBudget(seed=args.seed))
+    sp = decompose(g, params, seed=args.seed)
     report = sp.report
     _emit(sp.to_json_dict(g), args.out)
     sizes = "+".join(str(s) for s in sp.sizes())

@@ -16,7 +16,15 @@ both endpoint vertices pinned. Three plan shapes exist:
     near cumulative class sizes, then repair each accumulated overshoot
     by relocating sink positions (two host edges into a shared head) and,
     for large overshoots, handing a short backward window to the next
-    class between two extra edges.
+    class between two extra edges (a one-position window is a sink, and
+    is relocated like the others).
+
+The longest directed run is framed once per embed, and its length picks
+the plan order. Every plan pins positions through one ledger (`_Ledger`),
+whose `pins` is the only record of what is pinned; pinning a position
+twice fails the plan with `<case>:pins`. There is no tuning object:
+beta = 0.1, rho = 0.0025, block cap 6 and 16 connector attempts are fixed
+module constants.
 
 Every produced embedding is re-validated by the independent checker
 before being returned; failures are structured, never silent.
@@ -28,7 +36,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .bitset import bit_list, bits_of, int_floor
+from .bitset import bit_list, bits_of, int_floor, mask_of
 from .digraph import (
     Digraph,
     degree_profile,
@@ -54,8 +62,6 @@ from .patterns import (
     _directed_runs,
     _framed_run_length,
     canonical_rotation,
-    classify_case,
-    longest_directed_segment,
     necklace_classes,
     partition_case2,
     reflect,
@@ -64,45 +70,16 @@ from .patterns import (
 
 _EPS = 1e-9
 
-
-@dataclass(frozen=True)
-class EmbedParams:
-    """Pipeline constants.
-
-    beta gates the long-run/switchy dichotomy; rho sets connector-slack
-    accounting and the blueprint reserve; eta is the class-size fraction
-    the plans assume. block_size caps the block length used when routing
-    a non-spanning run (adapted downward/upward if the equal split or the
-    blueprint capacity fails). connector_retries bounds how many
-    alternative connector selections are tried before oracle fallback.
-    Every exact search the pipeline makes (stretch fills, the oracle
-    fallback) is bounded by the oracle's node budget, not by time.
-    """
-    beta: float = 0.1
-    rho: float = 0.0025
-    eta: float = 0.3
-    block_size: int = 6
-    connector_retries: int = 16
-
-    def __post_init__(self):
-        if not 0 < self.beta < 1:
-            raise InputError(f"beta must lie in (0,1), got {self.beta}")
-        if not 0 < self.rho <= self.beta * self.beta / 4 + _EPS:
-            raise InputError(f"rho must lie in (0, beta^2/4], got {self.rho}")
-        if not 0 < self.eta < 1:
-            raise InputError(f"eta must lie in (0,1), got {self.eta}")
-        if self.block_size < 2:
-            raise InputError("block_size must be at least 2")
-        if self.connector_retries < 1:
-            raise InputError("connector_retries must be at least 1")
-
-    def gadget_cap(self) -> int:
-        """Most sink relocations per boundary before switching to hand-off."""
-        return max(1, int_floor(self.eta / (6 * self.beta)))
-
-    def handoff_gadgets(self) -> int:
-        """Sink relocations used alongside a hand-off window."""
-        return max(1, int_floor(self.eta / (12 * self.beta)))
+# Fixed pipeline constants. _BETA gates the long-run/switchy dichotomy
+# (capped per host by the smallest class); _RHO * n positions per class are
+# kept out of case 1b's block capacities; case 1b tries block caps around
+# _BLOCK_CAP; an embed makes up to _CONNECTOR_ATTEMPTS connector selections
+# before the oracle fallback. Every exact search (stretch fills, the oracle
+# fallback) is bounded by the oracle's node budget, not by time.
+_BETA = 0.1
+_RHO = 0.0025
+_BLOCK_CAP = 6
+_CONNECTOR_ATTEMPTS = 16
 
 
 @dataclass(frozen=True)
@@ -181,18 +158,12 @@ def _edge_candidates(g: Digraph, xm: int, ym: int):
 
 
 def select_connectors(g: Digraph, x_mask: int, y_mask: int, count: int,
-                      direction: str = "forward", excluded: int = 0,
-                      skip: int = 0) -> list[tuple[int, int]]:
+                      excluded: int = 0, skip: int = 0) -> list[tuple[int, int]]:
     """Pick `count` pairwise-disjoint edges from X to Y avoiding excluded
     vertices, preferring endpoints of maximal cross-degree (ties to the
-    smaller vertex). direction="backward" swaps the roles of X and Y.
-    `skip` discards that many leading candidates, giving deterministic
-    alternative selections for retry loops.
+    smaller vertex). `skip` discards that many leading candidates, giving
+    deterministic alternative selections for retry loops.
     """
-    if direction == "backward":
-        x_mask, y_mask = y_mask, x_mask
-    elif direction != "forward":
-        raise InputError(f"unknown direction {direction!r}")
     xm = x_mask & ~excluded
     ym = y_mask & ~excluded
     if not any(g.out_adj[u] & ym for u in bits_of(xm)):
@@ -338,8 +309,8 @@ def _check_plan(plan: EmbedPlan, sizes: list[int]) -> list[Stretch]:
 
 
 def _fill_stretches(g: Digraph, c2: CyclePattern, plan: EmbedPlan,
-                    sts: list[Stretch], pools: list[int],
-                    params: EmbedParams) -> tuple[tuple[int, ...] | None, str]:
+                    sts: list[Stretch],
+                    pools: list[int]) -> tuple[tuple[int, ...] | None, str]:
     """Fill every stretch of the plan (sts, as _check_plan returns them) by
     exact in-class path search with pinned ends.
 
@@ -393,8 +364,47 @@ def _fill_stretches(g: Digraph, c2: CyclePattern, plan: EmbedPlan,
 # planners (all work on a framed pattern)
 
 
+class _Ledger:
+    """The pins of one plan and the connectors that placed them.
+
+    `pins` (framed position -> host vertex) is the only record of what is
+    pinned: the vertices in use are read from it, and pinning a position
+    a second time raises `<case>:pins`."""
+
+    def __init__(self, case: str, g: Digraph, pools: list[int], attempt: int):
+        self.case = case
+        self.g = g
+        self.pools = pools
+        self.attempt = attempt
+        self.pins: dict[int, int] = {}
+        self.connectors: list[dict] = []
+
+    def used(self) -> int:
+        return mask_of(self.pins.values())
+
+    def _refuse_pinned(self, kind: str, positions: list[int]) -> None:
+        if len(set(positions)) < len(positions) \
+                or any(p in self.pins for p in positions):
+            raise _PlanError(f"{self.case}:pins",
+                             f"{kind} would double-pin a position")
+
+    def pin(self, record: dict, *placed: tuple[int, int]) -> None:
+        """Pin each (position, vertex) of placed and keep the record."""
+        self._refuse_pinned(record["kind"], [p for p, _ in placed])
+        self.pins.update(placed)
+        self.connectors.append(record)
+
+    def connect(self, kind: str, xc: int, yc: int, tail: int, head: int) -> None:
+        """Realize the cycle edge tail -> head, from class xc into class yc,
+        by a host edge between unpinned vertices."""
+        self._refuse_pinned(kind, [tail, head])
+        (a, b), = select_connectors(self.g, self.pools[xc], self.pools[yc], 1,
+                                    excluded=self.used(), skip=self.attempt)
+        self.pin({"kind": kind, "edge": [a, b]}, (tail, a), (head, b))
+
+
 def _plan_case1a(g: Digraph, c2: CyclePattern, pools: list[int],
-                 params: EmbedParams, ell: int, attempt: int) -> EmbedPlan:
+                 ell: int, attempt: int) -> EmbedPlan:
     n = c2.n
     t = len(pools)
     sizes = [m.bit_count() for m in pools]
@@ -406,43 +416,28 @@ def _plan_case1a(g: Digraph, c2: CyclePattern, pools: list[int],
                          f"cut {cum[t - 1]} beyond run end {ell - 1}")
     if c2.orientation[n - 1]:
         raise _PlanError("case1a:frame", "wrap edge not oriented off the source")
-    pins: dict[int, int] = {}
-    connectors: list[dict] = []
-    used = 0
-    (u, v), = select_connectors(g, pools[0], pools[t - 1], 1,
-                                excluded=used, skip=attempt)
-    pins[0], pins[n - 1] = u, v
-    used |= (1 << u) | (1 << v)
-    connectors.append({"kind": "wrap", "edge": [u, v]})
+    ledger = _Ledger("case1a", g, pools, attempt)
+    ledger.connect("wrap", 0, t - 1, 0, n - 1)
     for j in range(1, t):
-        (x, y), = select_connectors(g, pools[j - 1], pools[j], 1,
-                                    excluded=used, skip=attempt)
-        pins[cum[j] - 1], pins[cum[j]] = x, y
-        used |= (1 << x) | (1 << y)
-        connectors.append({"kind": "run-boundary", "edge": [x, y]})
+        ledger.connect("run-boundary", j - 1, j, cum[j] - 1, cum[j])
     class_at = []
     for j in range(t):
         class_at.extend([j] * sizes[j])
-    return EmbedPlan("case1a", class_at, pins, connectors)
+    return EmbedPlan("case1a", class_at, ledger.pins, ledger.connectors)
 
 
 def _plan_case1b(g: Digraph, c2: CyclePattern, pools: list[int],
-                 params: EmbedParams, ell: int, attempt: int) -> EmbedPlan:
+                 ell: int, attempt: int) -> EmbedPlan:
     n = c2.n
     t = len(pools)
     sizes = [m.bit_count() for m in pools]
-    rho_n = params.rho * n
+    rho_n = _RHO * n
 
     chosen = None
-    d0 = params.block_size
-    block_caps = list(range(d0, 1, -1)) + list(range(d0 + 1, 2 * d0 + 1))
-    try:
-        run = _framed_run_length(c2)    # the same for every block cap
-    except PreconditionError:
-        block_caps = []                 # no cap can split the pattern
-    for d in block_caps:
+    d0 = _BLOCK_CAP
+    for d in list(range(d0, 1, -1)) + list(range(d0 + 1, 2 * d0 + 1)):
         try:
-            bp = _case1b_blocks(c2, run, d)
+            bp = _case1b_blocks(c2, ell, d)
         except PreconditionError:
             continue
         if min(bp.block_sizes) < 2:
@@ -481,51 +476,39 @@ def _plan_case1b(g: Digraph, c2: CyclePattern, pools: list[int],
         for p in range(bp.starts[i], bp.starts[i] + bp.block_sizes[i]):
             class_at[p] = blk_cls[i]
 
-    pins: dict[int, int] = {}
-    connectors: list[dict] = []
-    used = 0
-
-    def take(xc: int, yc: int, tail_pos: int, head_pos: int, kind: str):
-        nonlocal used
-        if tail_pos in pins or head_pos in pins:
-            raise _PlanError("case1b:pins", f"{kind} would double-pin a position")
-        (a, b), = select_connectors(g, pools[xc], pools[yc], 1,
-                                    excluded=used, skip=attempt)
-        pins[tail_pos], pins[head_pos] = a, b
-        used |= (1 << a) | (1 << b)
-        connectors.append({"kind": kind, "edge": [a, b]})
-
+    ledger = _Ledger("case1b", g, pools, attempt)
     # wrap edge: position 0 (class 0) <- position n-1 (last block's class)
     if class_at[n - 1] != 0:
-        take(0, class_at[n - 1], 0, n - 1, "wrap")
+        ledger.connect("wrap", 0, class_at[n - 1], 0, n - 1)
     # run end (class t-1) <- first block (its class)
     if blk_cls[0] != t - 1:
-        take(blk_cls[0], t - 1, ell, ell - 1, "run-exit")
+        ledger.connect("run-exit", blk_cls[0], t - 1, ell, ell - 1)
     for j in range(t - 1):
-        take(j, j + 1, run_cut[j + 1] - 1, run_cut[j + 1], "run-boundary")
+        ledger.connect("run-boundary", j, j + 1,
+                       run_cut[j + 1] - 1, run_cut[j + 1])
     for i in range(q - 1):
         a_cls, b_cls = blk_cls[i], blk_cls[i + 1]
         if a_cls == b_cls:
             continue                       # merged into one stretch
         boundary = bp.starts[i + 1]
         if bp.aux_path.orientation[i]:     # edge: last of block i -> first of i+1
-            take(a_cls, b_cls, boundary - 1, boundary, "block-boundary")
+            ledger.connect("block-boundary", a_cls, b_cls, boundary - 1, boundary)
         else:                              # edge: first of block i+1 -> last of i
-            take(b_cls, a_cls, boundary, boundary - 1, "block-boundary")
-    return EmbedPlan("case1b", class_at, pins, connectors,
+            ledger.connect("block-boundary", b_cls, a_cls, boundary, boundary - 1)
+    return EmbedPlan("case1b", class_at, ledger.pins, ledger.connectors,
                      notes=[f"block_cap={d}", f"blocks={q}"])
 
 
 def _case2_sink_positions(c2: CyclePattern, lo: int, hi: int, want: int,
-                          blocked: set[int], gap: int) -> list[int] | None:
+                          taken: set[int], gap: int) -> list[int] | None:
     """Ascending sink positions in the open window (lo, hi) with pairwise
-    distance at least gap, avoiding blocked positions and their neighbors."""
+    distance at least gap, avoiding taken positions and their neighbors."""
     o = c2.orientation
     out: list[int] = []
     p = lo + 1
     while p < hi and len(out) < want:
         is_sink = o[p - 1] and not o[p]
-        clash = {p - 1, p, p + 1} & blocked
+        clash = {p - 1, p, p + 1} & taken
         if is_sink and not clash and (not out or p - out[-1] >= gap):
             out.append(p)
         p += 1
@@ -533,7 +516,7 @@ def _case2_sink_positions(c2: CyclePattern, lo: int, hi: int, want: int,
 
 
 def _plan_case2(g: Digraph, c2: CyclePattern, pools: list[int],
-                params: EmbedParams, beta_eff: float, attempt: int) -> EmbedPlan:
+                beta_eff: float, attempt: int) -> EmbedPlan:
     n = c2.n
     t = len(pools)
     sizes = [m.bit_count() for m in pools]
@@ -548,32 +531,16 @@ def _plan_case2(g: Digraph, c2: CyclePattern, pools: list[int],
         for p in range(bounds[e], bounds[e + 1]):
             class_at[p] = e
 
-    pins: dict[int, int] = {}
-    connectors: list[dict] = []
+    ledger = _Ledger("case2", g, pools, attempt)
     notes: list[str] = []
-    used = 0
-    blocked: set[int] = set()
-
-    def take(xc: int, yc: int, tail_pos: int, head_pos: int, kind: str):
-        nonlocal used
-        if tail_pos in pins or head_pos in pins:
-            raise _PlanError("case2:pins", f"{kind} would double-pin a position")
-        (a, b), = select_connectors(g, pools[xc], pools[yc], 1,
-                                    excluded=used, skip=attempt)
-        pins[tail_pos], pins[head_pos] = a, b
-        used |= (1 << a) | (1 << b)
-        blocked.update({tail_pos, head_pos})
-        connectors.append({"kind": kind, "edge": [a, b]})
 
     if o[n - 1]:
         raise _PlanError("case2:frame", "position 0 is not a source")
-    take(0, t - 1, 0, n - 1, "wrap")
+    ledger.connect("wrap", 0, t - 1, 0, n - 1)
     for s in range(1, t):
         b = bounds[s]
-        take(s - 1, s, b - 1, b, "matching")
+        ledger.connect("matching", s - 1, s, b - 1, b)
 
-    gadget_cap = params.gadget_cap()
-    handoff_base = params.handoff_gadgets()
     margin = int(2 * beta_eff * n)
     gap = max(1, int(beta_eff * n))
 
@@ -590,11 +557,10 @@ def _plan_case2(g: Digraph, c2: CyclePattern, pools: list[int],
         if qpos <= seg_lo:
             raise _PlanError("case2:pstar", "backward run escapes its segment")
 
-        if d <= gadget_cap:
-            n_gadget, handoff = d, 0
-        else:
-            n_gadget = handoff_base
-            handoff = d - n_gadget
+        # one sink relocation, and a hand-off window at the foot qpos of
+        # the backward run ending the segment takes the rest of the
+        # overshoot; a run too short for that leaves more to relocations
+        n_gadget, handoff = 1, d - 1
         if handoff > 0 and handoff > pstar_len - 2:
             n_gadget = d - (pstar_len - 2)
             handoff = pstar_len - 2
@@ -604,63 +570,60 @@ def _plan_case2(g: Digraph, c2: CyclePattern, pools: list[int],
                                  f"for overshoot {d}")
 
         handoff_zone = set(range(qpos - 1, qpos + handoff + 1)) if handoff else set()
-        if handoff_zone & blocked:
+        if handoff_zone & ledger.pins.keys():
             raise _PlanError("case2:handoff",
                              "hand-off window collides with pinned positions")
-        sink_block = blocked | handoff_zone
+        taken = ledger.pins.keys() | handoff_zone
         sinks = _case2_sink_positions(c2, seg_lo + margin, seg_hi - 1 - margin,
-                                      n_gadget, sink_block, gap)
+                                      n_gadget, taken, gap)
         if sinks is None:
             sinks = _case2_sink_positions(c2, seg_lo + 1, seg_hi - 2,
-                                          n_gadget, sink_block, 3)
+                                          n_gadget, taken, 3)
             if sinks is not None:
                 notes.append(f"boundary {e}: sink spacing relaxed")
         if sinks is None:
             raise _PlanError("case2:sinks",
                              f"{n_gadget} relocatable sinks not found in "
                              f"segment {e}")
+        if handoff == 1:        # the window is the sink at qpos: relocate it
+            sinks.append(qpos)
+            handoff = 0
         for p in sinks:
-            u1, u2, w = _pick_gadget(g, pools[e] & ~used,
-                                     pools[e + 1] & ~used, skip=attempt)
-            pins[p - 1], pins[p], pins[p + 1] = u1, w, u2
-            used |= (1 << u1) | (1 << u2) | (1 << w)
-            blocked.update({p - 1, p, p + 1})
+            used = ledger.used()
+            u1, u2, w = _pick_gadget(g, pools[e] & ~used, pools[e + 1] & ~used,
+                                     skip=attempt)
+            ledger.pin({"kind": "sink-gadget", "position": p,
+                        "edges": [[u1, w], [u2, w]]},
+                       (p - 1, u1), (p, w), (p + 1, u2))
             class_at[p] = e + 1
-            connectors.append({"kind": "sink-gadget", "position": p,
-                               "edges": [[u1, w], [u2, w]]})
         if handoff > 0:
             p2 = qpos + handoff - 1
             (x1, y1), (x2, y2) = select_connectors(
-                g, pools[e], pools[e + 1], 2, excluded=used, skip=attempt)
-            pins[qpos - 1], pins[qpos] = x1, y1
-            pins[p2 + 1], pins[p2] = x2, y2
-            used |= (1 << x1) | (1 << y1) | (1 << x2) | (1 << y2)
-            blocked.update({qpos - 1, qpos, p2, p2 + 1})
+                g, pools[e], pools[e + 1], 2, excluded=ledger.used(),
+                skip=attempt)
+            ledger.pin({"kind": "hand-off", "window": [qpos, p2],
+                        "edges": [[x1, y1], [x2, y2]]},
+                       (qpos - 1, x1), (qpos, y1), (p2 + 1, x2), (p2, y2))
             for p in range(qpos, p2 + 1):
                 class_at[p] = e + 1
-            connectors.append({"kind": "hand-off",
-                               "window": [qpos, p2],
-                               "edges": [[x1, y1], [x2, y2]]})
-    return EmbedPlan("case2", class_at, pins, connectors, notes)
+    return EmbedPlan("case2", class_at, ledger.pins, ledger.connectors, notes)
 
 
 # ---------------------------------------------------------------------------
 # the pipeline driver
 
 
-def embed_hamilton_orientation(g: Digraph, sp, c: CyclePattern,
-                               params: EmbedParams | None = None) -> PipelineResult:
+def embed_hamilton_orientation(g: Digraph, sp, c: CyclePattern) -> PipelineResult:
     """Embed an arbitrary Hamilton-cycle orientation using the ordered
     class partition (classes must be in embedding order: forward edge
     density from earlier to later classes).
 
     The directed cycle is rejected whenever the partition has two or more
     classes (it may genuinely be absent then). Each attempt draws a fresh
-    connector selection; after the retry budget, hosts small enough fall
-    back to the exact spanning search. The returned embedding always
-    passes the independent checker.
+    connector selection; after _CONNECTOR_ATTEMPTS attempts, hosts small
+    enough fall back to the exact spanning search. The returned embedding
+    always passes the independent checker.
     """
-    params = params or EmbedParams()
     if c.n != g.n:
         raise InputError(f"pattern spans {c.n} vertices, host has {g.n}")
     pools = list(sp.classes)
@@ -684,33 +647,31 @@ def embed_hamilton_orientation(g: Digraph, sp, c: CyclePattern,
 
     n = g.n
     eta_eff = min(sizes) / n
-    beta_eff = min(params.beta, min(sizes) / (3.5 * n))
+    beta_eff = min(_BETA, min(sizes) / (3.5 * n))
     audit["eta_eff"] = eta_eff
     audit["beta_eff"] = beta_eff
     cross_ok = all(any(g.out_adj[u] & pools[j] for u in bits_of(pools[i]))
                    for i in range(t) for j in range(i + 1, t))
     audit["forward_density_ok"] = cross_ok
 
-    case, ell = classify_case(c, beta_eff)
-    audit["ell"] = ell
-
+    # frame the longest directed run forward on [0, ell), once; case 1 iff
+    # it spans at least floor(beta_eff * n) vertices
     run_frame = _frame_case1(c)
     c_run = run_frame.pattern(c)
-    ell2, _, fw = longest_directed_segment(c_run)
-    if not fw or ell2 != ell:
-        raise InputError("run framing failed; pattern machinery inconsistent")
+    ell = _framed_run_length(c_run)
+    case = "case1" if ell >= int_floor(beta_eff * n) else "case2"
+    audit["ell"] = ell
     c_src, offset = canonical_rotation(c)
     src_frame = _Frame(n, offset, False)
 
     def plan_1a(attempt):
-        return run_frame, c_run, _plan_case1a(g, c_run, pools, params, ell, attempt)
+        return run_frame, c_run, _plan_case1a(g, c_run, pools, ell, attempt)
 
     def plan_1b(attempt):
-        return run_frame, c_run, _plan_case1b(g, c_run, pools, params, ell, attempt)
+        return run_frame, c_run, _plan_case1b(g, c_run, pools, ell, attempt)
 
     def plan_2(attempt):
-        return src_frame, c_src, _plan_case2(g, c_src, pools, params,
-                                             beta_eff, attempt)
+        return src_frame, c_src, _plan_case2(g, c_src, pools, beta_eff, attempt)
 
     if case == "case1":
         chain = [plan_1a, plan_1b, plan_2] if n - ell <= eta_eff * n / 2 \
@@ -720,7 +681,7 @@ def embed_hamilton_orientation(g: Digraph, sp, c: CyclePattern,
 
     failures: list[str] = []
     attempts = 0
-    for attempt in range(params.connector_retries):
+    for attempt in range(_CONNECTOR_ATTEMPTS):
         attempts = attempt + 1
         progressed = False
         for planner in chain:
@@ -732,7 +693,7 @@ def embed_hamilton_orientation(g: Digraph, sp, c: CyclePattern,
                 failures.append(f"attempt {attempt}: {e}")
                 continue
             progressed = True
-            mapping2, tag = _fill_stretches(g, c2, plan, sts, pools, params)
+            mapping2, tag = _fill_stretches(g, c2, plan, sts, pools)
             if mapping2 is None:
                 failures.append(f"attempt {attempt}: {plan.case}: {tag}")
                 continue

@@ -359,11 +359,9 @@ def directed_run_decomposition_case1b(c: CyclePattern, d: int) -> BlockPlan:
 
 
 def _framed_run_length(c: CyclePattern) -> int:
-    """ell of a pattern framed for case 1b: its longest directed run must
-    be forward on positions [0, ell) and must not span the whole cycle."""
+    """ell of a pattern framed for case 1: its longest directed run must be
+    forward on positions [0, ell)."""
     ell, start, fw = longest_directed_segment(c)
-    if ell >= c.n:
-        raise PreconditionError("pattern is a directed cycle; nothing to block")
     if start != 0 or not fw:
         raise PreconditionError("pattern not framed with its run forward at position 0")
     return ell
@@ -374,6 +372,8 @@ def _case1b_blocks(c: CyclePattern, ell: int, d: int) -> BlockPlan:
     whose framed run length ell is already known."""
     o = c.orientation
     n = c.n
+    if ell >= n:
+        raise PreconditionError("the run spans the whole cycle; nothing to block")
     if d < 2:
         raise PreconditionError("block cap must be at least 2")
     rest = n - ell

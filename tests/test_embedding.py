@@ -3,15 +3,17 @@ import random
 
 import pytest
 
-from hamorient import (CyclePattern, EmbedParams, InputError, PathPattern,
+from hamorient import (CyclePattern, InputError, PathPattern,
                        PreconditionError, ResourceError, decompose,
                        embed_hamilton_orientation, fit_decomposition_params,
                        gen_blowup_tt, gen_complete_digraph,
                        gen_random_min_degree, pancyclic_suite,
                        reverse_for_embedding, select_connectors,
                        tt_embed_path, two_factor, validate_embedding)
+from hamorient import embedding
 from hamorient.bitset import mask_of
-from hamorient.embedding import _frame_case1
+from hamorient.embedding import (_Ledger, _PlanError, _frame_case1,
+                                 _plan_case1a)
 
 from conftest import cycle_digraph
 
@@ -70,14 +72,6 @@ def test_select_connectors_disjoint(planted_two_block):
         used.update((u, v))
 
 
-def test_select_connectors_backward_direction(planted_two_block):
-    g = planted_two_block
-    b0, b1 = mask_of(range(6)), mask_of(range(6, 12))
-    picks = select_connectors(g, b0, b1, 2, direction="backward")
-    for u, v in picks:
-        assert b1 >> u & 1 and b0 >> v & 1
-
-
 def test_select_connectors_excluded(planted_two_block):
     g = planted_two_block
     b0, b1 = mask_of(range(6)), mask_of(range(6, 12))
@@ -108,19 +102,6 @@ def test_select_connectors_exhaustion(planted_two_block):
     with pytest.raises(ResourceError) as exc:
         select_connectors(g, b1, b0, 7)      # only 6 disjoint edges possible
     assert "found 6" in str(exc.value)
-
-
-# --- embed params ----------------------------------------------------------------
-
-
-def test_embed_params_validation():
-    with pytest.raises(InputError):
-        EmbedParams(beta=0.1, rho=0.01)       # rho > beta^2/4
-    with pytest.raises(InputError):
-        EmbedParams(beta=0.0)
-    p = EmbedParams()
-    assert p.gadget_cap() >= 1
-    assert p.handoff_gadgets() >= 1
 
 
 # --- the embedding pipeline -------------------------------------------------------
@@ -241,6 +222,70 @@ def test_pipeline_classes_above_spanning_cap():
     assert any(f.endswith(":capability") for f in res.audit["failures"])
 
 
+def _cycle_edges(c, mapping):
+    """Host edges (tail, head) of the cycle a mapping embeds."""
+    n = c.n
+    return {(mapping[i], mapping[(i + 1) % n]) if c.orientation[i]
+            else (mapping[(i + 1) % n], mapping[i]) for i in range(n)}
+
+
+def test_pipeline_connectors_are_cycle_edges():
+    # every host edge a plan records in the audit is an edge of the
+    # returned cycle; rand_pattern(96, 5) overshoots one case-2 boundary by
+    # two, which leaves a one-position hand-off window at a sink
+    g, sp = embedding_partition([32, 32, 32], seed=2, intra=0.95, noise=0.001)
+    for c in [rand_pattern(96, which) for which in (0, 1, 2, 5)] \
+            + [CyclePattern.antidirected(96)]:
+        res = embed_hamilton_orientation(g, sp, c)
+        assert res.ok and res.method == "pipeline"
+        edges = _cycle_edges(c, res.embedding.mapping)
+        for conn in res.audit["connectors"]:
+            for a, b in conn.get("edges", [conn.get("edge")]):
+                assert (a, b) in edges, conn
+
+
+def test_pin_ledger_refuses_a_second_pin():
+    g = gen_complete_digraph(8)
+    pools = [mask_of(range(4)), mask_of(range(4, 8))]
+    for case in ("case1a", "case1b", "case2"):
+        ledger = _Ledger(case, g, pools, 0)
+        ledger.connect("wrap", 0, 1, 0, 7)
+        for pin_again in (
+                lambda: ledger.connect("matching", 0, 1, 3, 0),
+                lambda: ledger.pin({"kind": "sink-gadget"}, (6, 5), (7, 6)),
+                # a one-position hand-off window: both edges at position 3
+                lambda: ledger.pin({"kind": "hand-off"}, (2, 1), (3, 4),
+                                   (4, 2), (3, 5))):
+            with pytest.raises(_PlanError) as exc:
+                pin_again()
+            assert exc.value.step == f"{case}:pins"
+        assert list(ledger.pins) == [0, 7]
+        assert ledger.used() == mask_of(ledger.pins.values())
+
+
+def test_case1a_refuses_a_double_pin():
+    # a one-vertex middle class puts both of its run boundaries on one
+    # position; the plan must refuse it, not overwrite the first pin
+    g = gen_complete_digraph(8)
+    pools = [mask_of(range(3)), mask_of([3]), mask_of(range(4, 8))]
+    c = CyclePattern(tuple([True] * 6 + [False, False]))
+    with pytest.raises(_PlanError) as exc:
+        _plan_case1a(g, c, pools, 7, 0)
+    assert exc.value.step == "case1a:pins"
+
+
+def test_case2_sink_gadget_refuses_a_double_pin(monkeypatch):
+    # sink gadgets pin through the same ledger as the connectors: a sink
+    # search that returned a pinned position is refused
+    g, sp = embedding_partition([30, 30], seed=1)
+    monkeypatch.setattr(embedding, "_case2_sink_positions",
+                        lambda c2, lo, hi, want, taken, gap:
+                        sorted(taken)[1:1 + want])
+    res = embed_hamilton_orientation(g, sp, CyclePattern.antidirected(60))
+    assert "attempt 0: case2:pins: sink-gadget would double-pin a position" \
+        in res.audit["failures"]
+
+
 def test_pipeline_length_mismatch():
     g, sp = embedding_partition([12, 12])
     with pytest.raises(InputError):
@@ -280,7 +325,7 @@ GOLDEN_EMBEDDINGS = (
     ((32, 32, 32), 2, "embedding", 0, "case1b", "pipeline", "7a8541696cfffdcc"),
     ((32, 32, 32), 2, "embedding", 1, "case1b", "pipeline", "a568c470ac867f55"),
     ((32, 32, 32), 2, "embedding", 2, "case2", "pipeline", "3a449369535b8cb5"),
-    ((32, 32, 32), 2, "embedding", 5, "case2", "pipeline", "3478b44888eec882"),
+    ((32, 32, 32), 2, "embedding", 5, "case2", "pipeline", "378ed17c08e1887d"),
     ((32, 32, 32), 2, "embedding", "long", "case1a", "pipeline", "a7471e9ee4075107"),
     ((32, 32, 32), 2, "embedding", "anti", "case2", "pipeline", "b9f30253283cc872"),
 )
@@ -325,8 +370,8 @@ def _perfbench_fixed_host(sizes, seed, count):
 
 # (block sizes, host seed, orientations, failures, digest of every result)
 GOLDEN_OUTCOMES = (
-    ((48, 48), 4848, 30, 0, "2d518bc4d9bc8d66"),
-    ((40, 40, 40), 1120, 100, 3, "66e44c3f82e665d9"),
+    ((48, 48), 4848, 30, 0, "21c10056199e1847"),
+    ((40, 40, 40), 1120, 100, 3, "7ab8d7a4961f9604"),
 )
 
 

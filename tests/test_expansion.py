@@ -6,8 +6,9 @@ from itertools import combinations
 
 import pytest
 
-from hamorient import (CutSearchBudget, Digraph, ExpansionParams,
-                       ExpansionVerdict, PreconditionError, certify_expander,
+from hamorient import (CutSearchBudget, CutSearchResult, Digraph,
+                       ExpansionParams, ExpansionVerdict, PreconditionError,
+                       certify_expander, cross_counts,
                        find_sparse_cut, fit_decomposition_params,
                        gen_blowup_tt, gen_complete_digraph,
                        gen_random_min_degree, robust_out_neighborhood,
@@ -565,6 +566,49 @@ def test_dichotomy_never_neither_small():
         res = sparse_or_expander(g, eta=0.3, alpha=0.3, tau=0.25)
         assert res.kind in ("cut", "expander")
         assert res.exact
+
+
+def _missed_cut():
+    return CutSearchResult(False, None, None, (), "heuristic")
+
+
+def test_dichotomy_retry_from_violator(monkeypatch):
+    # above the exact cap, a first cut search that misses sends
+    # sparse_or_expander to sampled certification; its violator seeds a
+    # second search, whose cut comes back with the verdict attached
+    g = gen_blowup_tt([20, 20], intra=0.95, forward_noise=0.001, seed=3)
+    real = expansion.find_sparse_cut
+    calls = []
+
+    def first_misses(g, alpha, budget=None, hints=()):
+        calls.append(hints)
+        if len(calls) == 1:
+            return _missed_cut()
+        return real(g, alpha, budget, hints=hints)
+
+    monkeypatch.setattr(expansion, "find_sparse_cut", first_misses)
+    res = sparse_or_expander(g, eta=0.3, alpha=0.05, tau=0.25)
+    assert len(calls) == 2 and calls[0] == ()
+    assert res.kind == "cut" and not res.exact
+    assert res.verdict is not None and res.verdict.outcome == "violator"
+    assert calls[1][0] == res.verdict.violator      # retried from the violator
+    assert res.cut.alpha_achieved <= 0.05
+    assert res.cut.e_forward == cross_counts(g, res.cut.side1, res.cut.side2)[0]
+
+
+def test_dichotomy_unresolved_when_retry_misses(monkeypatch):
+    g = gen_blowup_tt([20, 20], intra=0.95, forward_noise=0.001, seed=3)
+    calls = []
+
+    def always_misses(g, alpha, budget=None, hints=()):
+        calls.append(hints)
+        return _missed_cut()
+
+    monkeypatch.setattr(expansion, "find_sparse_cut", always_misses)
+    res = sparse_or_expander(g, eta=0.3, alpha=0.05, tau=0.25)
+    assert len(calls) == 2
+    assert res.kind == "unresolved" and not res.exact and res.cut is None
+    assert res.verdict is not None and res.verdict.outcome == "violator"
 
 
 def test_dichotomy_degree_precondition():
