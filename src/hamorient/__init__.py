@@ -31,7 +31,7 @@ from .embedding import (Embedding, PipelineResult, embed_hamilton_orientation,
                         two_factor)
 from .errors import (CapabilityError, HypothesisError, InputError,
                      PreconditionError, ResourceError)
-from .expansion import (CutCertificate, CutSearchBudget, CutSearchResult,
+from .expansion import (CutCertificate, CutSearchResult,
                         DichotomyResult, ExpansionParams, ExpansionVerdict,
                         certify_expander, find_sparse_cut,
                         robust_out_neighborhood, sparse_or_expander)
@@ -40,8 +40,7 @@ from .generators import (GenSpec, family_names, gen_bipartite_extremal,
                          gen_random_min_degree, gen_split_cliques,
                          gen_tournament)
 from .io import load_json, read_edges, read_header_spec, save_json, write_edges
-from .oracle import (CheckReport, EmbedResult, embed_path_between, exact_embed,
-                     validate_embedding)
+from .oracle import CheckReport, EmbedResult, exact_embed, validate_embedding
 from .patterns import (BlockPlan, CyclePattern, PathPattern, SegmentPlan,
                        canonical_rotation, classify_case,
                        directed_run_decomposition_case1b,
@@ -54,7 +53,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockPlan", "CapabilityError", "CheckReport", "CleanedCut",
-    "CutCertificate", "CutSearchBudget", "CutSearchResult", "CyclePattern",
+    "CutCertificate", "CutSearchResult", "CyclePattern",
     "DecompositionParams", "DegreeProfile", "DichotomyResult", "Digraph",
     "EmbedResult", "Embedding", "ExpansionParams",
     "ExpansionVerdict", "ExperimentConfig", "GenSpec", "HypothesisError",
@@ -64,7 +63,7 @@ __all__ = [
     "classify_case", "clean_cut", "cross_counts", "decompose",
     "degree_profile", "directed_run_decomposition_case1b",
     "distinct_path_patterns", "double_edge_graph", "embed_hamilton_orientation",
-    "embed_path_between", "exact_embed", "family_names", "find_sparse_cut",
+    "exact_embed", "family_names", "find_sparse_cut",
     "fit_decomposition_params", "gen_bipartite_extremal", "gen_blowup_tt",
     "gen_complete_digraph", "gen_random_min_degree", "gen_split_cliques",
     "gen_tournament", "has_directed_window", "induced",

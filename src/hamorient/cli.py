@@ -28,8 +28,7 @@ from .digraph import Digraph
 from .embedding import embed_hamilton_orientation
 from .errors import (CapabilityError, HypothesisError, InputError,
                      PreconditionError, ResourceError)
-from .expansion import (CutSearchBudget, ExpansionParams, certify_expander,
-                        find_sparse_cut)
+from .expansion import ExpansionParams, certify_expander, find_sparse_cut
 from .generators import GenSpec, family_names, family_param_names
 from .io import load_json, read_edges, save_json, write_edges
 from .oracle import exact_embed, validate_embedding
@@ -217,7 +216,7 @@ def _verify_expansion(g: Digraph, args: argparse.Namespace) -> tuple[dict, bool]
 
 
 def _verify_cut(g: Digraph, args: argparse.Namespace) -> tuple[dict, bool]:
-    res = find_sparse_cut(g, args.alpha, budget=CutSearchBudget(seed=args.seed))
+    res = find_sparse_cut(g, args.alpha, seed=args.seed)
     d = {
         "outcome": "cut" if res.found else "no-cut",
         "params": {"nu": None, "tau": None, "alpha": args.alpha},
@@ -244,9 +243,20 @@ def _verify_partition_file(g: Digraph, args: argparse.Namespace) -> tuple[dict, 
 
 def _verify_embedding_file(g: Digraph, args: argparse.Namespace) -> tuple[dict, bool]:
     data = load_json(args.embedding)
-    pairs = data["mapping"] if isinstance(data, dict) else data
+    pairs = data.get("mapping") if isinstance(data, dict) else data
+    if not isinstance(pairs, list):
+        raise InputError(f"{args.embedding}: no 'mapping' list of "
+                         f"[position, vertex] pairs")
     mapping = [0] * len(pairs)
-    for pos, v in pairs:
+    for pair in pairs:
+        if not isinstance(pair, list) or len(pair) != 2 \
+                or not all(isinstance(x, int) for x in pair):
+            raise InputError(f"{args.embedding}: mapping entry {pair!r} is "
+                             f"not a [position, vertex] pair")
+        pos, v = pair
+        if not 0 <= pos < len(pairs):
+            raise InputError(f"{args.embedding}: position {pos} outside "
+                             f"0..{len(pairs) - 1}")
         mapping[pos] = v
     c = CyclePattern.from_string(args.pattern, n=g.n)
     check = validate_embedding(g, c, mapping, spanning=True)

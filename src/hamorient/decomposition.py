@@ -21,7 +21,6 @@ from .digraph import Digraph, cross_counts, degree_profile, induced
 from .errors import HypothesisError, InputError, PreconditionError
 from .expansion import (
     CutCertificate,
-    CutSearchBudget,
     ExpansionParams,
     ExpansionVerdict,
     certify_expander,
@@ -29,6 +28,9 @@ from .expansion import (
 )
 
 _EPS = 1e-9
+# The partition makes at most this many levels (k); fitting picks the
+# largest k up to it.
+_K_MAX = 8
 
 
 @dataclass(frozen=True)
@@ -51,8 +53,8 @@ class DecompositionParams:
     alpha_floor: float = 0.0
 
     def __post_init__(self):
-        if not 1 <= self.k <= 8:
-            raise InputError(f"k must be in 1..8, got {self.k}")
+        if not 1 <= self.k <= _K_MAX:
+            raise InputError(f"k must be in 1..{_K_MAX}, got {self.k}")
         if not 0 < self.zeta < 1 - 1 / (self.k + 1):
             raise InputError(f"zeta must lie in (0, 1-1/(k+1)), got {self.zeta}")
         if self.alpha is None:
@@ -321,8 +323,7 @@ def decompose(g: Digraph, p: DecompositionParams, seed: int = 0) -> StructurePar
                 continue
             mask = classes[idx]
             sub, verts = induced(g, mask)
-            res = find_sparse_cut(sub, search_alpha,
-                                  CutSearchBudget(seed=seed + 1000 * b + idx))
+            res = find_sparse_cut(sub, search_alpha, seed=seed + 1000 * b + idx)
             if not res.found:
                 frozen[idx] = True
                 audit.append({
@@ -467,32 +468,31 @@ def reverse_for_embedding(sp: StructurePartition) -> StructurePartition:
 
 
 def fit_decomposition_params(g: Digraph, alpha_floor: float = 0.1,
-                             exact_threshold: int = 20,
-                             k_cap: int = 8) -> DecompositionParams:
+                             exact_threshold: int = 20) -> DecompositionParams:
     """Choose workable parameters from the instance's degree slack.
 
-    Picks the largest k with 1/(k+1) below the degree slack delta/n - 1
-    (so the partition precondition holds with margin), gives zeta 80% of
-    the remaining slack, and floors the cut-search schedule at alpha_floor
-    so small instances are not asked for impossibly sparse cuts. The
-    default floor admits cuts of forward ratio up to 1%: an order of
-    magnitude above typical planted noise, yet far below the ~50% ratio
-    of any cut that crosses a dense block. The
-    hierarchy inequalities are deliberately not enforced: at these sizes
-    the asymptotic constant chain collapses, which the partition records.
+    Picks the largest k <= _K_MAX with 1/(k+1) below the degree slack
+    delta/n - 1 (so the partition precondition holds with margin), gives
+    zeta 80% of the remaining slack, and floors the cut-search schedule at
+    alpha_floor so small instances are not asked for impossibly sparse
+    cuts. The default floor admits cuts of forward ratio up to 1%: an
+    order of magnitude above typical planted noise, yet far below the ~50%
+    ratio of any cut that crosses a dense block. The hierarchy
+    inequalities are deliberately not enforced: at these sizes the
+    asymptotic constant chain collapses, which the partition records.
     """
     n = g.n
     prof = degree_profile(g)
     slack = prof.min_total / n - 1
     k = None
-    for cand in range(k_cap, 0, -1):
+    for cand in range(_K_MAX, 0, -1):
         if 1 / (cand + 1) < slack - 1e-9:
             k = cand
             break
     if k is None:
         raise PreconditionError(
             f"min total degree {prof.min_total} leaves slack {slack:.3f}; "
-            f"no k in 1..{k_cap} satisfies 1/(k+1) < slack")
+            f"no k in 1..{_K_MAX} satisfies 1/(k+1) < slack")
     zeta = 0.8 * (slack - 1 / (k + 1))
     zeta = min(zeta, 1 - 1 / (k + 1) - 1e-6)
     alpha = max(zeta / (25 * (k + 1)), alpha_floor)
@@ -506,16 +506,30 @@ def partition_from_json_dict(d: dict) -> StructurePartition:
     """Rebuild the class structure from a serialized partition.
 
     Certificates are not reconstructed (verdicts come back empty); the
-    result carries everything the embedding pipeline consumes."""
+    result carries everything the embedding pipeline consumes. A missing
+    'n' or 'classes', classes that do not split 0..n-1 into disjoint
+    lists of vertices, or a mistyped parameter raises InputError."""
+    if not isinstance(d, dict) or not isinstance(d.get("n"), int) \
+            or not isinstance(d.get("classes"), list):
+        raise InputError("a partition needs an integer 'n' and a 'classes' list")
+    n = d["n"]
+    if not all(isinstance(vs, list) and all(isinstance(v, int) for v in vs)
+               for vs in d["classes"]) \
+            or sorted(v for vs in d["classes"] for v in vs) != list(range(n)):
+        raise InputError(f"partition classes do not split 0..{n - 1} into "
+                         f"disjoint lists of vertices")
     classes = tuple(mask_of(vs) for vs in d["classes"])
     pd = d.get("params", {})
-    params = DecompositionParams(
-        k=pd.get("k", max(1, len(classes) - 1) if len(classes) > 1 else 1),
-        zeta=pd.get("zeta", 0.2), alpha=pd.get("alpha"),
-        tau=pd.get("tau"), nu=pd.get("nu"),
-        exact_threshold=pd.get("exact_threshold", 20),
-        enforce_hierarchy=pd.get("enforce_hierarchy", False),
-        alpha_floor=pd.get("alpha_floor", 0.0))
-    return StructurePartition(n=d["n"], classes=classes, verdicts=(),
+    try:
+        params = DecompositionParams(
+            k=pd.get("k", max(1, len(classes) - 1) if len(classes) > 1 else 1),
+            zeta=pd.get("zeta", 0.2), alpha=pd.get("alpha"),
+            tau=pd.get("tau"), nu=pd.get("nu"),
+            exact_threshold=pd.get("exact_threshold", 20),
+            enforce_hierarchy=pd.get("enforce_hierarchy", False),
+            alpha_floor=pd.get("alpha_floor", 0.0))
+    except (AttributeError, TypeError) as exc:
+        raise InputError(f"partition params are malformed: {exc}") from None
+    return StructurePartition(n=n, classes=classes, verdicts=(),
                               params=params,
                               flags=tuple(d.get("flags", ())))

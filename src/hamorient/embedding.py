@@ -52,7 +52,6 @@ from .errors import (
 from .oracle import (
     SPANNING_CAP,
     exact_embed,
-    embed_path_between,
     validate_embedding,
 )
 from .patterns import (
@@ -619,10 +618,11 @@ def embed_hamilton_orientation(g: Digraph, sp, c: CyclePattern) -> PipelineResul
     density from earlier to later classes).
 
     The directed cycle is rejected whenever the partition has two or more
-    classes (it may genuinely be absent then). Each attempt draws a fresh
-    connector selection; after _CONNECTOR_ATTEMPTS attempts, hosts small
-    enough fall back to the exact spanning search. The returned embedding
-    always passes the independent checker.
+    classes (it may genuinely be absent then). A single class goes
+    straight to the exact spanning search. Otherwise each attempt draws a
+    fresh connector selection; after _CONNECTOR_ATTEMPTS attempts, hosts
+    small enough fall back to the exact spanning search. The returned
+    embedding always passes the independent checker.
     """
     if c.n != g.n:
         raise InputError(f"pattern spans {c.n} vertices, host has {g.n}")
@@ -638,12 +638,7 @@ def embed_hamilton_orientation(g: Digraph, sp, c: CyclePattern) -> PipelineResul
         if g.n > SPANNING_CAP:
             return PipelineResult("failed", None, "single-class", "none", 0,
                                   "single-class:capability", audit)
-        res = exact_embed(g, c)
-        if res.found:
-            return PipelineResult("embedded", Embedding(res.mapping, c.to_string()),
-                                  "single-class", "oracle", 1, None, audit)
-        return PipelineResult("failed", None, "single-class", "oracle", 1,
-                              f"oracle:{res.status}", audit)
+        return _oracle_step(g, c, "single-class", 1, audit)
 
     n = g.n
     eta_eff = min(sizes) / n
@@ -711,17 +706,26 @@ def embed_hamilton_orientation(g: Digraph, sp, c: CyclePattern) -> PipelineResul
             break                    # plans fail before connector choice matters
     audit["failures"] = failures
     if n <= SPANNING_CAP:
-        res = exact_embed(g, c)
-        if res.found:
-            check = validate_embedding(g, c, res.mapping, spanning=True)
-            if check.valid:
-                return PipelineResult("embedded", Embedding(res.mapping, c.to_string()),
-                                      case, "oracle", attempts, None, audit)
-        return PipelineResult("failed", None, case, "oracle", attempts,
-                              f"oracle:{res.status}", audit)
+        return _oracle_step(g, c, case, attempts, audit)
     step = failures[-1] if failures else "no attempt succeeded"
     return PipelineResult("failed", None, case, "pipeline", attempts,
                           step, audit)
+
+
+def _oracle_step(g: Digraph, c: CyclePattern, case: str, attempts: int,
+                 audit: dict) -> PipelineResult:
+    """The exact spanning search's answer, held to the same checker as a
+    planned embedding: a mapping the checker rejects fails with
+    oracle:checker."""
+    res = exact_embed(g, c)
+    if not res.found:
+        return PipelineResult("failed", None, case, "oracle", attempts,
+                              f"oracle:{res.status}", audit)
+    if not validate_embedding(g, c, res.mapping, spanning=True).valid:
+        return PipelineResult("failed", None, case, "oracle", attempts,
+                              "oracle:checker", audit)
+    return PipelineResult("embedded", Embedding(res.mapping, c.to_string()),
+                          case, "oracle", attempts, None, audit)
 
 
 # ---------------------------------------------------------------------------
@@ -821,16 +825,14 @@ def _extend_odd(g: Digraph, base: tuple[int, ...], pattern: CyclePattern):
 
 
 def pancyclic_suite(g: Digraph, k: int, gamma: float, seed: int = 0,
-                    lengths=None, orientations_per_length: int | None = 4,
-                    sp=None) -> PancyclicReport:
+                    lengths=None,
+                    orientations_per_length: int | None = 4) -> PancyclicReport:
     """Hunt an oriented cycle of every length and sampled orientation.
 
     Strategy chain per cell: (1) a cycle of that length in the
     double-edge graph realizes every orientation at once; (2) odd lengths
     extend a one-shorter double-edge cycle by a single compatible vertex;
-    (3) with a partition available, cut the cycle at one edge and search
-    the path inside the largest class with pinned, adjacent endpoints;
-    (4) exact search on the whole host. Positive cells are
+    (3) exact search on the whole host. Positive cells are
     checker-validated; "none" cells are exact-search proofs.
     """
     n = g.n
@@ -855,7 +857,7 @@ def pancyclic_suite(g: Digraph, k: int, gamma: float, seed: int = 0,
         for pat in patterns:
             t0 = time.monotonic()
             outcome, method, mapping = _pancyclic_cell(
-                g, gstar, pat, length, star_cycle, sp)
+                g, pat, length, star_cycle)
             if mapping is not None:
                 check = validate_embedding(g, pat, mapping)
                 if not check.valid:
@@ -888,7 +890,7 @@ def _sample_patterns(length: int, count: int | None, rng: random.Random):
     return pats
 
 
-def _pancyclic_cell(g, gstar, pat, length, star_cycle, sp):
+def _pancyclic_cell(g, pat, length, star_cycle):
     base = star_cycle(length)
     if base is not None:       # a double-edge ring realizes every orientation
         return "found", "double-edge", base
@@ -897,10 +899,6 @@ def _pancyclic_cell(g, gstar, pat, length, star_cycle, sp):
         mapping = _extend_odd(g, shorter, pat)
         if mapping is not None:
             return "found", "odd-extension", mapping
-    if sp is not None and not pat.is_directed():
-        mapping = _cycle_in_class(g, pat, sp)
-        if mapping is not None:
-            return "found", "in-class", mapping
     try:
         res = exact_embed(g, pat)
     except CapabilityError:
@@ -908,23 +906,3 @@ def _pancyclic_cell(g, gstar, pat, length, star_cycle, sp):
     if res.found:
         return "found", "oracle", res.mapping
     return res.status, "oracle", None
-
-
-def _cycle_in_class(g: Digraph, pat: CyclePattern, sp):
-    pools = sorted(sp.classes, key=lambda m: -m.bit_count())
-    n = pat.n
-    for pool in pools:
-        if pool.bit_count() < n:
-            continue
-        # cut the cycle at the wrap edge; realize that edge by a host edge
-        path = PathPattern(pat.orientation[:n - 1])
-        fwd_wrap = pat.orientation[n - 1]     # True: edge (n-1 -> 0)
-        sub_edges = [(u, v) for u in bit_list(pool)
-                     for v in bit_list(g.out_adj[u] & pool)]
-        for u, v in sub_edges[:24]:
-            first, last = (v, u) if fwd_wrap else (u, v)
-            res = embed_path_between(g, path, first, last,
-                                     forbidden=g.vertex_mask & ~pool)
-            if res.found:
-                return res.mapping
-    return None

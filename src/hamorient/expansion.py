@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitset import bit_list, bits_of, full_mask, int_ceil, int_floor, mask_of
+from .bitset import bit_list, bits_of, int_ceil, int_floor, mask_of
 from .digraph import (Digraph, degree_profile, row_masks, set_rows,
                       strongly_connected_components)
 from .errors import CapabilityError, InputError, PreconditionError
@@ -138,8 +138,6 @@ class ExpansionParams:
     tau: float
     mode: str = "auto"            # exact | sampled | auto
     seed: int = 0
-    samples_per_decile: int = 64
-    hints: tuple[int, ...] = ()   # extra vertex masks to probe in sampled mode
 
     def __post_init__(self):
         if not 0 < self.nu < 1:
@@ -269,27 +267,31 @@ def _prefix_masks(g: Digraph, orders: int) -> list[int]:
     return masks
 
 
-def _sampled_candidates(g: Digraph, lo: int, hi: int, p: ExpansionParams) -> list[int]:
+# Sampled certification draws this many random sets at each of ten sizes
+# spread over the size window.
+_SAMPLES_PER_DECILE = 64
+
+
+def _sampled_candidates(g: Digraph, lo: int, hi: int, seed: int) -> list[int]:
     n = g.n
-    rng = random.Random(p.seed)
+    rng = random.Random(seed)
     cands: list[int] = []
     # random sets at a spread of sizes
     for dec in range(10):
         size = lo + (hi - lo) * dec // 9 if hi > lo else lo
-        for _ in range(p.samples_per_decile):
+        for _ in range(_SAMPLES_PER_DECILE):
             cands.append(mask_of(rng.sample(range(n), size)))
-    # structured prefixes and caller hints, within the size window
-    structured = _prefix_masks(g, 3) + [h & full_mask(n) for h in p.hints]
-    return cands + [s for s in structured if lo <= s.bit_count() <= hi]
+    # structured prefixes, within the size window
+    return cands + [s for s in _prefix_masks(g, 3) if lo <= s.bit_count() <= hi]
 
 
 def certify_expander(g: Digraph, p: ExpansionParams) -> ExpansionVerdict:
     """Certify g as a robust (nu,tau)-outexpander or exhibit a violator.
 
     Exact mode sweeps every subset with tau*n <= |S| <= (1-tau)*n and is
-    capped at n = 24. Sampled mode probes random sets per size decile plus
-    condensation and degree-order prefixes plus caller hints; finding no
-    violator is reported as inconclusive, never as a certificate. The
+    capped at n = 24. Sampled mode probes _SAMPLES_PER_DECILE random sets
+    per size decile plus condensation and degree-order prefixes; finding
+    no violator is reported as inconclusive, never as a certificate. The
     candidates are multiplied by the adjacency matrix a chunk at a time:
     |RN(S)| is the number of entries of S's row of counts that reach
     ceil(nu*n), and the first candidate in order with
@@ -307,7 +309,7 @@ def certify_expander(g: Digraph, p: ExpansionParams) -> ExpansionVerdict:
     if lo > hi:
         return ExpansionVerdict("expander", "sampled", p.nu, p.tau, 0)
     thr = max(1, int_ceil(p.nu * g.n))
-    cands = _sampled_candidates(g, lo, hi, p)
+    cands = _sampled_candidates(g, lo, hi, p.seed)
     for i, rows, counts in _row_chunks(cands, _adjacency(g)):
         rn_size = (counts >= thr).sum(axis=1)
         set_size = rows.sum(axis=1)
@@ -336,13 +338,6 @@ class CutCertificate:
             "alpha_achieved": self.alpha_achieved,
             "exact": self.exact,
         }
-
-
-@dataclass(frozen=True)
-class CutSearchBudget:
-    restarts: int = 32
-    seed: int = 0
-    near_miss_cap: int = 8
 
 
 @dataclass(frozen=True)
@@ -440,7 +435,11 @@ def _exact_cut_sweep(g: Digraph) -> tuple[int, int, float]:
     return best_mask, best_e, best_ratio
 
 
-# A climb stops after this many accepted moves.
+# Heuristic cut search climbs from _RESTARTS random cuts besides its
+# structured starts, and reports at most _NEAR_MISS_CAP near misses. A
+# climb stops after _CLIMB_STEP_CAP accepted moves.
+_RESTARTS = 32
+_NEAR_MISS_CAP = 8
 _CLIMB_STEP_CAP = 10_000
 # Key offset of the lockstep climbs: above every |gain| <= N_MAX - 1, and
 # small enough that every key fits int16.
@@ -535,25 +534,24 @@ def _hill_climbs(adj: np.ndarray,
     return out, steps
 
 
-def find_sparse_cut(g: Digraph, alpha: float, budget: CutSearchBudget | None = None,
+def find_sparse_cut(g: Digraph, alpha: float, seed: int = 0,
                     hints: tuple[int, ...] = ()) -> CutSearchResult:
     """Hunt a cut (X1, X2) with e+(X1,X2) <= alpha*|X1|*|X2|.
 
     Exact sweep up to n = 24 (so an empty result is a proof of absence);
     beyond that, seeded local search from condensation prefixes, degree
-    prefixes, hint masks, and random balanced cuts. Every prefix start is
-    evaluated at once from its row of S @ A (A the adjacency matrix): its
-    forward edges are the counts on its complement. The restart sets are
-    drawn first, then one lockstep batch climbs from the hints, the 8 best
-    prefix starts and the restarts; the results are considered in that
-    order, after the prefix starts. climb_moves sums the accepted moves of
-    all climbs, climb_steps counts the lockstep steps (at most the longest
-    climb's moves plus one). Near misses within a factor 2 of alpha are
-    reported for diagnostics.
+    prefixes, hint masks, and _RESTARTS random balanced cuts drawn from
+    seed. Every prefix start is evaluated at once from its row of S @ A (A
+    the adjacency matrix): its forward edges are the counts on its
+    complement. The restart sets are drawn first, then one lockstep batch
+    climbs from the hints, the 8 best prefix starts and the restarts; the
+    results are considered in that order, after the prefix starts.
+    climb_moves sums the accepted moves of all climbs, climb_steps counts
+    the lockstep steps (at most the longest climb's moves plus one). Up to _NEAR_MISS_CAP near misses within a
+    factor 2 of alpha are reported for diagnostics.
     """
     if g.n < 2:
         raise PreconditionError("cuts need at least 2 vertices")
-    budget = budget or CutSearchBudget()
     if g.n <= EXACT_SWEEP_CAP:
         mask, e, ratio = _exact_cut_sweep(g)
         cert = CutCertificate(mask, g.vertex_mask & ~mask, e, ratio, True)
@@ -561,7 +559,7 @@ def find_sparse_cut(g: Digraph, alpha: float, budget: CutSearchBudget | None = N
         near = () if found or ratio > 2 * alpha else (cert,)
         return CutSearchResult(found, cert if found else None, cert, near, "exact")
 
-    rng = random.Random(budget.seed)
+    rng = random.Random(seed)
     n = g.n
     adj = _adjacency(g)
     best: tuple[float, int, int] | None = None   # ratio, mask, e
@@ -571,7 +569,7 @@ def find_sparse_cut(g: Digraph, alpha: float, budget: CutSearchBudget | None = N
         nonlocal best
         if best is None or ratio < best[0] - 1e-15 or (abs(ratio - best[0]) <= 1e-15 and x1 < best[1]):
             best = (ratio, x1, e)
-        if alpha < ratio <= 2 * alpha and len(near) < budget.near_miss_cap:
+        if alpha < ratio <= 2 * alpha and len(near) < _NEAR_MISS_CAP:
             near.append(CutCertificate(x1, g.vertex_mask & ~x1, e, ratio, False))
 
     # structured starts are proper, non-empty prefixes; the comprehension
@@ -587,7 +585,7 @@ def find_sparse_cut(g: Digraph, alpha: float, budget: CutSearchBudget | None = N
     # random restarts
     starts.sort(key=lambda start: start[2])
     climbs = [h & g.vertex_mask for h in hints] + [s for s, _, _ in starts[:8]]
-    for _ in range(budget.restarts):
+    for _ in range(_RESTARTS):
         size = rng.randint(max(1, n // 4), max(1, 3 * n // 4))
         climbs.append(mask_of(rng.sample(range(n), size)))
     results, steps = _hill_climbs(
@@ -615,7 +613,6 @@ class DichotomyResult:
 
 
 def sparse_or_expander(g: Digraph, eta: float, alpha: float, tau: float,
-                       budget: CutSearchBudget | None = None,
                        seed: int = 0) -> DichotomyResult:
     """Either an alpha-sparse cut or a robust (nu,tau)-outexpander verdict,
     with nu := alpha*tau*eta/4.
@@ -635,7 +632,7 @@ def sparse_or_expander(g: Digraph, eta: float, alpha: float, tau: float,
             f"min degree {prof.min_total} below (1+eta)n = {need:.2f}")
     nu = alpha * tau * eta / 4
     exact = n <= EXACT_SWEEP_CAP
-    cut_res = find_sparse_cut(g, alpha, budget)
+    cut_res = find_sparse_cut(g, alpha)
     if cut_res.found:
         return DichotomyResult("cut", nu, tau, alpha, cut_res.certificate, None, cut_res.mode == "exact")
     mode = "exact" if exact else "sampled"
@@ -649,7 +646,7 @@ def sparse_or_expander(g: Digraph, eta: float, alpha: float, tau: float,
         # conceding an unresolved answer
         s = verdict.violator
         rn = robust_out_neighborhood(g, s, nu)
-        retry = find_sparse_cut(g, alpha, budget, hints=(s, s | rn, g.vertex_mask & ~rn))
+        retry = find_sparse_cut(g, alpha, hints=(s, s | rn, g.vertex_mask & ~rn))
         if retry.found:
             return DichotomyResult("cut", nu, tau, alpha, retry.certificate, verdict, False)
         return DichotomyResult("unresolved", nu, tau, alpha, None, verdict, False)

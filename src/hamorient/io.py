@@ -68,4 +68,7 @@ def save_json(obj, path) -> None:
 
 
 def load_json(path):
-    return json.loads(Path(path).read_text())
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: not valid JSON: {exc}") from None

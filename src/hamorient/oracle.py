@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from .bitset import bit_list, bits_of
 from .digraph import Digraph, induced, strongly_connected_components
 from .errors import CapabilityError, InputError
-from .patterns import CyclePattern, PathPattern
+from .patterns import CyclePattern
 
 SPANNING_CAP = 64
 DP_CAP = 16
@@ -415,21 +415,3 @@ def exact_embed(host: Digraph, pattern, pins: dict[int, int] | None = None,
     status, mapping, method, nodes = _engine(host, pattern, adj, pins, allowed,
                                              nodes, node_budget)
     return EmbedResult(status, mapping, nodes, time.monotonic() - t0, method)
-
-
-def embed_path_between(host: Digraph, pattern: PathPattern, u: int, v: int,
-                       forbidden: int = 0) -> EmbedResult:
-    """Embed an oriented path with both endpoint images fixed.
-
-    u takes position 0 and v the final position; forbidden vertices are
-    excluded (the endpoints must not be forbidden)."""
-    if pattern.length < 2:
-        raise InputError("endpoint-pinned paths need at least 2 vertices")
-    allowed = host.vertex_mask & ~forbidden
-    for w in (u, v):
-        if not 0 <= w < host.n or not allowed >> w & 1:
-            raise InputError(f"endpoint {w} unusable")
-    if u == v:
-        raise InputError("endpoints must differ")
-    return exact_embed(host, pattern, pins={0: u, pattern.length - 1: v},
-                       allowed=allowed)

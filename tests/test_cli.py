@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hamorient import CutSearchBudget, find_sparse_cut, partition_from_json_dict
+from hamorient import find_sparse_cut, partition_from_json_dict
 from hamorient.cli import main
 from hamorient.io import read_edges, read_header_spec
 
@@ -229,7 +229,7 @@ def test_verify_cut_reports_climb_moves(tmp_path):
     main(["verify", "--input", str(graph), "--alpha", "0.05", "--seed", "1",
           "--out", str(out)])
     data = json.loads(out.read_text())
-    res = find_sparse_cut(read_edges(graph), 0.05, CutSearchBudget(seed=1))
+    res = find_sparse_cut(read_edges(graph), 0.05, seed=1)
     assert data["mode"] == "heuristic"
     assert data["counts"]["climb_moves"] == res.climb_moves > 0
     # the climbs run in lockstep: fewer steps than moves
@@ -244,6 +244,41 @@ def test_verify_selector_errors(workdir):
     assert main(["verify", "--input", graph, "--nu", "0.05"]) == 2
     assert main(["verify", "--input", graph,
                  "--embedding", str(workdir / "part.json")]) == 2
+
+
+@pytest.mark.parametrize("command, text", [
+    ("verify-embedding", "[[0, 1], [20, 2]]"),
+    ("verify-embedding", '{"nomap": 1}'),
+    ("verify-embedding", "[[0, 1], [1]]"),
+    ("verify-embedding", "not json"),
+    ("verify-partition", '{"n": 12}'),
+    ("embed-partition", '{"n": 24, "classes": [[0, 99]]}'),
+    ("embed-partition", '{"n": 24, "classes": [[0, 1]]}'),
+    ("embed-partition",
+     '{"n": 24, "classes": [[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11], '
+     '[0, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23]]}'),
+    ("embed-partition", '{"n": 12}'),
+    ("experiment-config", "not json"),
+], ids=["position-out-of-range", "no-mapping", "not-a-pair",
+        "embedding-not-json", "verify-no-classes", "vertex-out-of-range",
+        "classes-miss-vertices", "classes-overlap", "embed-no-classes",
+        "config-not-json"])
+def test_malformed_artifact_exits_2(workdir, tmp_path, capsys, command, text):
+    artifact = tmp_path / "artifact.json"
+    artifact.write_text(text)
+    graph = str(workdir / "graph.edges")
+    argv = {
+        "verify-embedding": ["verify", "--input", graph, "--embedding",
+                             str(artifact), "--pattern", "+" * 23 + "-"],
+        "verify-partition": ["verify", "--input", graph, "--partition",
+                             str(artifact)],
+        "embed-partition": ["embed", "--input", graph, "--pattern",
+                            "antidirected", "--partition", str(artifact)],
+        "experiment-config": ["experiment", "--config", str(artifact),
+                              "--out", str(tmp_path / "r")],
+    }[command]
+    assert main(argv) == 2
+    assert "error: " in capsys.readouterr().err
 
 
 def test_missing_input_file(tmp_path):

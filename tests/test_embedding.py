@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hamorient import (CyclePattern, InputError, PathPattern,
+from hamorient import (CyclePattern, EmbedResult, InputError, PathPattern,
                        PreconditionError, ResourceError, decompose,
                        embed_hamilton_orientation, fit_decomposition_params,
                        gen_blowup_tt, gen_complete_digraph,
@@ -121,6 +121,41 @@ def test_pipeline_single_class_uses_oracle():
     assert sp.t == 1
     res = embed_hamilton_orientation(g, sp, rand_pattern(14, 3))
     assert res.ok and res.method == "oracle" and res.case == "single-class"
+
+
+def _bogus_oracle(calls):
+    """exact_embed whose unpinned spanning searches claim an invalid
+    mapping (every position on vertex 0); pinned stretch fills find none."""
+    def fake(g, pattern, pins=None, **kwargs):
+        calls.append(pins)
+        if pins:
+            return EmbedResult("none", None, 0, 0.0, "fake")
+        return EmbedResult("found", (0,) * g.n, 0, 0.0, "fake")
+    return fake
+
+
+def test_oracle_mapping_is_checked_on_single_class(monkeypatch):
+    g = gen_complete_digraph(10)
+    sp = decompose(g, fit_decomposition_params(g))
+    assert sp.t == 1
+    calls = []
+    monkeypatch.setattr(embedding, "exact_embed", _bogus_oracle(calls))
+    res = embed_hamilton_orientation(g, sp, rand_pattern(10, 1))
+    assert (res.status, res.case, res.method, res.attempts, res.failure_step) \
+        == ("failed", "single-class", "oracle", 1, "oracle:checker")
+    assert calls == [None]
+
+
+def test_oracle_fallback_mapping_is_checked(monkeypatch):
+    g, sp = embedding_partition([12, 12])
+    calls = []
+    monkeypatch.setattr(embedding, "exact_embed", _bogus_oracle(calls))
+    res = embed_hamilton_orientation(g, sp, rand_pattern(24, 2))
+    # every stretch fill fails, so all attempts run before the fallback
+    assert (res.status, res.method, res.attempts, res.failure_step) \
+        == ("failed", "oracle", embedding._CONNECTOR_ATTEMPTS,
+            "oracle:checker")
+    assert calls[-1] is None and all(calls[:-1])
 
 
 def test_pipeline_case1a_long_run():
@@ -519,5 +554,4 @@ def test_pancyclic_cells_validated():
     report = pancyclic_suite(g, 1, 0.2, seed=2, lengths=[5, 7])
     for cell in report.cells:
         assert cell["outcome"] == "found"
-        assert cell["method"] in ("double-edge", "odd-extension",
-                                  "in-class", "oracle")
+        assert cell["method"] in ("double-edge", "odd-extension", "oracle")

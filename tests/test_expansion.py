@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from hamorient import (CutSearchBudget, CutSearchResult, Digraph,
+from hamorient import (CutSearchResult, Digraph,
                        ExpansionParams, ExpansionVerdict, PreconditionError,
                        certify_expander, cross_counts,
                        find_sparse_cut, fit_decomposition_params,
@@ -319,14 +319,14 @@ def test_planted_cut_found_exact(planted_two_block):
 def test_planted_cut_found_heuristic():
     # n = 40 forces the local-search path
     g = gen_blowup_tt([20, 20], intra=1.0, forward_noise=0.0, seed=2)
-    res = find_sparse_cut(g, alpha=0.01, budget=CutSearchBudget(seed=1))
+    res = find_sparse_cut(g, alpha=0.01, seed=1)
     assert res.found and res.mode == "heuristic"
     assert res.certificate.e_forward == 0
 
 
 
 # Above the exact cap: (host, sampled verdicts as (nu, tau, seed, outcome,
-# checked_sets, violator), heuristic cuts as (alpha, budget seed, found,
+# checked_sets, violator), heuristic cuts as (alpha, seed, found,
 # best side1, best e_forward, near-miss side1 masks in report order)).
 # checked_sets counts the candidates probed, so it pins the order and the
 # size filter of the sampled candidate list; the near misses pin the order
@@ -367,7 +367,7 @@ def test_sampled_certification_and_cut_search_golden():
             assert (v.outcome, v.checked_sets, v.violator) \
                 == (outcome, checked, violator), (g.n, nu, tau)
         for alpha, s, found, side1, e, near in cuts:
-            res = find_sparse_cut(g, alpha, CutSearchBudget(seed=s))
+            res = find_sparse_cut(g, alpha, seed=s)
             assert res.mode == "heuristic"
             assert (res.found, res.best.side1, res.best.e_forward) \
                 == (found, side1, e), (g.n, alpha)
@@ -376,8 +376,8 @@ def test_sampled_certification_and_cut_search_golden():
 
 def _two_communities(n, seed):
     """Two shuffled dense halves joined by one out-edge per vertex: the
-    degree and condensation prefixes mix the halves, and either half is a
-    violator for small nu."""
+    degree and condensation prefixes mix the halves, although either half
+    is a violator for small nu."""
     rng = random.Random(seed)
     perm = list(range(n))
     rng.shuffle(perm)
@@ -389,7 +389,7 @@ def _two_communities(n, seed):
                 edges.add((perm[u], perm[v]))
         v = rng.choice([w for w in range(n) if (w < h) != (u < h)])
         edges.add((perm[u], perm[v]))
-    return Digraph.from_edge_list(n, sorted(edges)), mask_of(perm[:h])
+    return Digraph.from_edge_list(n, sorted(edges))
 
 
 def test_hill_climb_matches_reference(monkeypatch):
@@ -429,8 +429,8 @@ def test_hill_climb_matches_reference(monkeypatch):
     assert _hill_climbs(_adjacency(hosts[0]), []) == ([], 0)
 
 
-def test_sampled_certification_matches_reference():
-    comm, half = _two_communities(40, 8)
+def test_sampled_certification_matches_reference(monkeypatch):
+    comm = _two_communities(40, 8)
     hosts = [gen_random_min_degree(40, 56, seed=3),
              gen_random_min_degree(70, 100, seed=4),
              gen_blowup_tt([30, 30], 0.95, 0.001, 11),
@@ -439,24 +439,18 @@ def test_sampled_certification_matches_reference():
     outcomes = Counter()
     for g in hosts:
         n = g.n
-        blocks = tuple(mask_of(range(i, min(n, i + 20)))
-                       for i in range(0, n, 20))
-        calls = [(0.05, 0.2, 1, 64, ()), (0.2, 0.3, 2, 64, ()),
-                 (0.05, 0.2, 3, 1, blocks),
-                 (0.1, 0.25, 4, 2, (blocks[0] | 1 << (n + 3),))]
+        calls = [(0.05, 0.2, 1, 64), (0.2, 0.3, 2, 64), (0.05, 0.2, 3, 1),
+                 (0.1, 0.25, 4, 2)]
         if g is comm:
-            # the hint is the only violator among the candidates
-            calls += [(0.1, 0.25, 5, spd, (half,)) for spd in (0, 1, 64)]
-        for nu, tau, seed, spd, hints in calls:
-            p = ExpansionParams(nu, tau, mode="sampled", seed=seed,
-                                samples_per_decile=spd, hints=hints)
-            cands = _sampled_candidates(g, *_size_bounds(n, tau), p)
+            calls += [(0.1, 0.25, 5, spd) for spd in (0, 1, 64)]
+        for nu, tau, seed, spd in calls:
+            monkeypatch.setattr(expansion, "_SAMPLES_PER_DECILE", spd)
+            p = ExpansionParams(nu, tau, mode="sampled", seed=seed)
+            cands = _sampled_candidates(g, *_size_bounds(n, tau), seed)
             v = certify_expander(g, p)
             got = (v.outcome, v.checked_sets, v.violator, v.rn_size,
                    v.set_size)
             assert got == brute_sampled_verdict(g, cands, nu), (n, nu, seed)
-            if g is comm and hints == (half,):
-                assert (v.violator, v.checked_sets) == (half, len(cands))
             outcomes[v.outcome] += 1
     assert outcomes["violator"] >= 8 and outcomes["inconclusive"] >= 8
 
@@ -471,7 +465,7 @@ def test_climb_moves_sum_over_climbs(monkeypatch):
 
     monkeypatch.setattr(expansion, "_hill_climbs", spy)
     g = gen_blowup_tt([30, 30], 0.95, 0.001, 11)
-    res = find_sparse_cut(g, 0.05, CutSearchBudget(seed=1))
+    res = find_sparse_cut(g, 0.05, seed=1)
     [(climbs, moves, steps)] = calls
     assert climbs == 8 + 32               # best prefix starts, restarts
     assert res.mode == "heuristic" and res.climb_moves == sum(moves) > 0
@@ -495,7 +489,7 @@ def _cut_text(c):
     return "-" if c is None else f"{c.side1:x}/{c.e_forward}/{c.alpha_achieved!r}"
 
 
-def test_cut_search_golden():
+def test_cut_search_golden(monkeypatch):
     hosts = [gen_random_min_degree(n, int(1.3 * n), seed=n)
              for n in (30, 60, 120)]
     hosts += [gen_blowup_tt(sizes, 0.95, 0.001, seed)
@@ -517,8 +511,8 @@ def test_cut_search_golden():
         for alpha, seed, cap, h in ((0.05, 0, 8, ()), (0.05, 1, 8, hints),
                                     (0.3, 2, 8, ()), (0.3, 3, 8, hints),
                                     (0.4, 5, 100, hints), (0.02, 4, 8, retry)):
-            budget = CutSearchBudget(seed=seed, near_miss_cap=cap)
-            r = find_sparse_cut(g, alpha, budget, hints=h)
+            monkeypatch.setattr(expansion, "_NEAR_MISS_CAP", cap)
+            r = find_sparse_cut(g, alpha, seed=seed, hints=h)
             assert r.mode == "heuristic"
             lines.append(" ".join([str(n), str(r.found), _cut_text(r.certificate),
                                    _cut_text(r.best),
@@ -580,11 +574,11 @@ def test_dichotomy_retry_from_violator(monkeypatch):
     real = expansion.find_sparse_cut
     calls = []
 
-    def first_misses(g, alpha, budget=None, hints=()):
+    def first_misses(g, alpha, seed=0, hints=()):
         calls.append(hints)
         if len(calls) == 1:
             return _missed_cut()
-        return real(g, alpha, budget, hints=hints)
+        return real(g, alpha, seed, hints=hints)
 
     monkeypatch.setattr(expansion, "find_sparse_cut", first_misses)
     res = sparse_or_expander(g, eta=0.3, alpha=0.05, tau=0.25)
@@ -600,7 +594,7 @@ def test_dichotomy_unresolved_when_retry_misses(monkeypatch):
     g = gen_blowup_tt([20, 20], intra=0.95, forward_noise=0.001, seed=3)
     calls = []
 
-    def always_misses(g, alpha, budget=None, hints=()):
+    def always_misses(g, alpha, seed=0, hints=()):
         calls.append(hints)
         return _missed_cut()
 

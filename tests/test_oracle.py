@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from hamorient import (CapabilityError, CyclePattern, Digraph, InputError,
-                       PathPattern, embed_path_between, exact_embed,
+                       PathPattern, exact_embed,
                        gen_bipartite_extremal, gen_blowup_tt,
                        validate_embedding)
 from hamorient import oracle
@@ -66,7 +66,7 @@ def test_pinned_path_matches_brute_force():
         rng = random.Random(seed)
         p = PathPattern(tuple(rng.random() < 0.5 for _ in range(4)))
         u, v = 0, 5
-        res = embed_path_between(g, p, u, v)
+        res = exact_embed(g, p, pins={0: u, 4: v})
         assert res.found == _brute_pinned(g, p, u, v)
         if res.found:
             assert res.mapping[0] == u and res.mapping[-1] == v
