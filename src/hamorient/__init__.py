@@ -43,10 +43,8 @@ from .io import load_json, read_edges, read_header_spec, save_json, write_edges
 from .oracle import CheckReport, EmbedResult, exact_embed, validate_embedding
 from .patterns import (BlockPlan, CyclePattern, PathPattern, SegmentPlan,
                        canonical_rotation, classify_case,
-                       directed_run_decomposition_case1b,
                        distinct_path_patterns, has_directed_window,
-                       longest_directed_segment, necklace_classes,
-                       partition_case2, switch_count, switches)
+                       necklace_classes, partition_case2, run_frame, switches)
 from .workbench import ExperimentConfig, TrialRecord, run as run_experiments
 
 __version__ = "0.1.0"
@@ -55,24 +53,22 @@ __all__ = [
     "BlockPlan", "CapabilityError", "CheckReport", "CleanedCut",
     "CutCertificate", "CutSearchResult", "CyclePattern",
     "DecompositionParams", "DegreeProfile", "DichotomyResult", "Digraph",
-    "EmbedResult", "Embedding", "ExpansionParams",
-    "ExpansionVerdict", "ExperimentConfig", "GenSpec", "HypothesisError",
-    "InputError", "PartitionReport", "PathPattern", "PipelineResult",
-    "PreconditionError", "ResourceError", "SegmentPlan", "StructurePartition",
-    "TrialRecord", "bit_list", "canonical_rotation", "certify_expander",
-    "classify_case", "clean_cut", "cross_counts", "decompose",
-    "degree_profile", "directed_run_decomposition_case1b",
-    "distinct_path_patterns", "double_edge_graph", "embed_hamilton_orientation",
-    "exact_embed", "family_names", "find_sparse_cut",
-    "fit_decomposition_params", "gen_bipartite_extremal", "gen_blowup_tt",
-    "gen_complete_digraph", "gen_random_min_degree", "gen_split_cliques",
-    "gen_tournament", "has_directed_window", "induced",
-    "is_strongly_connected", "load_json", "longest_directed_segment",
-    "mask_of", "necklace_classes", "pancyclic_suite", "partition_case2",
-    "partition_from_json_dict", "read_edges", "read_header_spec",
-    "reverse_digraph", "reverse_for_embedding", "robust_out_neighborhood",
-    "run_experiments", "save_json", "select_connectors", "sparse_or_expander",
-    "strongly_connected_components", "switch_count", "switches",
-    "tt_embed_path", "two_factor", "validate_embedding", "verify_partition",
-    "write_edges",
+    "EmbedResult", "Embedding", "ExpansionParams", "ExpansionVerdict",
+    "ExperimentConfig", "GenSpec", "HypothesisError", "InputError",
+    "PartitionReport", "PathPattern", "PipelineResult", "PreconditionError",
+    "ResourceError", "SegmentPlan", "StructurePartition", "TrialRecord",
+    "bit_list", "canonical_rotation", "certify_expander", "classify_case",
+    "clean_cut", "cross_counts", "decompose", "degree_profile",
+    "distinct_path_patterns", "double_edge_graph",
+    "embed_hamilton_orientation", "exact_embed", "family_names",
+    "find_sparse_cut", "fit_decomposition_params", "gen_bipartite_extremal",
+    "gen_blowup_tt", "gen_complete_digraph", "gen_random_min_degree",
+    "gen_split_cliques", "gen_tournament", "has_directed_window", "induced",
+    "is_strongly_connected", "load_json", "mask_of", "necklace_classes",
+    "pancyclic_suite", "partition_case2", "partition_from_json_dict",
+    "read_edges", "read_header_spec", "reverse_digraph",
+    "reverse_for_embedding", "robust_out_neighborhood", "run_experiments",
+    "run_frame", "save_json", "select_connectors", "sparse_or_expander",
+    "strongly_connected_components", "switches", "tt_embed_path",
+    "two_factor", "validate_embedding", "verify_partition", "write_edges",
 ]

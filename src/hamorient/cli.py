@@ -25,13 +25,13 @@ from .decomposition import (DecompositionParams, decompose,
                             fit_decomposition_params, partition_from_json_dict,
                             reverse_for_embedding, verify_partition)
 from .digraph import Digraph
-from .embedding import embed_hamilton_orientation
+from .embedding import _oracle_step, embed_hamilton_orientation
 from .errors import (CapabilityError, HypothesisError, InputError,
                      PreconditionError, ResourceError)
 from .expansion import ExpansionParams, certify_expander, find_sparse_cut
 from .generators import GenSpec, family_names, family_param_names
 from .io import load_json, read_edges, save_json, write_edges
-from .oracle import exact_embed, validate_embedding
+from .oracle import validate_embedding
 from .patterns import CyclePattern
 from .workbench import OUTCOMES, ExperimentConfig, run as run_experiments
 
@@ -135,22 +135,29 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 # embed
 
 
-def _load_partition_for_embedding(path: str):
-    sp = partition_from_json_dict(load_json(path))
-    # stored artifacts keep the partition's own class order; the embedding
-    # pipeline consumes the reversed order (dense direction forward)
-    return reverse_for_embedding(sp)
-
-
-def _embed_via_pipeline(g: Digraph, c: CyclePattern, args: argparse.Namespace) -> dict:
+def _embedding_partition(g: Digraph, args: argparse.Namespace):
+    """The --partition artifact, else a fresh decomposition, in the
+    reversed class order the pipeline consumes (dense direction forward);
+    stored artifacts keep the partition's own order."""
     if args.partition:
-        sp = _load_partition_for_embedding(args.partition)
+        sp = partition_from_json_dict(load_json(args.partition))
         if sp.n != g.n:
             raise InputError(f"partition covers n={sp.n}, host has n={g.n}")
     else:
-        params = fit_decomposition_params(g)
-        sp = reverse_for_embedding(decompose(g, params))
-    res = embed_hamilton_orientation(g, sp, c)
+        sp = decompose(g, fit_decomposition_params(g))
+    return reverse_for_embedding(sp)
+
+
+def _cmd_embed(args: argparse.Namespace) -> int:
+    g = read_edges(args.input)
+    c = CyclePattern.from_string(args.pattern, n=g.n)
+    if c.n != g.n:
+        raise InputError(f"pattern spans {c.n} vertices, host has {g.n}")
+    if args.mode == "oracle":
+        # the validated exact search the pipeline falls back to
+        res = _oracle_step(g, c, "", 1, {})
+    else:
+        res = embed_hamilton_orientation(g, _embedding_partition(g, args), c)
     out = {
         "status": res.status,
         "case": res.case,
@@ -164,34 +171,6 @@ def _embed_via_pipeline(g: Digraph, c: CyclePattern, args: argparse.Namespace) -
         out["mapping"] = [[pos, v] for pos, v in enumerate(res.embedding.mapping)]
         check = validate_embedding(g, c, res.embedding.mapping, spanning=True)
         out["checker"] = {"valid": check.valid, "errors": list(check.errors)}
-    return out
-
-
-def _embed_via_oracle(g: Digraph, c: CyclePattern, args: argparse.Namespace) -> dict:
-    res = exact_embed(g, c)
-    out = {
-        "status": "embedded" if res.found else res.status,
-        "case": "",
-        "method": "oracle",
-        "attempts": 1,
-        "audit": {"nodes": res.nodes, "elapsed": res.elapsed},
-    }
-    if res.found:
-        out["mapping"] = [[pos, v] for pos, v in enumerate(res.mapping)]
-        check = validate_embedding(g, c, res.mapping, spanning=True)
-        out["checker"] = {"valid": check.valid, "errors": list(check.errors)}
-    else:
-        out["failure_step"] = f"oracle:{res.status}"
-    return out
-
-
-def _cmd_embed(args: argparse.Namespace) -> int:
-    g = read_edges(args.input)
-    c = CyclePattern.from_string(args.pattern, n=g.n)
-    if args.mode == "oracle":
-        out = _embed_via_oracle(g, c, args)
-    else:
-        out = _embed_via_pipeline(g, c, args)
     _emit(out, args.out)
     ok = out["status"] == "embedded" and out.get("checker", {}).get("valid", False)
     print(f"embed status={out['status']}"

@@ -482,6 +482,8 @@ def fit_decomposition_params(g: Digraph, alpha_floor: float = 0.1,
     asymptotic constant chain collapses, which the partition records.
     """
     n = g.n
+    if n == 0:
+        raise PreconditionError("the host has no vertices")
     prof = degree_profile(g)
     slack = prof.min_total / n - 1
     k = None

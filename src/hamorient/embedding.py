@@ -19,8 +19,17 @@ both endpoint vertices pinned. Three plan shapes exist:
     class between two extra edges (a one-position window is a sink, and
     is relocated like the others).
 
-The longest directed run is framed once per embed, and its length picks
-the plan order. Every plan pins positions through one ledger (`_Ledger`),
+Directed runs are found in one place, `patterns.run_frame`: it frames a
+longest run forward on [0, ell) for the long-run plans, and
+`patterns.classify_case` reads its length for the case split. Each case
+tries a fixed chain of (planner, frame, framed pattern) entries, and every
+planner takes the same arguments. A failed plan raises a named step; an
+embed that fails above the oracle's reach reports the step that blocked
+its first planner at the last attempt. The no-long-run plan takes its sink
+positions from `patterns.switches` and frames the pattern by its canonical
+rotation, whose position 0 is a source.
+
+Every plan pins positions through one ledger (`_Ledger`),
 whose `pins` is the only record of what is pinned; pinning a position
 twice fails the plan with `<case>:pins`. There is no tuning object:
 beta = 0.1, rho = 0.0025, block cap 6 and 16 connector attempts are fixed
@@ -36,7 +45,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .bitset import bit_list, bits_of, int_floor, mask_of
+from .bitset import bit_list, bits_of, mask_of
 from .digraph import (
     Digraph,
     degree_profile,
@@ -58,13 +67,14 @@ from .patterns import (
     CyclePattern,
     PathPattern,
     _case1b_blocks,
-    _directed_runs,
-    _framed_run_length,
     canonical_rotation,
+    classify_case,
     necklace_classes,
     partition_case2,
     reflect,
     rotate,
+    run_frame,
+    switches,
 )
 
 _EPS = 1e-9
@@ -199,7 +209,7 @@ def _pick_gadget(g: Digraph, xm: int, ym: int, skip: int = 0) -> tuple[int, int,
         us = sorted(bit_list(ins),
                     key=lambda u: (-(g.out_adj[u] & ym).bit_count(), u))
         return us[0], us[1], w
-    raise _PlanError("gadget", "no head with two available in-edges")
+    raise _PlanError("case2:gadget", "no head with two available in-edges")
 
 
 # ---------------------------------------------------------------------------
@@ -223,22 +233,6 @@ class _Frame:
             p = (self.n - j) % self.n if self.reflected else j
             out[p] = v
         return tuple(out)
-
-
-def _frame_case1(c: CyclePattern) -> _Frame:
-    """Frame with the longest directed run forward on positions [0, ell).
-
-    A forward run beats an equally long backward one (a forward run of
-    reflect(c)); within one direction the smallest start wins."""
-    def best_forward(p: CyclePattern) -> tuple[int, int]:
-        return max(((vlen, start) for start, vlen, fw in _directed_runs(p)
-                    if fw), key=lambda run: run[0])
-
-    lf, sf = best_forward(c)
-    lb, sb = best_forward(reflect(c))
-    if lb > lf:
-        return _Frame(c.n, sb, True)
-    return _Frame(c.n, sf, False)
 
 
 # ---------------------------------------------------------------------------
@@ -288,34 +282,36 @@ def _check_plan(plan: EmbedPlan, sizes: list[int]) -> list[Stretch]:
     for cls in plan.class_at:
         counts[cls] += 1
     if counts != list(sizes):
-        raise _PlanError("budget", f"class position counts {counts} "
-                                   f"!= class sizes {list(sizes)}")
+        raise _PlanError(f"{plan.case}:budget", f"class position counts "
+                         f"{counts} != class sizes {list(sizes)}")
     sts = plan.stretches()
     for s in sts:
         first = s.start
         last = (s.start + s.length - 1) % n
         if s.length == 1:
             if first not in plan.pins:
-                raise _PlanError("pins", f"singleton stretch at {first} unpinned")
+                raise _PlanError(f"{plan.case}:pins",
+                                 f"singleton stretch at {first} unpinned")
         else:
             if first not in plan.pins or last not in plan.pins:
-                raise _PlanError("pins", f"stretch at {first} (len {s.length}) "
-                                         f"missing an endpoint pin")
+                raise _PlanError(f"{plan.case}:pins",
+                                 f"stretch at {first} (len {s.length}) "
+                                 f"missing an endpoint pin")
     pinned = list(plan.pins.values())
     if len(set(pinned)) != len(pinned):
-        raise _PlanError("pins", "two positions pinned to one vertex")
+        raise _PlanError(f"{plan.case}:pins", "two positions pinned to one vertex")
     return sts
 
 
 def _fill_stretches(g: Digraph, c2: CyclePattern, plan: EmbedPlan,
-                    sts: list[Stretch],
-                    pools: list[int]) -> tuple[tuple[int, ...] | None, str]:
+                    sts: list[Stretch], pools: list[int]) -> tuple[int, ...]:
     """Fill every stretch of the plan (sts, as _check_plan returns them) by
-    exact in-class path search with pinned ends.
+    exact in-class path search with pinned ends; a stretch that cannot be
+    filled fails the plan with `<case>:fill:class<k>:<reason>`.
 
     A stretch that must span its whole remaining pool is beyond the exact
-    search above SPANNING_CAP vertices; that is reported as a capability
-    failure of this plan rather than raised."""
+    search above SPANNING_CAP vertices; that is the reason `capability`,
+    not a raised CapabilityError."""
     n = c2.n
     o = c2.orientation
     mapping: list[int | None] = [None] * n
@@ -338,25 +334,26 @@ def _fill_stretches(g: Digraph, c2: CyclePattern, plan: EmbedPlan,
             pattern = PathPattern(tuple(o[(s.start + i) % n]
                                         for i in range(s.length - 1)))
             allowed = (pools[cls] & ~used) | (1 << vstart) | (1 << vend)
+            step = f"{plan.case}:fill:class{cls}"
             if s is group[-1] and allowed.bit_count() != s.length:
-                return None, (f"fill:class{cls}: leftover pool "
-                              f"{allowed.bit_count()} != stretch {s.length}")
+                raise _PlanError(f"{step}:leftover", f"pool {allowed.bit_count()}"
+                                                     f" != stretch {s.length}")
             if allowed.bit_count() < s.length:
-                return None, f"fill:class{cls}: pool too small for stretch"
+                raise _PlanError(f"{step}:pool", f"pool {allowed.bit_count()}"
+                                                 f" < stretch {s.length}")
             if allowed.bit_count() == s.length > SPANNING_CAP:
-                return None, f"fill:class{cls}:capability"
+                raise _PlanError(f"{step}:capability")
             res = exact_embed(g, pattern,
                               pins={0: vstart, pattern.length - 1: vend},
                               allowed=allowed)
             if not res.found:
-                return None, (f"fill:class{cls}:stretch@{s.start}"
-                              f":{res.status}")
+                raise _PlanError(f"{step}:{res.status}", f"stretch@{s.start}")
             for i, v in enumerate(res.mapping):
                 mapping[(s.start + i) % n] = v
                 used |= 1 << v
     if any(v is None for v in mapping):
-        return None, "fill:positions left unassigned"
-    return tuple(mapping), "ok"   # type: ignore[arg-type]
+        raise _PlanError(f"{plan.case}:fill:unassigned")
+    return tuple(mapping)   # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +365,8 @@ class _Ledger:
 
     `pins` (framed position -> host vertex) is the only record of what is
     pinned: the vertices in use are read from it, and pinning a position
-    a second time raises `<case>:pins`."""
+    a second time raises `<case>:pins`. A connector selection that finds
+    too few edges raises `<case>:connectors`."""
 
     def __init__(self, case: str, g: Digraph, pools: list[int], attempt: int):
         self.case = case
@@ -393,17 +391,26 @@ class _Ledger:
         self.pins.update(placed)
         self.connectors.append(record)
 
+    def select(self, xc: int, yc: int, count: int) -> list[tuple[int, int]]:
+        """`count` disjoint host edges from class xc into class yc between
+        unpinned vertices, the attempt-th alternative selection."""
+        try:
+            return select_connectors(self.g, self.pools[xc], self.pools[yc],
+                                     count, excluded=self.used(),
+                                     skip=self.attempt)
+        except (PreconditionError, ResourceError) as e:
+            raise _PlanError(f"{self.case}:connectors", str(e)) from None
+
     def connect(self, kind: str, xc: int, yc: int, tail: int, head: int) -> None:
         """Realize the cycle edge tail -> head, from class xc into class yc,
         by a host edge between unpinned vertices."""
         self._refuse_pinned(kind, [tail, head])
-        (a, b), = select_connectors(self.g, self.pools[xc], self.pools[yc], 1,
-                                    excluded=self.used(), skip=self.attempt)
+        (a, b), = self.select(xc, yc, 1)
         self.pin({"kind": kind, "edge": [a, b]}, (tail, a), (head, b))
 
 
-def _plan_case1a(g: Digraph, c2: CyclePattern, pools: list[int],
-                 ell: int, attempt: int) -> EmbedPlan:
+def _plan_case1a(g: Digraph, c2: CyclePattern, pools: list[int], ell: int,
+                 beta_eff: float, attempt: int) -> EmbedPlan:
     n = c2.n
     t = len(pools)
     sizes = [m.bit_count() for m in pools]
@@ -425,8 +432,8 @@ def _plan_case1a(g: Digraph, c2: CyclePattern, pools: list[int],
     return EmbedPlan("case1a", class_at, ledger.pins, ledger.connectors)
 
 
-def _plan_case1b(g: Digraph, c2: CyclePattern, pools: list[int],
-                 ell: int, attempt: int) -> EmbedPlan:
+def _plan_case1b(g: Digraph, c2: CyclePattern, pools: list[int], ell: int,
+                 beta_eff: float, attempt: int) -> EmbedPlan:
     n = c2.n
     t = len(pools)
     sizes = [m.bit_count() for m in pools]
@@ -498,23 +505,22 @@ def _plan_case1b(g: Digraph, c2: CyclePattern, pools: list[int],
                      notes=[f"block_cap={d}", f"blocks={q}"])
 
 
-def _case2_sink_positions(c2: CyclePattern, lo: int, hi: int, want: int,
+def _case2_sink_positions(sinks: list[int], lo: int, hi: int, want: int,
                           taken: set[int], gap: int) -> list[int] | None:
-    """Ascending sink positions in the open window (lo, hi) with pairwise
-    distance at least gap, avoiding taken positions and their neighbors."""
-    o = c2.orientation
+    """The first `want` of the ascending sink positions in the open window
+    (lo, hi) with pairwise distance at least gap, avoiding taken positions
+    and their neighbors."""
     out: list[int] = []
-    p = lo + 1
-    while p < hi and len(out) < want:
-        is_sink = o[p - 1] and not o[p]
+    for p in sinks:
+        if len(out) == want or p >= hi:
+            break
         clash = {p - 1, p, p + 1} & taken
-        if is_sink and not clash and (not out or p - out[-1] >= gap):
+        if p > lo and not clash and (not out or p - out[-1] >= gap):
             out.append(p)
-        p += 1
     return out if len(out) == want else None
 
 
-def _plan_case2(g: Digraph, c2: CyclePattern, pools: list[int],
+def _plan_case2(g: Digraph, c2: CyclePattern, pools: list[int], ell: int,
                 beta_eff: float, attempt: int) -> EmbedPlan:
     n = c2.n
     t = len(pools)
@@ -542,6 +548,7 @@ def _plan_case2(g: Digraph, c2: CyclePattern, pools: list[int],
 
     margin = int(2 * beta_eff * n)
     gap = max(1, int(beta_eff * n))
+    _, all_sinks = switches(c2)
 
     for e in range(t - 1):
         d = int(plan2.overshoots[e])
@@ -573,10 +580,10 @@ def _plan_case2(g: Digraph, c2: CyclePattern, pools: list[int],
             raise _PlanError("case2:handoff",
                              "hand-off window collides with pinned positions")
         taken = ledger.pins.keys() | handoff_zone
-        sinks = _case2_sink_positions(c2, seg_lo + margin, seg_hi - 1 - margin,
-                                      n_gadget, taken, gap)
+        sinks = _case2_sink_positions(all_sinks, seg_lo + margin,
+                                      seg_hi - 1 - margin, n_gadget, taken, gap)
         if sinks is None:
-            sinks = _case2_sink_positions(c2, seg_lo + 1, seg_hi - 2,
+            sinks = _case2_sink_positions(all_sinks, seg_lo + 1, seg_hi - 2,
                                           n_gadget, taken, 3)
             if sinks is not None:
                 notes.append(f"boundary {e}: sink spacing relaxed")
@@ -597,9 +604,7 @@ def _plan_case2(g: Digraph, c2: CyclePattern, pools: list[int],
             class_at[p] = e + 1
         if handoff > 0:
             p2 = qpos + handoff - 1
-            (x1, y1), (x2, y2) = select_connectors(
-                g, pools[e], pools[e + 1], 2, excluded=ledger.used(),
-                skip=attempt)
+            (x1, y1), (x2, y2) = ledger.select(e, e + 1, 2)
             ledger.pin({"kind": "hand-off", "window": [qpos, p2],
                         "edges": [[x1, y1], [x2, y2]]},
                        (qpos - 1, x1), (qpos, y1), (p2 + 1, x2), (p2, y2))
@@ -649,53 +654,46 @@ def embed_hamilton_orientation(g: Digraph, sp, c: CyclePattern) -> PipelineResul
                    for i in range(t) for j in range(i + 1, t))
     audit["forward_density_ok"] = cross_ok
 
-    # frame the longest directed run forward on [0, ell), once; case 1 iff
-    # it spans at least floor(beta_eff * n) vertices
-    run_frame = _frame_case1(c)
-    c_run = run_frame.pattern(c)
-    ell = _framed_run_length(c_run)
-    case = "case1" if ell >= int_floor(beta_eff * n) else "case2"
+    # frame the longest directed run forward on [0, ell); case 1 iff it
+    # spans at least floor(beta_eff * n) vertices. Each chain entry is
+    # (planner, frame, framed pattern); case 2 plans on the canonical
+    # rotation, whose position 0 is a source.
+    offset, reflected, ell = run_frame(c)
+    case, _ = classify_case(c, beta_eff)
     audit["ell"] = ell
-    c_src, offset = canonical_rotation(c)
-    src_frame = _Frame(n, offset, False)
-
-    def plan_1a(attempt):
-        return run_frame, c_run, _plan_case1a(g, c_run, pools, ell, attempt)
-
-    def plan_1b(attempt):
-        return run_frame, c_run, _plan_case1b(g, c_run, pools, ell, attempt)
-
-    def plan_2(attempt):
-        return src_frame, c_src, _plan_case2(g, c_src, pools, beta_eff, attempt)
-
+    run = _Frame(n, offset, reflected)
+    c_run = run.pattern(c)
+    plan_1a = (_plan_case1a, run, c_run)
+    plan_1b = (_plan_case1b, run, c_run)
     if case == "case1":
-        chain = [plan_1a, plan_1b, plan_2] if n - ell <= eta_eff * n / 2 \
-            else [plan_1b, plan_1a, plan_2]
+        chain = [plan_1a, plan_1b] if n - ell <= eta_eff * n / 2 \
+            else [plan_1b, plan_1a]
     else:
-        chain = [plan_2, plan_1b]
+        c_src, src_offset = canonical_rotation(c)
+        chain = [(_plan_case2, _Frame(n, src_offset, False), c_src), plan_1b]
 
+    # failure_step is the step that blocked the chain's first planner at
+    # the last attempt; every failure's detail stays in audit["failures"]
     failures: list[str] = []
     attempts = 0
+    step = ""
     for attempt in range(_CONNECTOR_ATTEMPTS):
         attempts = attempt + 1
         progressed = False
-        for planner in chain:
+        for i, (planner, frame, c2) in enumerate(chain):
             try:
-                frame, c2, plan = planner(attempt)
+                plan = planner(g, c2, pools, ell, beta_eff, attempt)
                 sts = _check_plan(plan, sizes)
-            except (_PlanError, InputError, PreconditionError,
-                    ResourceError) as e:
+                progressed = True
+                mapping = frame.pull_back(
+                    _fill_stretches(g, c2, plan, sts, pools))
+                check = validate_embedding(g, c, mapping, spanning=True)
+                if not check.valid:
+                    raise _PlanError(f"{plan.case}:checker", str(check.errors))
+            except _PlanError as e:
                 failures.append(f"attempt {attempt}: {e}")
-                continue
-            progressed = True
-            mapping2, tag = _fill_stretches(g, c2, plan, sts, pools)
-            if mapping2 is None:
-                failures.append(f"attempt {attempt}: {plan.case}: {tag}")
-                continue
-            mapping = frame.pull_back(mapping2)
-            check = validate_embedding(g, c, mapping, spanning=True)
-            if not check.valid:
-                failures.append(f"attempt {attempt}: checker: {check.errors}")
+                if i == 0:
+                    step = e.step
                 continue
             audit["connectors"] = plan.connectors
             audit["notes"] = plan.notes
@@ -707,7 +705,6 @@ def embed_hamilton_orientation(g: Digraph, sp, c: CyclePattern) -> PipelineResul
     audit["failures"] = failures
     if n <= SPANNING_CAP:
         return _oracle_step(g, c, case, attempts, audit)
-    step = failures[-1] if failures else "no attempt succeeded"
     return PipelineResult("failed", None, case, "pipeline", attempts,
                           step, audit)
 
@@ -716,8 +713,10 @@ def _oracle_step(g: Digraph, c: CyclePattern, case: str, attempts: int,
                  audit: dict) -> PipelineResult:
     """The exact spanning search's answer, held to the same checker as a
     planned embedding: a mapping the checker rejects fails with
-    oracle:checker."""
+    oracle:checker. The search's node count and time go into the audit."""
     res = exact_embed(g, c)
+    audit["nodes"] = res.nodes
+    audit["elapsed"] = res.elapsed
     if not res.found:
         return PipelineResult("failed", None, case, "oracle", attempts,
                               f"oracle:{res.status}", audit)

@@ -10,6 +10,11 @@ String form uses '+' for forward and '-' for backward, e.g. "++-+" is a
 4-cycle with one backward edge. "directed" and "antidirected" are accepted
 aliases when a length is supplied. The string form also ranks rotations:
 canonical_rotation takes the least length-n slice of the doubled string.
+
+This module is the one home of directed-run logic: run_frame walks the
+maximal runs once and frames a longest one forward at position 0;
+classify_case reads its length for the case split; switches lists the
+sources and sinks, and the case-2 planner relocates sinks from that list.
 """
 
 from __future__ import annotations
@@ -73,10 +78,6 @@ class CyclePattern:
     def is_directed(self) -> bool:
         return all(self.orientation) or not any(self.orientation)
 
-    def is_antidirected(self) -> bool:
-        o = self.orientation
-        return all(o[i] != o[(i + 1) % self.n] for i in range(self.n))
-
     def edge(self, i: int) -> tuple[int, int]:
         """Directed edge realized between positions i and i+1 (mod n)."""
         j = (i + 1) % self.n
@@ -93,34 +94,13 @@ class PathPattern:
         return len(self.orientation) + 1
 
     @classmethod
-    def from_string(cls, text: str, length: int | None = None) -> "PathPattern":
-        if text == "directed":
-            if length is None:
-                raise InputError("alias 'directed' needs an explicit length")
-            return cls.directed(length)
-        if text == "antidirected":
-            if length is None:
-                raise InputError("alias 'antidirected' needs an explicit length")
-            return cls.antidirected(length)
-        return cls(_parse_orientation(text))
-
-    @classmethod
     def directed(cls, length: int) -> "PathPattern":
         if length < 1:
             raise InputError("paths need at least one vertex")
         return cls((True,) * (length - 1))
 
-    @classmethod
-    def antidirected(cls, length: int) -> "PathPattern":
-        if length < 1:
-            raise InputError("paths need at least one vertex")
-        return cls(tuple(i % 2 == 0 for i in range(length - 1)))
-
     def to_string(self) -> str:
         return "".join("+" if o else "-" for o in self.orientation)
-
-    def is_directed(self) -> bool:
-        return all(self.orientation) or not any(self.orientation)
 
     def edge(self, i: int) -> tuple[int, int]:
         return (i, i + 1) if self.orientation[i] else (i + 1, i)
@@ -141,11 +121,6 @@ def switches(c: CyclePattern) -> tuple[list[int], list[int]]:
     sources = [i for i in range(n) if not o[i - 1] and o[i]]
     sinks = [i for i in range(n) if o[i - 1] and not o[i]]
     return sources, sinks
-
-
-def switch_count(c: CyclePattern) -> int:
-    s, t = switches(c)
-    return len(s) + len(t)
 
 
 def rotate(c: CyclePattern, r: int) -> CyclePattern:
@@ -220,21 +195,32 @@ def _directed_runs(c: CyclePattern) -> Iterator[tuple[int, int, bool]]:
         yield s, end - s + 1, o[s]
 
 
-def longest_directed_segment(c: CyclePattern) -> tuple[int, int, bool]:
-    """(vertex count, start position, forward?) of the longest directed run.
+def run_frame(c: CyclePattern) -> tuple[int, bool, int]:
+    """(offset, reflected, ell): the frame that puts a longest directed run
+    forward on positions [0, ell) of rotate(reflect(c) if reflected else c,
+    offset).
 
     Runs are maximal stretches of equally oriented edges, measured in
-    vertices (edges + 1), wrap-around included. A fully directed cycle
-    reports n vertices. Ties go to the smallest start position.
+    vertices (edges + 1), wrap-around included; a fully directed cycle is
+    one run of n vertices. A backward run of c starting at s is a forward
+    run of reflect(c) starting at (n - s - ell + 1) mod n. A forward run
+    beats an equally long backward one; within one direction the smallest
+    start wins.
     """
-    start, vlen, fw = max(_directed_runs(c), key=lambda run: run[1])
-    return vlen, start, fw
+    n = c.n
+
+    def frame(run: tuple[int, int, bool]) -> tuple[int, bool, int]:
+        s, ell, fw = run
+        return (s, False, ell) if fw else ((n - s - ell + 1) % n, True, ell)
+
+    return max(map(frame, _directed_runs(c)),
+               key=lambda f: (f[2], not f[1], -f[0]))
 
 
 def classify_case(c: CyclePattern, beta: float) -> tuple[str, int]:
     """Dispatch on the longest directed run: 'case1' iff it spans at least
     floor(beta*n) vertices, else 'case2'. Returns the run length too."""
-    ell, _, _ = longest_directed_segment(c)
+    ell = run_frame(c)[2]
     bar = int_floor(beta * c.n)
     return ("case1" if ell >= bar else "case2"), ell
 
@@ -242,8 +228,8 @@ def classify_case(c: CyclePattern, beta: float) -> tuple[str, int]:
 def has_directed_window(c: CyclePattern, m: int) -> bool:
     """True iff some segment on m vertices is directed (has no inner switch).
 
-    Direct window scan, deliberately independent of
-    longest_directed_segment so the two can cross-check each other."""
+    Direct window scan, deliberately independent of run_frame so the two
+    can cross-check each other."""
     n = c.n
     if m <= 1:
         return True
@@ -268,15 +254,6 @@ class SegmentPlan:
     class_sizes: tuple[int, ...]
     boundaries: tuple[int, ...]
     overshoots: tuple[int, ...]
-
-    @property
-    def t(self) -> int:
-        return len(self.class_sizes)
-
-    def segment(self, s: int) -> tuple[int, int]:
-        start = 0 if s == 0 else self.boundaries[s - 1]
-        end = self.boundaries[s]
-        return start, end - start
 
 
 def partition_case2(c: CyclePattern, class_sizes: Sequence[int], beta: float) -> SegmentPlan:
@@ -341,35 +318,19 @@ class BlockPlan:
     blocks (edge between the last position of block i and the first of
     block i+1).
     """
-    ell: int
     block_sizes: tuple[int, ...]
     starts: tuple[int, ...]
     aux_path: PathPattern
 
 
-def directed_run_decomposition_case1b(c: CyclePattern, d: int) -> BlockPlan:
-    """Split the complement of the longest run into q = ceil((n-ell)/D)
+def _case1b_blocks(c: CyclePattern, ell: int, d: int) -> BlockPlan:
+    """Split the complement of the framed run into q = ceil((n-ell)/D)
     blocks sized as equally as possible (all within [D/2, D]).
 
-    The pattern must already be framed with its longest directed run
-    forward on positions [0, ell). Errors if the run spans everything or
-    the equal split would leave a block below D/2.
+    The pattern must already be framed (run_frame) with its longest
+    directed run forward on positions [0, ell). Errors if the run spans
+    everything or the equal split would leave a block below D/2.
     """
-    return _case1b_blocks(c, _framed_run_length(c), d)
-
-
-def _framed_run_length(c: CyclePattern) -> int:
-    """ell of a pattern framed for case 1: its longest directed run must be
-    forward on positions [0, ell)."""
-    ell, start, fw = longest_directed_segment(c)
-    if start != 0 or not fw:
-        raise PreconditionError("pattern not framed with its run forward at position 0")
-    return ell
-
-
-def _case1b_blocks(c: CyclePattern, ell: int, d: int) -> BlockPlan:
-    """The block split of directed_run_decomposition_case1b for a pattern
-    whose framed run length ell is already known."""
     o = c.orientation
     n = c.n
     if ell >= n:
@@ -390,4 +351,4 @@ def _case1b_blocks(c: CyclePattern, ell: int, d: int) -> BlockPlan:
         pos += sz
     # aux edge i is the pattern edge joining block i to block i+1
     aux = tuple(o[starts[i + 1] - 1] for i in range(q - 1))
-    return BlockPlan(ell, sizes, tuple(starts), PathPattern(aux))
+    return BlockPlan(sizes, tuple(starts), PathPattern(aux))

@@ -90,6 +90,7 @@ def _symdiff_per_class(classes_masks, blocks):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_c1_exhaustive_small_digraph_thresholds():
     t0 = time.monotonic()
     records = list(suite_ghouila_houri(5, negative_controls=False))
@@ -106,6 +107,7 @@ def test_c1_exhaustive_small_digraph_thresholds():
             f"{bad} violations ({dt:.0f}s)")
 
 
+@pytest.mark.slow
 def test_c2_extremal_witnesses_have_no_spanning_orientation():
     t0 = time.monotonic()
     violations = []

@@ -165,6 +165,39 @@ def test_embed_pattern_length_mismatch(workdir):
                  "--pattern", "+-"]) == 2
 
 
+def test_embed_oracle_mode_pattern_length_mismatch(tmp_path):
+    # a 4-position pattern on 8 vertices is an input error in both modes,
+    # not a 4-vertex embedding the spanning checker then rejects
+    graph = tmp_path / "k8.edges"
+    assert main(["generate", "--family", "complete", "--n", "8",
+                 "--out", str(graph)]) == 0
+    for mode in ("oracle", "pipeline"):
+        assert main(["embed", "--input", str(graph), "--pattern", "+-+-",
+                     "--mode", mode]) == 2
+
+
+def test_embed_oracle_mode_negative_is_failed(tmp_path):
+    graph = tmp_path / "b8.edges"
+    assert main(["generate", "--family", "bipartite_extremal", "--n", "8",
+                 "--out", str(graph)]) == 0
+    out = tmp_path / "neg.json"
+    rc = main(["embed", "--input", str(graph), "--pattern", "directed",
+               "--mode", "oracle", "--out", str(out)])
+    assert rc == 1
+    data = json.loads(out.read_text())
+    assert (data["status"], data["method"], data["failure_step"]) \
+        == ("failed", "oracle", "oracle:none")
+    assert data["audit"]["nodes"] > 0 and "elapsed" in data["audit"]
+
+
+def test_empty_host_exits_2(tmp_path, capsys):
+    graph = tmp_path / "empty.edges"
+    graph.write_text("0 0\n")
+    assert main(["partition", "--input", str(graph)]) == 2
+    assert main(["embed", "--input", str(graph), "--pattern", "+-+"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 # --- verify ---------------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -12,8 +13,8 @@ from hamorient import (CyclePattern, EmbedResult, InputError, PathPattern,
                        tt_embed_path, two_factor, validate_embedding)
 from hamorient import embedding
 from hamorient.bitset import mask_of
-from hamorient.embedding import (_Ledger, _PlanError, _frame_case1,
-                                 _plan_case1a)
+from hamorient.embedding import _Ledger, _PlanError, _plan_case1a
+from hamorient.patterns import reflect, rotate, run_frame
 
 from conftest import cycle_digraph
 
@@ -250,7 +251,7 @@ def test_pipeline_classes_above_spanning_cap():
             assert validate_embedding(g, c, res.embedding.mapping,
                                       spanning=True).valid
         else:
-            assert res.failure_step
+            assert _STEP.fullmatch(res.failure_step), res.failure_step
     assert embedded >= 1
     # the antidirected cycle, embedded last, is blocked by that capability
     assert res.status == "failed" and res.method == "pipeline"
@@ -305,7 +306,7 @@ def test_case1a_refuses_a_double_pin():
     pools = [mask_of(range(3)), mask_of([3]), mask_of(range(4, 8))]
     c = CyclePattern(tuple([True] * 6 + [False, False]))
     with pytest.raises(_PlanError) as exc:
-        _plan_case1a(g, c, pools, 7, 0)
+        _plan_case1a(g, c, pools, 7, 0.1, 0)
     assert exc.value.step == "case1a:pins"
 
 
@@ -314,11 +315,57 @@ def test_case2_sink_gadget_refuses_a_double_pin(monkeypatch):
     # search that returned a pinned position is refused
     g, sp = embedding_partition([30, 30], seed=1)
     monkeypatch.setattr(embedding, "_case2_sink_positions",
-                        lambda c2, lo, hi, want, taken, gap:
+                        lambda sinks, lo, hi, want, taken, gap:
                         sorted(taken)[1:1 + want])
     res = embed_hamilton_orientation(g, sp, CyclePattern.antidirected(60))
     assert "attempt 0: case2:pins: sink-gadget would double-pin a position" \
         in res.audit["failures"]
+
+
+def test_case1_embeds_never_call_the_case2_planner(monkeypatch):
+    # case 2's segment plan needs a pattern without a long run, so the
+    # case-1 chain does not end in it; with every stretch fill failing, all
+    # attempts run both case-1 planners and then fall back to the oracle
+    calls = []
+    planner = embedding._plan_case2
+
+    def spy(*args):
+        calls.append(args[1].n)
+        return planner(*args)
+
+    monkeypatch.setattr(embedding, "_plan_case2", spy)
+    g, sp = embedding_partition([30, 30], seed=1)
+    assert embed_hamilton_orientation(g, sp, rand_pattern(60, 0)).case \
+        == "case1b"
+    assert embed_hamilton_orientation(
+        g, sp, CyclePattern.antidirected(60)).case == "case2"
+    assert calls and set(calls) == {60}
+    calls.clear()
+    monkeypatch.setattr(embedding, "exact_embed", _bogus_oracle([]))
+    res = embed_hamilton_orientation(g, sp, rand_pattern(60, 0))
+    assert (res.case, res.attempts) == ("case1", embedding._CONNECTOR_ATTEMPTS)
+    assert calls == []
+
+
+_STEP = re.compile(r"[a-z0-9-]+(:[a-z0-9@-]+)+")
+
+
+def test_pipeline_failure_step_is_a_bare_step_name(monkeypatch):
+    # above the spanning cap a failed embed names the step that blocked
+    # its first planner at the last attempt: no attempt prefix, no detail
+    g, sp = embedding_partition([35, 35], seed=3, intra=0.95, noise=0.001)
+    assert sp.sizes() == [35, 35]
+    monkeypatch.setattr(embedding, "exact_embed", _bogus_oracle([]))
+    for c in [rand_pattern(70, seed) for seed in range(3)] \
+            + [CyclePattern.antidirected(70)]:
+        res = embed_hamilton_orientation(g, sp, c)
+        assert (res.status, res.method) == ("failed", "pipeline")
+        step = res.failure_step
+        assert _STEP.fullmatch(step) and step.startswith(res.case), step
+        # the last attempt's failures are listed in chain order
+        prefix = f"attempt {res.attempts - 1}: "
+        last = [f for f in res.audit["failures"] if f.startswith(prefix)]
+        assert last[0].startswith(prefix + step), (step, last)
 
 
 def test_pipeline_length_mismatch():
@@ -406,7 +453,7 @@ def _perfbench_fixed_host(sizes, seed, count):
 # (block sizes, host seed, orientations, failures, digest of every result)
 GOLDEN_OUTCOMES = (
     ((48, 48), 4848, 30, 0, "21c10056199e1847"),
-    ((40, 40, 40), 1120, 100, 3, "7ab8d7a4961f9604"),
+    ((40, 40, 40), 1120, 100, 3, "45ae27cc2c6c5a97"),
 )
 
 
@@ -419,6 +466,8 @@ def test_pipeline_golden_outcomes_above_spanning_cap():
         rows = []
         for c in patterns:
             res = embed_hamilton_orientation(g, sp, c)
+            if not res.ok:
+                assert res.failure_step == "case1b:block-sizing", sizes
             mapping = res.embedding.mapping if res.ok else None
             rows.append(f"{res.status}|{res.case}|{res.method}|{res.attempts}|"
                         f"{res.failure_step}|{mapping}")
@@ -442,10 +491,11 @@ def _maximal_runs(o):
 
 
 def test_frame_case1_brute_force():
-    # the frame puts a longest directed run forward on positions [0, ell);
+    # run_frame puts a longest directed run forward on positions [0, ell);
     # a forward run beats an equally long backward one, and within one
-    # direction the smallest start wins
-    for n in range(3, 13):
+    # direction the smallest start wins. Every non-directed pattern with
+    # n = 3..14 is checked against runs found on an explicit reflection.
+    for n in range(3, 15):
         for bits in range(1, (1 << n) - 1):
             o = tuple(bool(bits >> i & 1) for i in range(n))
             runs = _maximal_runs(o)
@@ -458,9 +508,9 @@ def test_frame_case1_brute_force():
                 want = (True, min(s for s, k, fw in _maximal_runs(r)
                                   if fw and k == ell))
             c = CyclePattern(o)
-            frame = _frame_case1(c)
-            assert (frame.reflected, frame.offset) == want, o
-            o2 = frame.pattern(c).orientation
+            offset, reflected, got_ell = run_frame(c)
+            assert (reflected, offset, got_ell) == want + (ell,), o
+            o2 = rotate(reflect(c) if reflected else c, offset).orientation
             assert all(o2[:ell - 1]) and not o2[ell - 1] and not o2[-1], o
 
 

@@ -315,7 +315,8 @@ def test_static_filter_matches_reference():
         lo = rng.randrange(n)
         masks = [0, full, rng.getrandbits(n) & full,
                  full & ~((1 << lo) - 1) & ((1 << rng.randrange(lo, n + 1)) - 1)]
-        patterns = [PathPattern.from_string("+"), PathPattern.from_string("+-+--")]
+        patterns = [PathPattern((True,)),
+                    PathPattern((True, False, True, False, False))]
         if n >= 3:
             patterns += [rand_cycle_pattern(n, trial), CyclePattern.directed(3),
                          CyclePattern.from_string("+-+-")]

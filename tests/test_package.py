@@ -33,7 +33,9 @@ def test_no_tuning_parameters():
         params = inspect.signature(fn).parameters.values()
         optional = {p.name for p in params if p.default is not p.empty}
         assert not tuning & optional, fn
-    for gone in ("CutSearchBudget", "embed_path_between"):
+    for gone in ("CutSearchBudget", "embed_path_between", "switch_count",
+                 "directed_run_decomposition_case1b",
+                 "longest_directed_segment"):
         assert gone not in hamorient.__all__ and not hasattr(hamorient, gone)
 
 

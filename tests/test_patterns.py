@@ -4,11 +4,9 @@ import pytest
 
 from hamorient import (CyclePattern, InputError, PathPattern,
                        canonical_rotation, classify_case,
-                       directed_run_decomposition_case1b,
                        distinct_path_patterns, has_directed_window,
-                       longest_directed_segment, necklace_classes,
-                       partition_case2, switch_count, switches)
-from hamorient.patterns import reflect, rotate
+                       necklace_classes, partition_case2, run_frame, switches)
+from hamorient.patterns import _case1b_blocks, reflect, rotate
 
 from conftest import ref_canonical_rotation
 
@@ -18,8 +16,8 @@ def test_parse_and_print():
     assert c.orientation == (True, True, False)
     assert c.to_string() == "++-"
     assert c.n == 3
-    p = PathPattern.from_string("+-")
-    assert p.length == 3
+    p = PathPattern((True, False))
+    assert p.length == 3 and p.to_string() == "+-"
 
 
 def test_parse_rejects_junk():
@@ -34,7 +32,7 @@ def test_parse_rejects_junk():
 def test_aliases():
     assert CyclePattern.from_string("directed", n=4).is_directed()
     anti = CyclePattern.from_string("antidirected", n=6)
-    assert anti.is_antidirected()
+    assert anti.to_string() == "+-+-+-"
     with pytest.raises(InputError):
         CyclePattern.antidirected(5)  # odd length cannot alternate
 
@@ -53,26 +51,30 @@ def test_switches_interleave():
     # position 0: edge (3,0) backward=0->3? o[3]=False means 0->3; o[0]=True means 0->1
     assert sources == [0]
     assert sinks == [2]
-    assert switch_count(c) == 2
+
+
+def _switch_count(c):
+    sources, sinks = switches(c)
+    return len(sources) + len(sinks)
 
 
 def test_switch_count_even_exhaustive_small():
     for n in (3, 4, 5, 6):
         for bits in range(1 << n):
             c = CyclePattern(tuple(bool(bits >> i & 1) for i in range(n)))
-            assert switch_count(c) % 2 == 0
+            assert _switch_count(c) % 2 == 0
 
 
 def test_switch_count_antidirected_is_n():
     c = CyclePattern.antidirected(8)
-    assert switch_count(c) == 8
+    assert _switch_count(c) == 8
 
 
 def test_rotate_and_reflect_preserve_switches():
     c = CyclePattern.from_string("++-+--+-")
     for r in range(c.n):
-        assert switch_count(rotate(c, r)) == switch_count(c)
-    assert switch_count(reflect(c)) == switch_count(c)
+        assert _switch_count(rotate(c, r)) == _switch_count(c)
+    assert _switch_count(reflect(c)) == _switch_count(c)
 
 
 def test_reflect_is_involution():
@@ -171,41 +173,47 @@ def test_distinct_path_patterns_reversal_closure():
 
 def test_longest_directed_segment_basic():
     c = CyclePattern.from_string("-+++--+-")
-    vlen, start, fw = longest_directed_segment(c)
-    assert (vlen, start, fw) == (4, 1, True)
+    assert run_frame(c) == (1, False, 4)
 
 
 def test_longest_directed_segment_wraps():
     # run of forward edges crossing the string boundary: edges 6,7,0,1
     c = CyclePattern.from_string("++--+-++")
-    vlen, start, fw = longest_directed_segment(c)
-    assert (vlen, fw) == (5, True)
-    assert start == 6
+    assert run_frame(c) == (6, False, 5)
 
 
 def test_longest_directed_segment_directed_cycle():
     c = CyclePattern.directed(9)
-    assert longest_directed_segment(c) == (9, 0, True)
+    assert run_frame(c) == (0, False, 9)
+
+
+def test_run_frame_backward_run_reflects():
+    # the backward run on edges 2..6 (start 2, 6 vertices) is the forward
+    # run of reflect(c) starting at n - 2 - 6 + 1 = 1
+    c = CyclePattern.from_string("++-----+")
+    offset, reflected, ell = run_frame(c)
+    assert (offset, reflected, ell) == (1, True, 6)
+    o = rotate(reflect(c), offset).orientation
+    assert all(o[:ell - 1]) and not o[ell - 1] and not o[-1]
 
 
 # frozen oracle value: the longest run of "TTTFFTTTT" (edges 5..8 then 0..2
 # wrap into one forward run of 7 edges = 8 vertices)
 def test_longest_directed_segment_frozen_value():
     c = CyclePattern(tuple(ch == "T" for ch in "TTTFFTTTT"))
-    vlen, start, fw = longest_directed_segment(c)
-    assert (vlen, start, fw) == (8, 5, True)
+    assert run_frame(c) == (5, False, 8)
 
 
 def test_longest_matches_window_scan_exhaustive():
     for n in (4, 5, 6, 7):
         for bits in range(1, (1 << n) - 1):
             c = CyclePattern(tuple(bool(bits >> i & 1) for i in range(n)))
-            vlen, start, fw = longest_directed_segment(c)
+            offset, reflected, vlen = run_frame(c)
             assert has_directed_window(c, vlen)
             assert not has_directed_window(c, vlen + 1)
-            # the reported run really is directed
-            o = c.orientation
-            assert all(o[(start + i) % n] == fw for i in range(vlen - 1))
+            # the framed run really is directed and forward
+            o = rotate(reflect(c) if reflected else c, offset).orientation
+            assert all(o[:vlen - 1])
 
 
 def test_classify_case_dichotomy():
@@ -221,21 +229,20 @@ def test_partition_case2_boundaries():
     # alternating pattern, two classes of 12 on n=24, bar = 3
     c = CyclePattern.antidirected(24)
     plan = partition_case2(c, [12, 12], beta=0.125)
-    assert plan.t == 2
+    assert len(plan.boundaries) == 2
     assert plan.boundaries[-1] == 24
     assert len(plan.overshoots) == 1
     assert all(0 <= d <= 3 for d in plan.overshoots)
-    # segments partition the positions: segment(s) is (start, length)
-    assert plan.segment(0)[0] == 0
-    for s in range(1, plan.t):
-        prev_start, prev_len = plan.segment(s - 1)
-        assert plan.segment(s)[0] == prev_start + prev_len
-    assert sum(plan.segment(s)[1] for s in range(plan.t)) == 24
+    # segment s covers [boundaries[s-1], boundaries[s]): the segments tile
+    # the positions, and each one runs past its cumulative class size by
+    # its overshoot
+    assert list(plan.boundaries) == sorted(plan.boundaries)
+    assert plan.boundaries[0] == 12 + plan.overshoots[0]
     # position 0 is a source: wrap edge leaves backward, edge 0 forward
     assert not c.orientation[-1] and c.orientation[0]
     # each boundary cut sits at a forward edge end (o[cut-1] is True)
-    for s in range(plan.t - 1):
-        assert c.orientation[plan.boundaries[s] - 1]
+    for b in plan.boundaries[:-1]:
+        assert c.orientation[b - 1]
 
 
 def test_partition_case2_source_start_required():
@@ -249,21 +256,16 @@ def test_directed_run_decomposition_blocks():
     # n=12, longest run = edges 0..5 forward (7 vertices at positions 0..6);
     # the trailing "--" prevents a wrap extension
     c = CyclePattern.from_string("++++++-+-+--")
-    plan = directed_run_decomposition_case1b(c, 3)
-    assert plan.ell == 7
+    offset, reflected, ell = run_frame(c)
+    assert (offset, reflected, ell) == (0, False, 7)
+    plan = _case1b_blocks(c, ell, 3)
     # blocks tile the complement [7, 12)
-    assert sum(plan.block_sizes) == 12 - plan.ell
+    assert sum(plan.block_sizes) == 12 - ell
     assert all(2 <= b <= 3 for b in plan.block_sizes)
-    assert plan.starts[0] == plan.ell
+    assert plan.starts[0] == ell
     for i in range(1, len(plan.starts)):
         assert plan.starts[i] == plan.starts[i - 1] + plan.block_sizes[i - 1]
     # one aux edge per inter-block boundary, orientation copied from the cycle
     assert plan.aux_path.length == len(plan.block_sizes)
     for i in range(len(plan.block_sizes) - 1):
         assert plan.aux_path.orientation[i] == c.orientation[plan.starts[i + 1] - 1]
-
-
-def test_directed_run_decomposition_rejects_unframed():
-    c = CyclePattern.from_string("-+++++-+-+-+")  # run starts at position 1
-    with pytest.raises(Exception):
-        directed_run_decomposition_case1b(c, 3)
