@@ -92,29 +92,20 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _decomposition_params(g: Digraph, args: argparse.Namespace) -> DecompositionParams:
+    """Fitted parameters with any given k/zeta/alpha replaced, or the
+    explicit ones; either way the floor is clamped to the effective alpha."""
     if args.adaptive or args.k is None:
-        fitted = fit_decomposition_params(g, alpha_floor=args.alpha_floor,
-                                          exact_threshold=args.exact_cap)
-        overrides = {}
-        if args.k is not None:
-            overrides["k"] = args.k
-        if args.zeta is not None:
-            overrides["zeta"] = args.zeta
-        if args.alpha is not None:
-            overrides["alpha"] = args.alpha
-            overrides["alpha_floor"] = min(fitted.alpha_floor, args.alpha)
-        return replace(fitted, **overrides) if overrides else fitted
-    # build with a zero floor so alpha gets its default fill, then clamp
-    # the requested floor to the effective alpha
-    base = DecompositionParams(
-        k=args.k,
-        zeta=args.zeta if args.zeta is not None else 0.2,
-        alpha=args.alpha,
-        exact_threshold=args.exact_cap,
-        enforce_hierarchy=not args.no_hierarchy,
-        alpha_floor=0.0,
-    )
-    return replace(base, alpha_floor=min(args.alpha_floor, base.alpha))
+        given = {name: getattr(args, name) for name in ("k", "zeta", "alpha")
+                 if getattr(args, name) is not None}
+        p = replace(fit_decomposition_params(g, alpha_floor=args.alpha_floor,
+                                             exact_threshold=args.exact_cap),
+                    **given, alpha_floor=0.0)
+    else:
+        p = DecompositionParams(
+            k=args.k, zeta=args.zeta if args.zeta is not None else 0.2,
+            alpha=args.alpha, exact_threshold=args.exact_cap,
+            enforce_hierarchy=not args.no_hierarchy)
+    return replace(p, alpha_floor=min(args.alpha_floor, p.alpha))
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
@@ -135,14 +126,20 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 # embed
 
 
+def _load_partition(path: str, g: Digraph):
+    """The partition file at path; it must cover g's vertex count."""
+    sp = partition_from_json_dict(load_json(path))
+    if sp.n != g.n:
+        raise InputError(f"partition covers n={sp.n}, host has n={g.n}")
+    return sp
+
+
 def _embedding_partition(g: Digraph, args: argparse.Namespace):
     """The --partition artifact, else a fresh decomposition, in the
     reversed class order the pipeline consumes (dense direction forward);
     stored artifacts keep the partition's own order."""
     if args.partition:
-        sp = partition_from_json_dict(load_json(args.partition))
-        if sp.n != g.n:
-            raise InputError(f"partition covers n={sp.n}, host has n={g.n}")
+        sp = _load_partition(args.partition, g)
     else:
         sp = decompose(g, fit_decomposition_params(g))
     return reverse_for_embedding(sp)
@@ -213,10 +210,7 @@ def _verify_cut(g: Digraph, args: argparse.Namespace) -> tuple[dict, bool]:
 
 
 def _verify_partition_file(g: Digraph, args: argparse.Namespace) -> tuple[dict, bool]:
-    sp = partition_from_json_dict(load_json(args.partition))
-    if sp.n != g.n:
-        raise InputError(f"partition covers n={sp.n}, host has n={g.n}")
-    report = verify_partition(g, sp, sp.params)
+    report = verify_partition(g, _load_partition(args.partition, g))
     return report.to_json_dict(), report.ok
 
 
@@ -324,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     par.add_argument("--exact-cap", type=int, default=20,
                      help="largest class checked by exhaustive sweep")
     par.add_argument("--no-hierarchy", action="store_true",
-                     help="skip the asymptotic parameter-chain inequalities")
+                     help="skip the hierarchy check alpha <= zeta/(24(k+1))")
     par.add_argument("--adaptive", action="store_true",
                      help="fit parameters from the instance's degree slack")
     par.add_argument("--seed", type=int, default=0)

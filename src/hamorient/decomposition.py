@@ -14,7 +14,7 @@ reverse_for_embedding).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .bitset import bit_list, mask_of
 from .digraph import Digraph, cross_counts, degree_profile, induced
@@ -37,17 +37,16 @@ _K_MAX = 8
 class DecompositionParams:
     """Fraction hierarchy for the partition procedure.
 
-    With enforce_hierarchy the explicit inequalities nu <= alpha*tau*zeta/16,
-    tau <= alpha/8, alpha <= zeta/(24(k+1)) are required; alpha_floor lifts
-    the bottom of the squared schedule so that small instances are not asked
-    for impossibly sparse cuts (any positive floor relaxes the theorem-backed
-    guarantees and is reported in the audit).
+    tau = alpha/10 and nu = alpha*tau*zeta/16 are derived from alpha and
+    zeta, never stored. With enforce_hierarchy alpha <= zeta/(24(k+1)) is
+    required; alpha_floor lifts the bottom of the squared schedule so that
+    small instances are not asked for impossibly sparse cuts (any positive
+    floor relaxes the theorem-backed guarantees and is reported in the
+    audit).
     """
     k: int
     zeta: float = 0.2
     alpha: float | None = None
-    tau: float | None = None
-    nu: float | None = None
     exact_threshold: int = 20
     enforce_hierarchy: bool = True
     alpha_floor: float = 0.0
@@ -59,30 +58,24 @@ class DecompositionParams:
             raise InputError(f"zeta must lie in (0, 1-1/(k+1)), got {self.zeta}")
         if self.alpha is None:
             object.__setattr__(self, "alpha", self.zeta / (25 * (self.k + 1)))
-        if self.tau is None:
-            object.__setattr__(self, "tau", self.alpha / 10)
-        if self.nu is None:
-            object.__setattr__(self, "nu", self.alpha * self.tau * self.zeta / 16)
-        for name in ("alpha", "tau", "nu"):
-            v = getattr(self, name)
-            if not 0 < v < 1:
-                raise InputError(f"{name} must lie in (0,1), got {v}")
+        if not 0 < self.alpha < 1:
+            raise InputError(f"alpha must lie in (0,1), got {self.alpha}")
         if not 0 <= self.alpha_floor <= self.alpha:
             raise InputError("alpha_floor must lie in [0, alpha]")
         if not 1 <= self.exact_threshold <= 24:
             raise InputError("exact_threshold must lie in 1..24")
-        if self.enforce_hierarchy:
-            checks = [
-                ("nu <= alpha*tau*zeta/16", self.nu,
-                 self.alpha * self.tau * self.zeta / 16),
-                ("tau <= alpha/8", self.tau, self.alpha / 8),
-                ("alpha <= zeta/(24(k+1))", self.alpha,
-                 self.zeta / (24 * (self.k + 1))),
-            ]
-            for label, lhs, rhs in checks:
-                if lhs > rhs * (1 + 1e-9):
-                    raise InputError(f"hierarchy violated: {label} "
-                                     f"(lhs={lhs:.3e}, rhs={rhs:.3e})")
+        bound = self.zeta / (24 * (self.k + 1))
+        if self.enforce_hierarchy and self.alpha > bound * (1 + 1e-9):
+            raise InputError(f"hierarchy violated: alpha <= zeta/(24(k+1)) "
+                             f"(lhs={self.alpha:.3e}, rhs={bound:.3e})")
+
+    @property
+    def tau(self) -> float:
+        return self.alpha / 10
+
+    @property
+    def nu(self) -> float:
+        return self.alpha * self.tau * self.zeta / 16
 
     def round_levels(self, b: int) -> tuple[float, float]:
         """(search threshold, cleaning level) for refinement round b >= 0.
@@ -166,14 +159,8 @@ class StructurePartition:
             "verdicts": [v.to_json_dict() for v in self.verdicts],
             "audit": list(self.audit),
             "flags": list(self.flags),
-            "params": {
-                "k": self.params.k, "zeta": self.params.zeta,
-                "alpha": self.params.alpha, "tau": self.params.tau,
-                "nu": self.params.nu,
-                "exact_threshold": self.params.exact_threshold,
-                "enforce_hierarchy": self.params.enforce_hierarchy,
-                "alpha_floor": self.params.alpha_floor,
-            },
+            "params": {**asdict(self.params), "tau": self.params.tau,
+                       "nu": self.params.nu},
         }
         if g is not None:
             d["cross"] = self.cross_matrix(g)
@@ -375,19 +362,20 @@ def decompose(g: Digraph, p: DecompositionParams, seed: int = 0) -> StructurePar
             idx += 2
 
     sp = StructurePartition(n, tuple(classes), (), p, tuple(audit), tuple(flags))
-    report = verify_partition(g, sp, p)
+    report = verify_partition(g, sp)
     return replace(sp, verdicts=report.verdicts, report=report)
 
 
-def verify_partition(g: Digraph, sp: StructurePartition,
-                     p: DecompositionParams) -> PartitionReport:
-    """Recompute the four partition properties from raw adjacency.
+def verify_partition(g: Digraph, sp: StructurePartition) -> PartitionReport:
+    """Recompute the four partition properties from raw adjacency, at the
+    partition's own parameters sp.params.
 
     Shares no state with decompose: any partition of any digraph gets a
     deterministic report. Expander checks run exact below the threshold
     and sampled above (sampled passes are flagged, not certified).
     """
     n = g.n
+    p = sp.params
     t = sp.t
     union = 0
     for m in sp.classes:
@@ -477,9 +465,9 @@ def fit_decomposition_params(g: Digraph, alpha_floor: float = 0.1,
     alpha_floor so small instances are not asked for impossibly sparse
     cuts. The default floor admits cuts of forward ratio up to 1%: an
     order of magnitude above typical planted noise, yet far below the ~50%
-    ratio of any cut that crosses a dense block. The hierarchy
-    inequalities are deliberately not enforced: at these sizes the
-    asymptotic constant chain collapses, which the partition records.
+    ratio of any cut that crosses a dense block. The hierarchy check
+    alpha <= zeta/(24(k+1)) is deliberately not enforced: at these sizes
+    the asymptotic constant chain collapses, which the partition records.
     """
     n = g.n
     if n == 0:
@@ -500,14 +488,14 @@ def fit_decomposition_params(g: Digraph, alpha_floor: float = 0.1,
     alpha = max(zeta / (25 * (k + 1)), alpha_floor)
     return DecompositionParams(k=k, zeta=zeta, alpha=alpha,
                                exact_threshold=exact_threshold,
-                               enforce_hierarchy=False,
-                               alpha_floor=min(alpha_floor, alpha))
+                               enforce_hierarchy=False, alpha_floor=alpha_floor)
 
 
 def partition_from_json_dict(d: dict) -> StructurePartition:
     """Rebuild the class structure from a serialized partition.
 
-    Certificates are not reconstructed (verdicts come back empty); the
+    Certificates are not reconstructed (verdicts come back empty), and the
+    stored tau and nu are ignored: both derive from alpha and zeta. The
     result carries everything the embedding pipeline consumes. A missing
     'n' or 'classes', classes that do not split 0..n-1 into disjoint
     lists of vertices, or a mistyped parameter raises InputError."""
@@ -526,7 +514,6 @@ def partition_from_json_dict(d: dict) -> StructurePartition:
         params = DecompositionParams(
             k=pd.get("k", max(1, len(classes) - 1) if len(classes) > 1 else 1),
             zeta=pd.get("zeta", 0.2), alpha=pd.get("alpha"),
-            tau=pd.get("tau"), nu=pd.get("nu"),
             exact_threshold=pd.get("exact_threshold", 20),
             enforce_hierarchy=pd.get("enforce_hierarchy", False),
             alpha_floor=pd.get("alpha_floor", 0.0))

@@ -331,14 +331,6 @@ class CutCertificate:
     alpha_achieved: float
     exact: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "cut": bit_list(self.side1),
-            "e_forward": self.e_forward,
-            "alpha_achieved": self.alpha_achieved,
-            "exact": self.exact,
-        }
-
 
 @dataclass(frozen=True)
 class CutSearchResult:

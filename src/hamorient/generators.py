@@ -156,13 +156,14 @@ def gen_tournament(n: int, kind: str = "random", seed: int = 0) -> Digraph:
     return _build(n, out_sets)
 
 
+# family -> the parameter names GenSpec.build reads
 _FAMILIES = {
-    "complete": (gen_complete_digraph, ("n",), False),
-    "bipartite_extremal": (gen_bipartite_extremal, ("n",), False),
-    "split_cliques": (gen_split_cliques, ("n",), False),
-    "blowup": (gen_blowup_tt, ("sizes", "intra", "noise"), True),
-    "random_min_degree": (gen_random_min_degree, ("n", "delta"), True),
-    "tournament": (gen_tournament, ("n", "kind"), True),
+    "complete": ("n",),
+    "bipartite_extremal": ("n",),
+    "split_cliques": ("n",),
+    "blowup": ("sizes", "intra", "noise"),
+    "random_min_degree": ("n", "delta"),
+    "tournament": ("n", "kind"),
 }
 
 
@@ -174,7 +175,7 @@ def family_param_names(family: str) -> tuple[str, ...]:
     if family not in _FAMILIES:
         raise InputError(f"unknown family {family!r}; "
                          f"known: {', '.join(sorted(_FAMILIES))}")
-    return _FAMILIES[family][1]
+    return _FAMILIES[family]
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from hamorient import find_sparse_cut, partition_from_json_dict
+from hamorient import (DecompositionParams, ExpansionParams, InputError,
+                       find_sparse_cut, gen_complete_digraph,
+                       partition_from_json_dict, robust_out_neighborhood)
 from hamorient.cli import main
 from hamorient.io import read_edges, read_header_spec
 
@@ -82,6 +84,33 @@ def test_partition_explicit_k_without_alpha(workdir, tmp_path):
     assert rc == 0
     params = json.loads(out.read_text())["params"]
     assert params["alpha_floor"] <= params["alpha"]
+
+
+@pytest.fixture(scope="module")
+def blowup40(tmp_path_factory):
+    """gen_blowup_tt([20,20], 0.95, 0.001, 7), partitioned with an alpha
+    override of the fitted parameters and with the same alpha as floor."""
+    d = tmp_path_factory.mktemp("b40")
+    graph = str(d / "graph.edges")
+    assert main(["generate", "--family", "blowup", "--sizes", "20,20",
+                 "--intra", "0.95", "--noise", "0.001", "--seed", "7",
+                 "--out", graph]) == 0
+    for name, flags in (("override", ["--adaptive", "--alpha", "0.05"]),
+                        ("floor", ["--alpha-floor", "0.05"])):
+        assert main(["partition", "--input", graph, *flags,
+                     "--out", str(d / f"{name}.json")]) == 0
+    return d
+
+
+def test_partition_alpha_override_derives_tau_and_nu(blowup40):
+    data = json.loads((blowup40 / "override.json").read_text())
+    p = data["params"]
+    assert p["alpha"] == 0.05 and p["tau"] == 0.05 / 10
+    assert p["nu"] == p["alpha"] * p["tau"] * p["zeta"] / 16
+    assert data["verdicts"] and all(
+        v["params"] == {"nu": p["nu"], "tau": p["tau"]} for v in data["verdicts"])
+    # the overridden alpha is also the floor, as if fitted with that floor
+    assert data == json.loads((blowup40 / "floor.json").read_text())
 
 
 # --- embed ----------------------------------------------------------------------
@@ -312,6 +341,37 @@ def test_malformed_artifact_exits_2(workdir, tmp_path, capsys, command, text):
     }[command]
     assert main(argv) == 2
     assert "error: " in capsys.readouterr().err
+
+
+def test_partition_for_another_host_exits_2(workdir, blowup40, capsys):
+    graph = str(workdir / "graph.edges")           # 24 vertices
+    part = str(blowup40 / "override.json")         # covers 40
+    assert main(["embed", "--input", graph, "--pattern", "antidirected",
+                 "--partition", part]) == 2
+    assert main(["verify", "--input", graph, "--partition", part]) == 2
+    assert capsys.readouterr().err.count("partition covers n=40, host has n=24") == 2
+
+
+@pytest.mark.parametrize("call", [
+    lambda graph: ExpansionParams(nu=0.0, tau=0.25),
+    lambda graph: ExpansionParams(nu=1.0, tau=0.25),
+    lambda graph: ExpansionParams(nu=0.05, tau=0.0),
+    lambda graph: ExpansionParams(nu=0.05, tau=0.5),
+    lambda graph: ExpansionParams(nu=0.05, tau=0.25, mode="fast"),
+    lambda graph: robust_out_neighborhood(gen_complete_digraph(4), 0b11, 1.5),
+    lambda graph: DecompositionParams(k=2, alpha=0.0),
+    lambda graph: DecompositionParams(k=2, alpha=1.0, enforce_hierarchy=False),
+    lambda graph: main(["verify", "--input", graph, "--nu", "1.5",
+                        "--tau", "0.25"]),
+], ids=["nu-0", "nu-1", "tau-0", "tau-half", "unknown-mode",
+        "neighborhood-nu", "alpha-0", "alpha-1", "cli-verify-nu"])
+def test_out_of_range_values_are_rejected(workdir, call):
+    """The library raises InputError; the CLI reports it with exit code 2."""
+    try:
+        rc = call(str(workdir / "graph.edges"))
+    except InputError:
+        return
+    assert rc == 2
 
 
 def test_missing_input_file(tmp_path):

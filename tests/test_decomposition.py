@@ -217,7 +217,7 @@ def test_verify_partition_rejects_wrong_split():
     rng.shuffle(verts)
     wrong = (mask_of(verts[:12]), mask_of(verts[12:]))
     sp = StructurePartition(24, wrong, (), p)
-    report = verify_partition(g, sp, p)
+    report = verify_partition(g, sp)
     assert not report.ok
     # clause 4 (forward sparsity across the order) must notice the mix
     assert not report.clause4[0]
@@ -227,16 +227,16 @@ def test_verify_partition_input_checks():
     g, masks = planted([12, 12], seed=1)
     p = fit_decomposition_params(g)
     with pytest.raises(InputError):
-        verify_partition(g, StructurePartition(24, (masks[0], masks[0]), (), p), p)
+        verify_partition(g, StructurePartition(24, (masks[0], masks[0]), (), p))
     with pytest.raises(InputError):
-        verify_partition(g, StructurePartition(24, (masks[0],), (), p), p)
+        verify_partition(g, StructurePartition(24, (masks[0],), (), p))
 
 
 def test_verify_partition_independent_of_decompose():
     # hand the verifier the planted truth without running decompose
     g, masks = planted([12, 12], seed=5)
     p = fit_decomposition_params(g)
-    report = verify_partition(g, StructurePartition(24, tuple(masks), (), p), p)
+    report = verify_partition(g, StructurePartition(24, tuple(masks), (), p))
     assert report.ok
     assert [v.outcome for v in report.verdicts] == ["expander", "expander"]
 
@@ -282,3 +282,16 @@ def test_partition_json_round_trip():
     assert back.n == sp.n
     assert back.params.k == sp.params.k
     assert back.params.alpha == pytest.approx(sp.params.alpha)
+    assert back.params == sp.params
+
+
+def test_partition_reload_ignores_stored_tau_and_nu():
+    # files whose stored tau/nu went stale re-verify at the derived values
+    g, _ = planted([12, 12], seed=2)
+    sp = decompose(g, fit_decomposition_params(g))
+    d = sp.to_json_dict(g)
+    assert (d["params"]["tau"], d["params"]["nu"]) == (sp.params.tau, sp.params.nu)
+    d["params"].update(tau=0.01, nu=1.2e-05)
+    back = partition_from_json_dict(d)
+    assert back.params == sp.params
+    assert verify_partition(g, back).verdicts == sp.verdicts

@@ -599,6 +599,27 @@ def test_pancyclic_precondition():
         pancyclic_suite(cycle_digraph(10), 1, 0.05)
 
 
+@pytest.mark.parametrize("n, delta", [(70, 113), (100, 161)])
+def test_pancyclic_spanning_lengths_above_cap_extend_odd(monkeypatch, n, delta):
+    # the length-n double-edge ring hits the spanning cap, so every
+    # length-n cell is settled by inserting one vertex into a shorter ring
+    g = gen_random_min_degree(n, delta, 1)
+    extend_odd, extended = embedding._extend_odd, []
+
+    def spy(host, base, pattern):
+        mapping = extend_odd(host, base, pattern)
+        extended.append((pattern, mapping))
+        return mapping
+
+    monkeypatch.setattr(embedding, "_extend_odd", spy)
+    report = pancyclic_suite(g, 1, 0.05, lengths=[n], orientations_per_length=3)
+    assert [(c["outcome"], c["method"]) for c in report.cells] \
+        == [("found", "odd-extension")] * 5
+    assert len(extended) == 5
+    for pattern, mapping in extended:
+        assert validate_embedding(g, pattern, mapping, spanning=True).valid
+
+
 def test_pancyclic_cells_validated():
     g = gen_complete_digraph(9)
     report = pancyclic_suite(g, 1, 0.2, seed=2, lengths=[5, 7])

@@ -114,6 +114,16 @@ def test_genspec_round_trip():
         GenSpec("nonexistent", {})
 
 
+@pytest.mark.parametrize("spec, expected", [
+    (GenSpec("split_cliques", {"n": 9}), gen_split_cliques(9)),
+    (GenSpec("tournament", {"n": 9}, seed=3), gen_tournament(9, "random", 3)),
+    (GenSpec("tournament", {"n": 9, "kind": "transitive"}),
+     gen_tournament(9, "transitive")),
+], ids=["split_cliques", "tournament-random", "tournament-transitive"])
+def test_genspec_builds_family(spec, expected):
+    assert spec.build().out_adj == expected.out_adj
+
+
 def test_family_registry():
     names = family_names()
     assert {"complete", "blowup", "bipartite_extremal", "split_cliques",
