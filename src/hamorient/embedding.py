@@ -24,10 +24,11 @@ longest run forward on [0, ell) for the long-run plans, and
 `patterns.classify_case` reads its length for the case split. Each case
 tries a fixed chain of (planner, frame, framed pattern) entries, and every
 planner takes the same arguments. A failed plan raises a named step; an
-embed that fails above the oracle's reach reports the step that blocked
-its first planner at the last attempt. The no-long-run plan takes its sink
-positions from `patterns.switches` and frames the pattern by its canonical
-rotation, whose position 0 is a source.
+embed that fails on a host too large for the whole-host oracle fallback
+reports the step that blocked its first planner at the last attempt. The
+no-long-run plan takes its sink positions from `patterns.switches` and
+frames the pattern by its canonical rotation, whose position 0 is a
+source.
 
 Every plan pins positions through one ledger (`_Ledger`),
 whose `pins` is the only record of what is pinned; pinning a position
@@ -52,17 +53,8 @@ from .digraph import (
     double_edge_graph,
     strongly_connected_components,
 )
-from .errors import (
-    CapabilityError,
-    InputError,
-    PreconditionError,
-    ResourceError,
-)
-from .oracle import (
-    SPANNING_CAP,
-    exact_embed,
-    validate_embedding,
-)
+from .errors import InputError, PreconditionError, ResourceError
+from .oracle import exact_embed, validate_embedding
 from .patterns import (
     CyclePattern,
     PathPattern,
@@ -89,6 +81,10 @@ _BETA = 0.1
 _RHO = 0.0025
 _BLOCK_CAP = 6
 _CONNECTOR_ATTEMPTS = 16
+# The whole-host oracle fallback runs only on hosts of at most this many
+# vertices. Above it, planner failures stay visible as planner steps
+# instead of being settled, or timed out, by one whole-host search.
+_FALLBACK_MAX_N = 64
 
 
 @dataclass(frozen=True)
@@ -307,11 +303,7 @@ def _fill_stretches(g: Digraph, c2: CyclePattern, plan: EmbedPlan,
                     sts: list[Stretch], pools: list[int]) -> tuple[int, ...]:
     """Fill every stretch of the plan (sts, as _check_plan returns them) by
     exact in-class path search with pinned ends; a stretch that cannot be
-    filled fails the plan with `<case>:fill:class<k>:<reason>`.
-
-    A stretch that must span its whole remaining pool is beyond the exact
-    search above SPANNING_CAP vertices; that is the reason `capability`,
-    not a raised CapabilityError."""
+    filled fails the plan with `<case>:fill:class<k>:<reason>`."""
     n = c2.n
     o = c2.orientation
     mapping: list[int | None] = [None] * n
@@ -341,8 +333,6 @@ def _fill_stretches(g: Digraph, c2: CyclePattern, plan: EmbedPlan,
             if allowed.bit_count() < s.length:
                 raise _PlanError(f"{step}:pool", f"pool {allowed.bit_count()}"
                                                  f" < stretch {s.length}")
-            if allowed.bit_count() == s.length > SPANNING_CAP:
-                raise _PlanError(f"{step}:capability")
             res = exact_embed(g, pattern,
                               pins={0: vstart, pattern.length - 1: vend},
                               allowed=allowed)
@@ -626,8 +616,8 @@ def embed_hamilton_orientation(g: Digraph, sp, c: CyclePattern) -> PipelineResul
     classes (it may genuinely be absent then). A single class goes
     straight to the exact spanning search. Otherwise each attempt draws a
     fresh connector selection; after _CONNECTOR_ATTEMPTS attempts, hosts
-    small enough fall back to the exact spanning search. The returned
-    embedding always passes the independent checker.
+    of at most _FALLBACK_MAX_N vertices fall back to the exact spanning
+    search. The returned embedding always passes the independent checker.
     """
     if c.n != g.n:
         raise InputError(f"pattern spans {c.n} vertices, host has {g.n}")
@@ -640,9 +630,6 @@ def embed_hamilton_orientation(g: Digraph, sp, c: CyclePattern) -> PipelineResul
         return PipelineResult("rejected", None, "directed", "none", 0,
                               "precondition:directed-cycle", audit)
     if t == 1:
-        if g.n > SPANNING_CAP:
-            return PipelineResult("failed", None, "single-class", "none", 0,
-                                  "single-class:capability", audit)
         return _oracle_step(g, c, "single-class", 1, audit)
 
     n = g.n
@@ -703,7 +690,7 @@ def embed_hamilton_orientation(g: Digraph, sp, c: CyclePattern) -> PipelineResul
         if not progressed and attempt >= 2:
             break                    # plans fail before connector choice matters
     audit["failures"] = failures
-    if n <= SPANNING_CAP:
+    if n <= _FALLBACK_MAX_N:
         return _oracle_step(g, c, case, attempts, audit)
     return PipelineResult("failed", None, case, "pipeline", attempts,
                           step, audit)
@@ -788,51 +775,17 @@ class PancyclicReport:
         return all(cell["outcome"] == "found" for cell in self.cells)
 
 
-def _double_edge_cycle(gstar: Digraph, length: int):
-    try:
-        res = exact_embed(gstar, CyclePattern.directed(length))
-    except CapabilityError:
-        return None
-    return res.mapping if res.found else None
-
-
-def _extend_odd(g: Digraph, base: tuple[int, ...], pattern: CyclePattern):
-    """Insert one extra vertex into an all-double-edge cycle so the result
-    realizes the given pattern (one vertex longer than the base cycle)."""
-    n = pattern.n
-    ring = list(base)
-    on_ring = set(ring)
-    o = pattern.orientation
-    for p in range(n):        # position the new vertex will play
-        need_in = o[(p - 1) % n]    # True: edge (p-1 -> p) needs x -> z
-        need_out = o[p]             # True: edge (p -> p+1) needs z -> y
-        for i in range(len(ring)):
-            x, y = ring[i], ring[(i + 1) % len(ring)]
-            for z in range(g.n):
-                if z in on_ring:
-                    continue
-                e1 = g.has_edge(x, z) if need_in else g.has_edge(z, x)
-                e2 = g.has_edge(z, y) if need_out else g.has_edge(y, z)
-                if e1 and e2:
-                    order = [z] + [ring[(i + 1 + j) % len(ring)]
-                                   for j in range(len(ring))]
-                    mapping = [0] * n
-                    for j, v in enumerate(order):
-                        mapping[(p + j) % n] = v
-                    return tuple(mapping)
-    return None
-
-
 def pancyclic_suite(g: Digraph, k: int, gamma: float, seed: int = 0,
                     lengths=None,
                     orientations_per_length: int | None = 4) -> PancyclicReport:
     """Hunt an oriented cycle of every length and sampled orientation.
 
     Strategy chain per cell: (1) a cycle of that length in the
-    double-edge graph realizes every orientation at once; (2) odd lengths
-    extend a one-shorter double-edge cycle by a single compatible vertex;
-    (3) exact search on the whole host. Positive cells are
-    checker-validated; "none" cells are exact-search proofs.
+    double-edge graph realizes every orientation at once; (2) otherwise,
+    exact search on the whole host. Both searches run at every length
+    within the oracle's node budget. Positive cells are checker-validated;
+    "none" cells are exact-search proofs and "timeout" cells ran out of
+    budget.
     """
     n = g.n
     prof = degree_profile(g)
@@ -844,30 +797,31 @@ def pancyclic_suite(g: Digraph, k: int, gamma: float, seed: int = 0,
     gstar = double_edge_graph(g)
     lengths = list(lengths) if lengths is not None else list(range(3, n + 1))
     cells: list[dict] = []
-    star_cycles: dict[int, tuple[int, ...] | None] = {}
-
-    def star_cycle(m: int):
-        if m not in star_cycles:
-            star_cycles[m] = _double_edge_cycle(gstar, m)
-        return star_cycles[m]
-
     for length in lengths:
         patterns = _sample_patterns(length, orientations_per_length, rng)
+        # a double-edge ring realizes every orientation of its length; the
+        # first cell of a length carries the ring search in its millis
+        t0 = time.monotonic()
+        ring = exact_embed(gstar, CyclePattern.directed(length)).mapping
         for pat in patterns:
-            t0 = time.monotonic()
-            outcome, method, mapping = _pancyclic_cell(
-                g, pat, length, star_cycle)
+            if ring is not None:
+                outcome, method, mapping = "found", "double-edge", ring
+            else:
+                res = exact_embed(g, pat)
+                outcome, method, mapping = res.status, "oracle", res.mapping
             if mapping is not None:
                 check = validate_embedding(g, pat, mapping)
                 if not check.valid:
-                    outcome, method, mapping = "failed", method + "+checker", None
+                    outcome, method = "failed", method + "+checker"
+            t1 = time.monotonic()
             cells.append({
                 "length": length,
                 "pattern": pat.to_string(),
                 "outcome": outcome,
                 "method": method,
-                "millis": round(1000 * (time.monotonic() - t0), 3),
+                "millis": round(1000 * (t1 - t0), 3),
             })
+            t0 = t1
     return PancyclicReport(tuple(cells))
 
 
@@ -888,20 +842,3 @@ def _sample_patterns(length: int, count: int | None, rng: random.Random):
             pats.append(canon)
     return pats
 
-
-def _pancyclic_cell(g, pat, length, star_cycle):
-    base = star_cycle(length)
-    if base is not None:       # a double-edge ring realizes every orientation
-        return "found", "double-edge", base
-    shorter = star_cycle(length - 1) if length - 1 >= 3 else None
-    if shorter is not None:
-        mapping = _extend_odd(g, shorter, pat)
-        if mapping is not None:
-            return "found", "odd-extension", mapping
-    try:
-        res = exact_embed(g, pat)
-    except CapabilityError:
-        return "inconclusive", "oracle-capped", None
-    if res.found:
-        return "found", "oracle", res.mapping
-    return res.status, "oracle", None

@@ -25,8 +25,11 @@ Every other search is one backtracking pass. Either way the call stops
 once it has spent node_budget nodes (default NODE_BUDGET).
 
 Fully directed cycle patterns are first restricted to single strongly
-connected components (a directed cycle cannot cross them). Spanning
-searches are capped at 64 vertices; callers are told up front.
+connected components (a directed cycle cannot cross them). There is no
+size cap: the node budget bounds a search on any number of vertices. A
+satisfiable spanning search on a dense host often finds its mapping with
+about one node per position; a refutation above DP_CAP vertices usually
+spends the whole budget and ends "timeout".
 """
 
 from __future__ import annotations
@@ -34,12 +37,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .bitset import bit_list, bits_of
+from .bitset import bit_list, bits_of, mask_of
 from .digraph import Digraph, induced, strongly_connected_components
-from .errors import CapabilityError, InputError
+from .errors import InputError
 from .patterns import CyclePattern
 
-SPANNING_CAP = 64
 DP_CAP = 16
 BT_STAGE_NODES = 20_480
 DP_STATE_BUDGET = 400_000
@@ -368,50 +370,42 @@ def exact_embed(host: Digraph, pattern, pins: dict[int, int] | None = None,
             raise InputError(f"pin vertex {v} unusable")
     if len(set(pins.values())) != len(pins):
         raise InputError("pins collide on a host vertex")
-    pool = allowed.bit_count()
-    if size == pool and size > SPANNING_CAP:
-        raise CapabilityError(f"spanning search capped at {SPANNING_CAP} vertices, got {size}")
-    if size > pool:
-        return EmbedResult("none", None, 0, time.monotonic() - t0, "size")
+    status, mapping, nodes, method = _search(host, pattern, size, pins, allowed,
+                                             node_budget)
+    return EmbedResult(status, mapping, nodes, time.monotonic() - t0, method)
+
+
+def _search(host: Digraph, pattern, size: int, pins: dict[int, int], allowed: int,
+            node_budget: int) -> tuple[str, tuple[int, ...] | None, int, str]:
+    """exact_embed's answer as (status, mapping, nodes, method)."""
+    if size > allowed.bit_count():
+        return "none", None, 0, "size"
     # pinned pattern edges must already exist
     edges = pattern_edges(pattern)
     for a, b in edges:
         if a in pins and b in pins and not host.has_edge(pins[a], pins[b]):
-            return EmbedResult("none", None, 0, time.monotonic() - t0, "pins")
+            return "none", None, 0, "pins"
     if size == 1:
-        v = pins.get(0, None)
-        if v is None:
-            if not allowed:
-                return EmbedResult("none", None, 0, time.monotonic() - t0, "size")
-            v = (allowed & -allowed).bit_length() - 1
-        return EmbedResult("found", (v,), 0, time.monotonic() - t0, "trivial")
+        v = pins.get(0, (allowed & -allowed).bit_length() - 1)
+        return "found", (v,), 0, "trivial"
 
-    adj = _pattern_adjacency(size, edges)
-    nodes = 0
-    is_cycle = isinstance(pattern, CyclePattern)
-    if is_cycle and pattern.is_directed():
+    directed = isinstance(pattern, CyclePattern) and pattern.is_directed()
+    if directed:
         # a directed cycle lives inside one strongly connected component
         sub, verts = induced(host, allowed)
-        comps = strongly_connected_components(sub)
-        status_overall = "none"
-        method = "scc"
-        for comp in comps:
-            comp_mask = 0
-            for i in bits_of(comp):
-                comp_mask |= 1 << verts[i]
-            if comp_mask.bit_count() < size:
-                continue
-            if any(not comp_mask >> v & 1 for v in pins.values()):
-                continue
-            status, mapping, m, nodes = _engine(host, pattern, adj, pins, comp_mask,
-                                                nodes, node_budget)
-            if status == "found":
-                return EmbedResult("found", mapping, nodes, time.monotonic() - t0, "scc+" + m)
-            if status == "timeout":
-                status_overall = "timeout"
-                break
-        return EmbedResult(status_overall, None, nodes, time.monotonic() - t0, method)
-
-    status, mapping, method, nodes = _engine(host, pattern, adj, pins, allowed,
-                                             nodes, node_budget)
-    return EmbedResult(status, mapping, nodes, time.monotonic() - t0, method)
+        comps = [mask_of(verts[i] for i in bits_of(comp))
+                 for comp in strongly_connected_components(sub)]
+        pools = [m for m in comps if m.bit_count() >= size
+                 and all(m >> v & 1 for v in pins.values())]
+    else:
+        pools = [allowed]
+    adj = _pattern_adjacency(size, edges)
+    status, mapping, method, nodes = "none", None, "", 0
+    for pool in pools:
+        status, mapping, method, nodes = _engine(host, pattern, adj, pins, pool,
+                                                 nodes, node_budget)
+        if status != "none":
+            break
+    if directed:
+        method = "scc+" + method if status == "found" else "scc"
+    return status, mapping, nodes, method

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -161,7 +162,8 @@ def test_embed_oracle_mode(tmp_path):
     assert data["method"] == "oracle" and data["checker"]["valid"] is True
 
 
-def test_embed_beyond_spanning_cap_exits_failed(tmp_path):
+def test_embed_classes_above_64_vertices_embeds(tmp_path):
+    # each class spans 100 vertices, so its last stretch is a spanning fill
     graph = tmp_path / "b200.edges"
     assert main(["generate", "--family", "blowup", "--sizes", "100,100",
                  "--intra", "0.95", "--noise", "0.001", "--seed", "7",
@@ -169,24 +171,35 @@ def test_embed_beyond_spanning_cap_exits_failed(tmp_path):
     out = tmp_path / "anti.json"
     rc = main(["embed", "--input", str(graph), "--pattern", "antidirected",
                "--out", str(out)])
-    assert rc == 1
+    assert rc == 0
     data = json.loads(out.read_text())
-    assert data["status"] == "failed" and data["failure_step"]
-    assert any(f.endswith(":capability") for f in data["audit"]["failures"])
+    assert data["status"] == "embedded" and data["method"] == "pipeline"
+    assert data["checker"]["valid"] is True
 
 
-
-def test_embed_single_class_beyond_spanning_cap_exits_failed(tmp_path):
+def test_embed_single_class_above_64_vertices_embeds(tmp_path):
     graph = tmp_path / "r100.edges"
     assert main(["generate", "--family", "random_min_degree", "--n", "100",
                  "--delta", "160", "--seed", "1", "--out", str(graph)]) == 0
     out = tmp_path / "anti.json"
     rc = main(["embed", "--input", str(graph), "--pattern", "antidirected",
                "--out", str(out)])
-    assert rc == 1
+    assert rc == 0
     data = json.loads(out.read_text())
-    assert data["status"] == "failed" and data["case"] == "single-class"
-    assert data["failure_step"] == "single-class:capability"
+    assert data["status"] == "embedded" and data["case"] == "single-class"
+    assert data["checker"]["valid"] is True
+
+
+def test_embed_oracle_mode_above_64_vertices(tmp_path):
+    graph = tmp_path / "r100.edges"
+    assert main(["generate", "--family", "random_min_degree", "--n", "100",
+                 "--delta", "110", "--seed", "1", "--out", str(graph)]) == 0
+    out = tmp_path / "anti.json"
+    rc = main(["embed", "--input", str(graph), "--pattern", "antidirected",
+               "--mode", "oracle", "--out", str(out)])
+    assert rc == 0
+    data = json.loads(out.read_text())
+    assert data["method"] == "oracle" and data["checker"]["valid"] is True
 
 
 def test_embed_pattern_length_mismatch(workdir):
@@ -391,6 +404,23 @@ def test_experiment_end_to_end(tmp_path, capsys):
     assert (out / "dichotomy.csv").exists()
     assert (out / "summary.json").exists()
     assert "experiment:" in capsys.readouterr().out
+
+
+def test_experiment_two_factor_above_64_vertices(tmp_path):
+    # a 70-vertex component used to abort the whole run before any CSV
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": [
+        {"suite": "two_factor", "seed": 0, "n_grid": [70], "k_grid": [1],
+         "trials": 1},
+        {"suite": "dichotomy", "seed": 0, "n": 10, "trials": 1},
+    ]}))
+    out = tmp_path / "results"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "dichotomy.csv").exists()
+    with open(out / "two_factor.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [(r["n"], r["outcome"]) for r in rows][0] == ("70", "pass")
+    assert all(r["outcome"] == "pass" for r in rows)
 
 
 def test_experiment_unknown_suite_parameter_exits_2(tmp_path, capsys):

@@ -6,7 +6,8 @@ import pytest
 
 from hamorient import (CyclePattern, EmbedResult, InputError, PathPattern,
                        PreconditionError, ResourceError, decompose,
-                       embed_hamilton_orientation, fit_decomposition_params,
+                       double_edge_graph, embed_hamilton_orientation,
+                       exact_embed, fit_decomposition_params,
                        gen_blowup_tt, gen_complete_digraph,
                        gen_random_min_degree, pancyclic_suite,
                        reverse_for_embedding, select_connectors,
@@ -15,6 +16,7 @@ from hamorient import embedding
 from hamorient.bitset import mask_of
 from hamorient.embedding import _Ledger, _PlanError, _plan_case1a
 from hamorient.patterns import reflect, rotate, run_frame
+from hamorient.workbench import _validate_two_factor
 
 from conftest import cycle_digraph
 
@@ -228,34 +230,39 @@ def test_pipeline_audit_contents():
     assert res.audit["forward_density_ok"]
 
 
-def test_pipeline_classes_above_spanning_cap():
-    # classes of 100 (n = 200): every orientation ends embedded and
-    # checker-valid, or failed with a named step; none raises. A fill that
-    # would span a whole class is beyond the exact search, so such a plan
-    # fails with a named step instead of raising
-    g, sp = embedding_partition([100, 100], seed=7, intra=0.95, noise=0.001)
-    assert sp.sizes() == [100, 100]
-    patterns = [rand_pattern(200, 1), rand_pattern(200, 2)]
-    rng = random.Random(5)
-    while len(patterns) < 12:
-        c = CyclePattern(tuple(rng.random() < 0.5 for _ in range(g.n)))
+def _nondirected_patterns(n, rng, count):
+    patterns = []
+    while len(patterns) < count:
+        c = CyclePattern(tuple(rng.random() < 0.5 for _ in range(n)))
         if not c.is_directed():
             patterns.append(c)
-    anti = CyclePattern.from_string("+-" * 100)
-    embedded = 0
-    for c in patterns + [anti]:
+    return patterns
+
+
+def _assert_all_embed(g, sp, patterns):
+    for c in patterns:
         res = embed_hamilton_orientation(g, sp, c)
-        assert res.status in ("embedded", "failed")
-        if res.ok:
-            embedded += 1
-            assert validate_embedding(g, c, res.embedding.mapping,
-                                      spanning=True).valid
-        else:
-            assert _STEP.fullmatch(res.failure_step), res.failure_step
-    assert embedded >= 1
-    # the antidirected cycle, embedded last, is blocked by that capability
-    assert res.status == "failed" and res.method == "pipeline"
-    assert any(f.endswith(":capability") for f in res.audit["failures"])
+        assert res.ok, (c.to_string(), res.failure_step)
+        assert validate_embedding(g, c, res.embedding.mapping,
+                                  spanning=True).valid
+
+
+def test_pipeline_classes_above_spanning_cap():
+    # classes of 100 (n = 200): the last stretch of each class is a
+    # spanning fill of 100 vertices, and every orientation embeds
+    g, sp = embedding_partition([100, 100], seed=7, intra=0.95, noise=0.001)
+    assert sp.sizes() == [100, 100]
+    patterns = [rand_pattern(200, 1), rand_pattern(200, 2)] \
+        + _nondirected_patterns(g.n, random.Random(5), 10)
+    _assert_all_embed(g, sp, patterns + [CyclePattern.antidirected(200)])
+
+
+def test_pipeline_three_classes_of_150():
+    # n = 450, far above the whole-host oracle fallback
+    g, sp = embedding_partition([150] * 3, seed=3, intra=0.95, noise=0.001)
+    assert sp.sizes() == [150] * 3
+    patterns = _nondirected_patterns(g.n, random.Random(5), 20)
+    _assert_all_embed(g, sp, patterns + [CyclePattern.antidirected(g.n)])
 
 
 def _cycle_edges(c, mapping):
@@ -376,14 +383,24 @@ def test_pipeline_length_mismatch():
 
 
 def test_pipeline_single_class_above_spanning_cap():
-    # one class of 100 vertices: the spanning search cannot run on it, so
-    # the pipeline names the failure instead of raising
+    # one class of 100 vertices goes to the exact spanning search
     g = gen_random_min_degree(100, 160, seed=1)
     sp = decompose(g, fit_decomposition_params(g))
     assert sp.t == 1
-    res = embed_hamilton_orientation(g, sp, CyclePattern.from_string("+-" * 50))
-    assert res.status == "failed" and res.case == "single-class"
-    assert res.failure_step == "single-class:capability"
+    c = CyclePattern.from_string("+-" * 50)
+    res = embed_hamilton_orientation(g, sp, c)
+    assert (res.status, res.case, res.method) == ("embedded", "single-class", "oracle")
+    assert validate_embedding(g, c, res.embedding.mapping, spanning=True).valid
+
+
+def test_pipeline_single_class_of_200():
+    g = gen_random_min_degree(200, 220, seed=1)
+    sp = decompose(g, fit_decomposition_params(g))
+    assert sp.t == 1
+    patterns = [CyclePattern.directed(200), CyclePattern.antidirected(200),
+                CyclePattern((False,) + (True,) * 199)] \
+        + _nondirected_patterns(200, random.Random(5), 3)
+    _assert_all_embed(g, sp, patterns)
 
 
 def _mapping_digest(mapping):
@@ -543,6 +560,12 @@ def test_two_factor_two_blocks():
     assert len(cycles) == 2
 
 
+def test_two_factor_component_of_200():
+    g = gen_random_min_degree(200, 299, seed=1)
+    cycles = two_factor(g, 1)
+    assert _validate_two_factor(g, cycles, 1) == ("pass", "1 cycles")
+
+
 def test_two_factor_degree_tightness():
     # the blown-up witness sits exactly one below the k=1 threshold
     g = gen_blowup_tt([6, 6], intra=1.0, forward_noise=0.0, seed=0)
@@ -600,24 +623,18 @@ def test_pancyclic_precondition():
 
 
 @pytest.mark.parametrize("n, delta", [(70, 113), (100, 161)])
-def test_pancyclic_spanning_lengths_above_cap_extend_odd(monkeypatch, n, delta):
-    # the length-n double-edge ring hits the spanning cap, so every
-    # length-n cell is settled by inserting one vertex into a shorter ring
+def test_pancyclic_spanning_lengths_above_cap_extend_odd(n, delta):
+    # named for the odd extension that settled these cells while spanning
+    # searches stopped at 64 vertices; the length-n double-edge ring
+    # settles every length-n cell now
     g = gen_random_min_degree(n, delta, 1)
-    extend_odd, extended = embedding._extend_odd, []
-
-    def spy(host, base, pattern):
-        mapping = extend_odd(host, base, pattern)
-        extended.append((pattern, mapping))
-        return mapping
-
-    monkeypatch.setattr(embedding, "_extend_odd", spy)
     report = pancyclic_suite(g, 1, 0.05, lengths=[n], orientations_per_length=3)
     assert [(c["outcome"], c["method"]) for c in report.cells] \
-        == [("found", "odd-extension")] * 5
-    assert len(extended) == 5
-    for pattern, mapping in extended:
-        assert validate_embedding(g, pattern, mapping, spanning=True).valid
+        == [("found", "double-edge")] * 5
+    ring = exact_embed(double_edge_graph(g), CyclePattern.directed(n)).mapping
+    for cell in report.cells:
+        pattern = CyclePattern.from_string(cell["pattern"])
+        assert validate_embedding(g, pattern, ring, spanning=True).valid
 
 
 def test_pancyclic_cells_validated():
@@ -625,4 +642,4 @@ def test_pancyclic_cells_validated():
     report = pancyclic_suite(g, 1, 0.2, seed=2, lengths=[5, 7])
     for cell in report.cells:
         assert cell["outcome"] == "found"
-        assert cell["method"] in ("double-edge", "odd-extension", "oracle")
+        assert cell["method"] in ("double-edge", "oracle")

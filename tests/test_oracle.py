@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from hamorient import (CapabilityError, CyclePattern, Digraph, InputError,
+from hamorient import (CyclePattern, Digraph, InputError,
                        PathPattern, exact_embed,
                        gen_bipartite_extremal, gen_blowup_tt,
                        validate_embedding)
@@ -168,10 +168,21 @@ def test_pool_smaller_than_pattern_is_none():
     assert res.status == "none"
 
 
-def test_spanning_cap_raises():
+def test_spanning_search_above_64_vertices_is_found():
     g = cycle_digraph(70)
-    with pytest.raises(CapabilityError):
-        exact_embed(g, CyclePattern.directed(70))
+    c = CyclePattern.directed(70)
+    res = exact_embed(g, c)
+    assert res.status == "found"
+    assert validate_embedding(g, c, res.mapping, spanning=True).valid
+
+
+def test_refutation_above_64_vertices_is_bounded_by_work():
+    # no size cap refuses the search up front: it spends exactly its node
+    # budget, and a second identical call spends the same
+    g = gen_bipartite_extremal(100)
+    for _ in range(2):
+        res = exact_embed(g, CyclePattern.antidirected(100), node_budget=60_000)
+        assert (res.status, res.nodes) == ("timeout", 60_000)
 
 
 def test_non_spanning_search_on_large_host_is_fine():
