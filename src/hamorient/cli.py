@@ -93,19 +93,23 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _decomposition_params(g: Digraph, args: argparse.Namespace) -> DecompositionParams:
     """Fitted parameters with any given k/zeta/alpha replaced, or the
-    explicit ones; either way the floor is clamped to the effective alpha."""
+    explicit ones. Fitting floors alpha at --alpha-floor, 0.1 unless
+    given; explicit parameters get a floor only when one is given. Either
+    way the floor is clamped to the effective alpha."""
     if args.adaptive or args.k is None:
+        floor = 0.1 if args.alpha_floor is None else args.alpha_floor
         given = {name: getattr(args, name) for name in ("k", "zeta", "alpha")
                  if getattr(args, name) is not None}
-        p = replace(fit_decomposition_params(g, alpha_floor=args.alpha_floor,
+        p = replace(fit_decomposition_params(g, alpha_floor=floor,
                                              exact_threshold=args.exact_cap),
                     **given, alpha_floor=0.0)
     else:
+        floor = args.alpha_floor or 0.0
         p = DecompositionParams(
             k=args.k, zeta=args.zeta if args.zeta is not None else 0.2,
             alpha=args.alpha, exact_threshold=args.exact_cap,
             enforce_hierarchy=not args.no_hierarchy)
-    return replace(p, alpha_floor=min(args.alpha_floor, p.alpha))
+    return replace(p, alpha_floor=min(floor, p.alpha))
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
@@ -313,8 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     par.add_argument("--k", type=int, help="target level count (omit to fit)")
     par.add_argument("--zeta", type=float, help="degree-slack parameter")
     par.add_argument("--alpha", type=float, help="top-level cut sparsity")
-    par.add_argument("--alpha-floor", type=float, default=0.1,
-                     help="lower bound on the cut-sparsity schedule")
+    par.add_argument("--alpha-floor", type=float,
+                     help="lower bound on the cut-sparsity schedule "
+                          "(default 0.1 when fitting, none with --k)")
     par.add_argument("--exact-cap", type=int, default=20,
                      help="largest class checked by exhaustive sweep")
     par.add_argument("--no-hierarchy", action="store_true",

@@ -32,6 +32,11 @@ entry: each step takes every live climb's best move out of X1 with one
 row-wise argmin and its best move into X1 with one argmax, and a move of
 v updates its row with row v plus column v of A. A climb leaves the batch
 when it stops. All three give exactly the results of set-by-set loops.
+Sampled certification also draws its random sets as rows, one size
+decile at a time: one randbytes call gives every row one random word per
+vertex, and np.partition keeps the `size` vertices with the smallest
+words (ties to the smaller vertex), so no set is built element by
+element.
 """
 
 from __future__ import annotations
@@ -103,17 +108,22 @@ def _adjacency(g: Digraph) -> np.ndarray:
     return set_rows(g.out_adj, g.n).astype(np.int16)
 
 
-def _row_chunks(masks: list[int], adj: np.ndarray):
-    """Yield (offset, rows, counts) per chunk of masks, where rows holds the
-    sets as 0/1 rows and counts = rows @ adj, i.e. counts[i, v] is the
-    number of in-neighbours of v in set i.
+def _in_counts(rows: np.ndarray, adj: np.ndarray) -> np.ndarray:
+    """rows @ adj for 0/1 int16 set rows: entry [i, v] is the number of
+    in-neighbours of v in set i.
 
     einsum multiplies int16 matrices with vectorised sum-of-products
     loops, single-threaded and exact; matmul has no fast path for integer
     types and is several times slower."""
+    return np.einsum("iu,uv->iv", rows, adj)
+
+
+def _row_chunks(masks: list[int], adj: np.ndarray):
+    """Yield (offset, rows, counts) per chunk of masks, where rows holds the
+    sets as 0/1 rows and counts = _in_counts(rows, adj)."""
     for i in range(0, len(masks), _ROW_CHUNK):
         rows = set_rows(masks[i:i + _ROW_CHUNK], adj.shape[0]).astype(np.int16)
-        yield i, rows, np.einsum("iu,uv->iv", rows, adj)
+        yield i, rows, _in_counts(rows, adj)
 
 
 def robust_out_neighborhood(g: Digraph, s: int, nu: float) -> int:
@@ -272,30 +282,46 @@ def _prefix_masks(g: Digraph, orders: int) -> list[int]:
 _SAMPLES_PER_DECILE = 64
 
 
-def _sampled_candidates(g: Digraph, lo: int, hi: int, seed: int) -> list[int]:
+def _sampled_candidates(g: Digraph, lo: int, hi: int, seed: int) -> np.ndarray:
+    """The sets sampled certification probes, as an int16 0/1 matrix with
+    one row per set: _SAMPLES_PER_DECILE random sets at each of ten sizes
+    spread over [lo, hi], one decile after another, then the condensation
+    and degree-order prefixes of _prefix_masks(g, 3) whose size lies in
+    the window, in that order.
+
+    Each decile takes _SAMPLES_PER_DECILE * n random 32-bit words from one
+    randbytes call of random.Random(seed), one word per row and vertex.
+    The key word * n + v is distinct within a row, and a row holds the
+    `size` vertices with the smallest keys, so it has exactly `size`
+    members and depends only on its words."""
     n = g.n
     rng = random.Random(seed)
-    cands: list[int] = []
-    # random sets at a spread of sizes
+    spd = _SAMPLES_PER_DECILE
+    col = np.arange(n, dtype=np.int64)
+    blocks = []
     for dec in range(10):
         size = lo + (hi - lo) * dec // 9 if hi > lo else lo
-        for _ in range(_SAMPLES_PER_DECILE):
-            cands.append(mask_of(rng.sample(range(n), size)))
-    # structured prefixes, within the size window
-    return cands + [s for s in _prefix_masks(g, 3) if lo <= s.bit_count() <= hi]
+        words = np.frombuffer(rng.randbytes(4 * spd * n), dtype="<u4")
+        keys = words.reshape(spd, n) * np.int64(n) + col
+        cut = np.partition(keys, size - 1, axis=1)[:, size - 1:size]
+        blocks.append(keys <= cut)
+    prefixes = [s for s in _prefix_masks(g, 3) if lo <= s.bit_count() <= hi]
+    blocks.append(set_rows(prefixes, n))
+    return np.concatenate(blocks, dtype=np.int16)
 
 
 def certify_expander(g: Digraph, p: ExpansionParams) -> ExpansionVerdict:
     """Certify g as a robust (nu,tau)-outexpander or exhibit a violator.
 
     Exact mode sweeps every subset with tau*n <= |S| <= (1-tau)*n and is
-    capped at n = 24. Sampled mode probes _SAMPLES_PER_DECILE random sets
-    per size decile plus condensation and degree-order prefixes; finding
-    no violator is reported as inconclusive, never as a certificate. The
-    candidates are multiplied by the adjacency matrix a chunk at a time:
-    |RN(S)| is the number of entries of S's row of counts that reach
-    ceil(nu*n), and the first candidate in order with
-    |RN(S)| < |S| + ceil(nu*n) is the violator, checked_sets its position.
+    capped at n = 24. Sampled mode probes the rows of _sampled_candidates:
+    _SAMPLES_PER_DECILE random sets per size decile, then condensation and
+    degree-order prefixes; finding no violator is reported as
+    inconclusive, never as a certificate. The rows are multiplied by the
+    adjacency matrix a chunk at a time: |RN(S)| is the number of entries
+    of S's row of counts that reach ceil(nu*n), and the first row in order
+    with |RN(S)| < |S| + ceil(nu*n) is the violator, checked_sets its
+    position.
     """
     mode = p.mode
     if mode == "auto":
@@ -309,18 +335,20 @@ def certify_expander(g: Digraph, p: ExpansionParams) -> ExpansionVerdict:
     if lo > hi:
         return ExpansionVerdict("expander", "sampled", p.nu, p.tau, 0)
     thr = max(1, int_ceil(p.nu * g.n))
-    cands = _sampled_candidates(g, lo, hi, p.seed)
-    for i, rows, counts in _row_chunks(cands, _adjacency(g)):
-        rn_size = (counts >= thr).sum(axis=1)
-        set_size = rows.sum(axis=1)
+    rows = _sampled_candidates(g, lo, hi, p.seed)
+    adj = _adjacency(g)
+    for i in range(0, len(rows), _ROW_CHUNK):
+        chunk = rows[i:i + _ROW_CHUNK]
+        rn_size = (_in_counts(chunk, adj) >= thr).sum(axis=1)
+        set_size = chunk.sum(axis=1)
         bad = np.flatnonzero(rn_size < set_size + thr)
         if bad.size:
             j = int(bad[0])
             return ExpansionVerdict(
                 "violator", "sampled", p.nu, p.tau, i + j + 1,
-                violator=cands[i + j], rn_size=int(rn_size[j]),
-                set_size=int(set_size[j]))
-    return ExpansionVerdict("inconclusive", "sampled", p.nu, p.tau, len(cands))
+                violator=row_masks(chunk[j:j + 1])[0],
+                rn_size=int(rn_size[j]), set_size=int(set_size[j]))
+    return ExpansionVerdict("inconclusive", "sampled", p.nu, p.tau, len(rows))
 
 
 @dataclass(frozen=True)
@@ -469,7 +497,7 @@ def _hill_climbs(adj: np.ndarray,
     np.negative(sym, out=step[n:])
     outdeg = adj.sum(axis=1)
     rows = set_rows(starts, n).astype(np.int16)
-    gain = outdeg.astype(np.int16) - np.einsum("iu,uv->iv", rows, sym)
+    gain = outdeg.astype(np.int16) - _in_counts(rows, sym)
     key = np.int16(_KEY_OFFSET) * (1 - 2 * rows) - gain
     # sum over X1 of out-degree + gain = 2 * e_forward
     e = (rows @ outdeg + (rows * gain).sum(axis=1)) // 2

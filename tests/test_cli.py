@@ -90,14 +90,18 @@ def test_partition_explicit_k_without_alpha(workdir, tmp_path):
 @pytest.fixture(scope="module")
 def blowup40(tmp_path_factory):
     """gen_blowup_tt([20,20], 0.95, 0.001, 7), partitioned with an alpha
-    override of the fitted parameters and with the same alpha as floor."""
+    override of the fitted parameters, with the same alpha as floor, and
+    with explicit parameters without and with a floor."""
     d = tmp_path_factory.mktemp("b40")
     graph = str(d / "graph.edges")
     assert main(["generate", "--family", "blowup", "--sizes", "20,20",
                  "--intra", "0.95", "--noise", "0.001", "--seed", "7",
                  "--out", graph]) == 0
+    explicit = ["--k", "8", "--zeta", "0.15", "--no-hierarchy"]
     for name, flags in (("override", ["--adaptive", "--alpha", "0.05"]),
-                        ("floor", ["--alpha-floor", "0.05"])):
+                        ("floor", ["--alpha-floor", "0.05"]),
+                        ("explicit", explicit),
+                        ("explicit_floor", [*explicit, "--alpha-floor", "0.05"])):
         assert main(["partition", "--input", graph, *flags,
                      "--out", str(d / f"{name}.json")]) == 0
     return d
@@ -112,6 +116,19 @@ def test_partition_alpha_override_derives_tau_and_nu(blowup40):
         v["params"] == {"nu": p["nu"], "tau": p["tau"]} for v in data["verdicts"])
     # the overridden alpha is also the floor, as if fitted with that floor
     assert data == json.loads((blowup40 / "floor.json").read_text())
+
+
+def test_partition_explicit_k_floor_only_when_given(blowup40):
+    # explicit parameters search the theorem's squared schedule unless a
+    # floor is given; a given floor is clamped to alpha = zeta/(25(k+1))
+    data = json.loads((blowup40 / "explicit.json").read_text())
+    assert data["params"]["alpha_floor"] == 0
+    assert not any(f.startswith("alpha_floor") for f in data["flags"])
+    data = json.loads((blowup40 / "explicit_floor.json").read_text())
+    p = data["params"]
+    assert p["alpha_floor"] == p["alpha"] == 0.15 / (25 * 9)
+    assert "alpha_floor active: schedule relaxed below theorem scale" \
+        in data["flags"]
 
 
 # --- embed ----------------------------------------------------------------------

@@ -18,7 +18,8 @@ from hamorient.bitset import bit_list, int_ceil, mask_of
 from hamorient.digraph import induced
 from hamorient.expansion import (_adjacency, _exact_cut_sweep,
                                  _exact_expander_sweep, _hill_climbs,
-                                 _sampled_candidates, _size_bounds)
+                                 _prefix_masks, _sampled_candidates,
+                                 _size_bounds)
 
 from conftest import (brute_hill_climb, brute_robust_outnbhd,
                       brute_sampled_verdict, digraph)
@@ -339,7 +340,7 @@ GOLDEN_ABOVE_CAP = (
       (0.4, 3, False, 16777216, 33, ()))),
     (("blowup", (30, 30), None, 11),
      ((0.05, 0.2, 1, "violator", 694, 801112063),
-      (0.2, 0.3, 2, "violator", 65, 216221475381313900)),
+      (0.2, 0.3, 2, "violator", 66, 175764819404814368)),
      ((0.05, 0, True, 1073741823, 1,
        (801079295, 801112063, 1125905275551743, 1125939635290111,
         889192447, 905969663, 297237576480194559, 297238126236008447)),
@@ -347,7 +348,7 @@ GOLDEN_ABOVE_CAP = (
        (1, 9, 41, 105, 233, 489, 16873, 82409)))),
     (("blowup", (34, 33, 33), None, 12),
      ((0.05, 0.2, 1, "violator", 712, 8555593727),
-      (0.2, 0.3, 2, "violator", 4, 386750547495906060072202150610)),
+      (0.2, 0.3, 2, "violator", 1, 635121269819423127464835728112)),
      ((0.05, 0, True, 17179869183, 1,
        (3186884575, 4260626399, 8555593695, 8555593727, 25323127177215,
         60507499266047, 130876243443711, 271613731799039)),
@@ -429,6 +430,57 @@ def test_hill_climb_matches_reference(monkeypatch):
     assert _hill_climbs(_adjacency(hosts[0]), []) == ([], 0)
 
 
+def _masks(rows):
+    """One vertex mask per 0/1 row, in plain Python."""
+    return [sum(1 << v for v, x in enumerate(row) if x) for row in rows.tolist()]
+
+
+# sha256 of the rows _sampled_candidates draws on a two-block host of n
+# vertices, for (n, lo, hi, seed); a change to the candidate stream has to
+# re-record these on purpose.
+GOLDEN_CANDIDATES = {
+    (30, 6, 24, 1):
+        "100b3bdef352fbde532e75543f1505e66269b762ab3a2d543d43de50d806b30a",
+    (64, 19, 19, 2):
+        "a715ee9501da8f3dd608f8fe04f1f7e8cc298fd3b87c73894b9a9552485c931b",
+    (100, 5, 95, 3):
+        "43a34348ae68de327fcf58e195a5875f710f5980ed94382d256d581c321f4ae4",
+}
+
+
+def test_sampled_candidates_stream():
+    spd = expansion._SAMPLES_PER_DECILE
+    for (n, lo, hi, seed), digest in GOLDEN_CANDIDATES.items():
+        g = gen_blowup_tt([n // 2, n - n // 2], 0.95, 0.001, n)
+        rows = _sampled_candidates(g, lo, hi, seed)
+        assert str(rows.dtype) == "int16"
+        flat = rows.tolist()
+        assert {x for row in flat for x in row} == {0, 1}
+        # ten deciles of random sets, each of one size spread over the
+        # window; a set is the size vertices with the smallest of n random
+        # 32-bit words, ties to the smaller vertex
+        rng = random.Random(seed)
+        for dec in range(10):
+            size = lo + (hi - lo) * dec // 9 if hi > lo else lo
+            block = flat[dec * spd:(dec + 1) * spd]
+            assert [sum(row) for row in block] == [size] * spd, (n, dec)
+            raw = rng.randbytes(4 * spd * n)
+            for i, row in enumerate(block):
+                words = [int.from_bytes(raw[4 * (i * n + v):4 * (i * n + v + 1)],
+                                        "little") for v in range(n)]
+                chosen = set(sorted(range(n), key=lambda v: (words[v], v))[:size])
+                assert row == [int(v in chosen) for v in range(n)]
+        # then the in-window prefixes, in order
+        prefixes = [s for s in _prefix_masks(g, 3) if lo <= s.bit_count() <= hi]
+        assert prefixes and _masks(rows[10 * spd:]) == prefixes
+        assert _sampled_candidates(g, lo, hi, seed).tolist() == flat
+        other = _sampled_candidates(g, lo, hi, seed + 1).tolist()
+        assert other[:10 * spd] != flat[:10 * spd]
+        assert other[10 * spd:] == flat[10 * spd:]
+        text = bytes(x for row in flat for x in row)
+        assert hashlib.sha256(text).hexdigest() == digest, (n, lo, hi, seed)
+
+
 def test_sampled_certification_matches_reference(monkeypatch):
     comm = _two_communities(40, 8)
     hosts = [gen_random_min_degree(40, 56, seed=3),
@@ -446,7 +498,7 @@ def test_sampled_certification_matches_reference(monkeypatch):
         for nu, tau, seed, spd in calls:
             monkeypatch.setattr(expansion, "_SAMPLES_PER_DECILE", spd)
             p = ExpansionParams(nu, tau, mode="sampled", seed=seed)
-            cands = _sampled_candidates(g, *_size_bounds(n, tau), seed)
+            cands = _masks(_sampled_candidates(g, *_size_bounds(n, tau), seed))
             v = certify_expander(g, p)
             got = (v.outcome, v.checked_sets, v.violator, v.rn_size,
                    v.set_size)
@@ -480,9 +532,11 @@ def test_climb_moves_sum_over_climbs(monkeypatch):
 # in order, climb moves) above the exact cap, with and without hints; the
 # last call of each host climbs from the hints sparse_or_expander's retry
 # builds from a sampled violator. Recorded with the one-climb-at-a-time
-# search that the lockstep climbs replaced.
+# search that the lockstep climbs replaced, and re-recorded when sampled
+# certification's random sets began to be drawn as rows (only the climb
+# moves of the retry calls moved).
 GOLDEN_CUT_SEARCH = \
-    "a0f1110dae0775bb55c35b933623cec12affd08f343d5218930c4414bc1b0514"
+    "3d8c048f109c5781a38fcc06b7f4ef926f6986cb8f4ae7de1edb2970b15b109c"
 
 
 def _cut_text(c):

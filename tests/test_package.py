@@ -1,5 +1,8 @@
 import dataclasses
 import inspect
+import subprocess
+import sys
+from pathlib import Path
 
 import hamorient
 from hamorient.workbench import SUITES
@@ -57,3 +60,19 @@ def test_every_suite_parameter_is_annotated():
     for name, fn in SUITES.items():
         for p in inspect.signature(fn).parameters.values():
             assert p.annotation is not p.empty, (name, p.name)
+
+
+def test_sampled_certification_does_not_load_numpy_random():
+    """Sampled certification draws from the stdlib random stream, which is
+    loaded anyway; importing numpy.random would only add memory."""
+    src = str(Path(hamorient.__file__).resolve().parent.parent)
+    code = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {src!r})",
+        "import hamorient",
+        "g = hamorient.gen_blowup_tt([15, 15], 0.95, 0.001, 1)",
+        "p = hamorient.ExpansionParams(0.05, 0.2, mode='sampled')",
+        "assert hamorient.certify_expander(g, p).mode == 'sampled'",
+        "assert 'numpy.random' not in sys.modules",
+    ])
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
