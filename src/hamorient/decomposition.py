@@ -20,6 +20,7 @@ from .bitset import bit_list, mask_of
 from .digraph import Digraph, cross_counts, degree_profile, induced
 from .errors import HypothesisError, InputError, PreconditionError
 from .expansion import (
+    EXACT_SWEEP_CAP,
     CutCertificate,
     ExpansionParams,
     ExpansionVerdict,
@@ -62,8 +63,9 @@ class DecompositionParams:
             raise InputError(f"alpha must lie in (0,1), got {self.alpha}")
         if not 0 <= self.alpha_floor <= self.alpha:
             raise InputError("alpha_floor must lie in [0, alpha]")
-        if not 1 <= self.exact_threshold <= 24:
-            raise InputError("exact_threshold must lie in 1..24")
+        if not 1 <= self.exact_threshold <= EXACT_SWEEP_CAP:
+            raise InputError(
+                f"exact_threshold must lie in 1..{EXACT_SWEEP_CAP}")
         bound = self.zeta / (24 * (self.k + 1))
         if self.enforce_hierarchy and self.alpha > bound * (1 + 1e-9):
             raise InputError(f"hierarchy violated: alpha <= zeta/(24(k+1)) "

@@ -5,20 +5,29 @@ digraph has an alpha-sparse cut (few edges forward across an ordered
 bipartition) or every moderately sized vertex set S has a large robust
 out-neighborhood (vertices receiving at least ceil(nu*n) edges from S).
 
-Exact certification and exact cut search enumerate all 2^n subsets, which
-stays affordable up to n = 24: each subset splits into a low half (the
-first ceil(n/2) vertices) and a high half, per-half tables are built once,
-and a block of consecutive high halves is evaluated against every low half
-at once with integer numpy kernels. The cut sweep adds per-half
-"out-degree minus internal edges" sums and subtracts the half-to-half edge
-counts, whose rows within a block follow by doubling; the expander sweep
-assembles each robust out-neighbourhood as a union of ANDs of per-half
-vertex masks (L_k: at least k in-neighbours in the low half, H_k: in the
-high half). Both report exactly what a set-by-set sweep in ascending mask
-order would. Above the cap both directions degrade honestly: sampled
-certification can only return a violator or "inconclusive", and cut
-search becomes seeded local search whose empty result is flagged
-non-exhaustive.
+Exact certification first tries a degree bound: with t = ceil(nu*n), a
+set S of size s has in RN(S) every vertex of in-degree at least
+n - s + t, and, counting the edges S sends, at least
+ceil((D(s) - n(t-1)) / (s - t + 1)) vertices, D(s) the sum of the s
+smallest out-degrees. If either count reaches s + t for every size in the
+window, no set can violate, and the verdict is the one an exhaustive
+sweep would give. Otherwise, and in exact cut search, all 2^n subsets
+are enumerated, which stays affordable up to n = 24: each subset splits
+into a low half (the first ceil(n/2) vertices) and a high half, per-half
+tables are built once, and a block of consecutive high halves is
+evaluated against every low half at once with integer numpy kernels. The
+cut sweep adds per-half "out-degree minus internal edges" sums and
+subtracts the half-to-half edge counts, whose rows within a block follow
+by doubling; with the low halves ordered by size, one
+np.minimum.reduceat per block gives each row's fewest forward edges at
+each size of X1, and only those minima are divided into ratios. The
+expander sweep assembles each robust out-neighbourhood as a union of ANDs
+of per-half vertex masks (L_k: at least k in-neighbours in the low half,
+H_k: in the high half). Both report exactly what a set-by-set sweep in
+ascending mask order would. Above the cap both directions degrade
+honestly: sampled certification can only return a violator or
+"inconclusive", and cut search becomes seeded local search whose empty
+result is flagged non-exhaustive.
 
 The above-cap paths share one 0/1 out-adjacency matrix A of the digraph.
 For a 0/1 matrix S whose rows are vertex sets, (S @ A)[i, v] counts the
@@ -42,7 +51,10 @@ element.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
+from math import comb
 
 import numpy as np
 
@@ -75,8 +87,9 @@ def _popcount_u32(a: np.ndarray) -> np.ndarray:
 
 # Each step of the exact sweeps handles 2**_BLOCK_BITS consecutive high
 # halves at once. Larger blocks cut interpreter overhead but not numpy
-# work; at n = 24 this size keeps each sweep's peak allocation under 1 MiB.
-_BLOCK_BITS = 3
+# work; at n = 24 this size keeps the traced peak allocation at 875 KiB
+# for the expander sweep and 466 KiB for the cut sweep.
+_BLOCK_BITS = 5
 
 
 def _half_counts(masks: list[int], bits: int, dtype=np.uint8) -> np.ndarray:
@@ -185,6 +198,29 @@ class ExpansionVerdict:
 
 def _size_bounds(n: int, tau: float) -> tuple[int, int]:
     return max(1, int_ceil(tau * n)), int_floor((1 - tau) * n)
+
+
+def _degree_bound_certifies(g: Digraph, nu: float, tau: float) -> bool:
+    """True when degrees alone force |RN(S)| >= |S| + t for every S in the
+    size window, t = max(1, ceil(nu*n)); integers only.
+
+    For |S| = s, each of the A(s) vertices with in-degree at least
+    n - s + t has t in-neighbours in S. S sends at least D(s) edges, the
+    sum of the s smallest out-degrees, and a vertex receives at most s of
+    them if it is in RN(S) and at most t - 1 if not, so for s >= t
+    |RN(S)| >= B(s) = ceil((D(s) - n(t-1)) / (s - t + 1)).
+    """
+    n = g.n
+    t = max(1, int_ceil(nu * n))
+    lo, hi = _size_bounds(n, tau)
+    indeg = sorted(a.bit_count() for a in g.in_adj)
+    d = [0, *accumulate(sorted(a.bit_count() for a in g.out_adj))]
+    for s in range(lo, hi + 1):
+        a = n - bisect_left(indeg, n - s + t)
+        b = -((n * (t - 1) - d[s]) // (s - t + 1)) if s >= t else 0
+        if max(a, b) < s + t:
+            return False
+    return True
 
 
 def _exact_expander_sweep(g: Digraph, nu: float, tau: float) -> ExpansionVerdict:
@@ -313,25 +349,31 @@ def _sampled_candidates(g: Digraph, lo: int, hi: int, seed: int) -> np.ndarray:
 def certify_expander(g: Digraph, p: ExpansionParams) -> ExpansionVerdict:
     """Certify g as a robust (nu,tau)-outexpander or exhibit a violator.
 
-    Exact mode sweeps every subset with tau*n <= |S| <= (1-tau)*n and is
-    capped at n = 24. Sampled mode probes the rows of _sampled_candidates:
-    _SAMPLES_PER_DECILE random sets per size decile, then condensation and
-    degree-order prefixes; finding no violator is reported as
-    inconclusive, never as a certificate. The rows are multiplied by the
-    adjacency matrix a chunk at a time: |RN(S)| is the number of entries
-    of S's row of counts that reach ceil(nu*n), and the first row in order
-    with |RN(S)| < |S| + ceil(nu*n) is the violator, checked_sets its
-    position.
+    Exact mode is capped at n = 24. It returns expander when the degree
+    bound of _degree_bound_certifies holds, with checked_sets the number
+    of sets in the window tau*n <= |S| <= (1-tau)*n, as a sweep that finds
+    no violator reports; otherwise it sweeps every subset in the window,
+    which alone finds violators. Sampled mode never uses the bound. It
+    probes the rows of _sampled_candidates: _SAMPLES_PER_DECILE random
+    sets per size decile, then condensation and degree-order prefixes;
+    finding no violator is reported as inconclusive, never as a
+    certificate. The rows are multiplied by the adjacency matrix a chunk
+    at a time: |RN(S)| is the number of entries of S's row of counts that
+    reach ceil(nu*n), and the first row in order with
+    |RN(S)| < |S| + ceil(nu*n) is the violator, checked_sets its position.
     """
     mode = p.mode
     if mode == "auto":
         mode = "exact" if g.n <= EXACT_SWEEP_CAP else "sampled"
+    lo, hi = _size_bounds(g.n, p.tau)
     if mode == "exact":
         if g.n > EXACT_SWEEP_CAP:
             raise CapabilityError(
                 f"exact certification capped at n={EXACT_SWEEP_CAP}, got {g.n}")
+        if _degree_bound_certifies(g, p.nu, p.tau):
+            return ExpansionVerdict("expander", "exact", p.nu, p.tau,
+                                    sum(comb(g.n, s) for s in range(lo, hi + 1)))
         return _exact_expander_sweep(g, p.nu, p.tau)
-    lo, hi = _size_bounds(g.n, p.tau)
     if lo > hi:
         return ExpansionVerdict("expander", "sampled", p.nu, p.tau, 0)
     thr = max(1, int_ceil(p.nu * g.n))
@@ -396,10 +438,15 @@ def _exact_cut_sweep(g: Digraph) -> tuple[int, int, float]:
     e+(X1, V\\X1) = f_lo[s_lo] + f_hi[s_hi] - X[s_hi, s_lo], where f_half
     is out-degree sum minus internal edges and X[s_hi, s_lo] sums, over w
     in s_hi, the edges T_w[s_lo] between w and s_lo in either direction.
-    A block of consecutive high halves is evaluated at once: its first row
-    of X sums T_w over the block's fixed high bits, and the other rows
-    follow by doubling, rows[2^j:2^(j+1)] = rows[:2^j] + T_j. The best
-    ratio is replaced only on strict improvement, block by block.
+    The low halves are ordered by size (a stable sort, so each size group
+    is ascending), and a block of consecutive high halves is evaluated at
+    once: its first row holds f_lo - X for the block's fixed high bits,
+    and the other rows follow by doubling,
+    rows[2^j:2^(j+1)] = rows[:2^j] - T_j. All cuts in one row and size
+    group share |X1| * |X2|, so only the group minima (np.minimum.reduceat)
+    plus f_hi are divided. The best ratio is replaced only on strict
+    improvement, block by block; the winning row alone then gives the
+    smallest s_lo among its tied groups.
     """
     n = g.n
     n1 = (n + 1) // 2
@@ -408,50 +455,52 @@ def _exact_cut_sweep(g: Digraph) -> tuple[int, int, float]:
     outdeg = [a.bit_count() for a in g.out_adj]
     out_lo = [a & lo_mask for a in g.out_adj]
     in_lo = [a & lo_mask for a in g.in_adj]
-    f_lo = _half_sums(outdeg[:n1], out_lo, in_lo)
+    pc_lo = _popcount_u32(np.arange(1 << n1, dtype=np.uint32))
+    order = np.argsort(pc_lo, kind="stable")
+    starts = np.searchsorted(pc_lo[order], np.arange(n1 + 2))
+    f_lo = _half_sums(outdeg[:n1], out_lo, in_lo)[order]
     f_hi = _half_sums(outdeg[n1:], [a >> n1 for a in g.out_adj[n1:]],
                       [a >> n1 for a in g.in_adj[n1:]])
-    # T_w for w in the high half
+    # T_w for w in the high half, in the same column order
     cross = _half_counts(out_lo[n1:], n1, np.int16)
     cross += _half_counts(in_lo[n1:], n1)
-    pc_lo = _popcount_u32(np.arange(1 << n1, dtype=np.uint32)).astype(np.intp)
+    cross = cross[:, order]
     pc_hi = _popcount_u32(np.arange(1 << n2, dtype=np.uint32)).astype(np.intp)
-    # row c: |X1|*|X2| for every s_lo when |s_hi| = c; the empty and the
-    # full set get 1 here and are masked out below
-    prod = np.array([k * (n - k) or 1 for k in range(n + 1)], dtype=np.float64)
-    denom = np.empty((n2 + 1, 1 << n1))
-    for c in range(n2 + 1):
-        denom[c] = prod[pc_lo + c]
+    # [|s_hi|, |s_lo|]: |X1|*|X2|; the empty and the full set get 1 here
+    # and ratio inf below
+    size = np.arange(n2 + 1)[:, None] + np.arange(n1 + 1)
+    denom = np.maximum(size * (n - size), 1)
 
     # int16 holds every count: at n = 24, f_half <= 12*23 and X <= 2*12*12
     bb = min(_BLOCK_BITS, n2)
     blk = 1 << bb
     rows = np.empty((blk, 1 << n1), dtype=np.int16)
-    ratio = np.empty((blk, 1 << n1))
     best_ratio = np.inf
     best_mask = 0
     best_e = 0
     for b0 in range(0, 1 << n2, blk):
-        rows[0] = 0
+        rows[0] = f_lo
         for w in bits_of(b0):
-            rows[0] += cross[w]
+            rows[0] -= cross[w]
         for j in range(bb):
-            np.add(rows[:1 << j], cross[j], out=rows[1 << j:2 << j])
-        np.subtract(f_hi[b0:b0 + blk, None], rows, out=rows)
-        rows += f_lo
-        # ratio holds |X1|*|X2| until the division
-        np.take(denom, pc_hi[b0:b0 + blk], axis=0, out=ratio, mode="clip")
-        np.divide(rows, ratio, out=ratio)
+            np.subtract(rows[:1 << j], cross[j], out=rows[1 << j:2 << j])
+        e = np.minimum.reduceat(rows, starts[:-1], axis=1)
+        e += f_hi[b0:b0 + blk, None]
+        ratio = e / denom[pc_hi[b0:b0 + blk]]
         if b0 == 0:
             ratio[0, 0] = np.inf
         if b0 + blk == 1 << n2:
             ratio[-1, -1] = np.inf
-        i = int(np.argmin(ratio))
-        r, s_lo = divmod(i, 1 << n1)
-        if ratio[r, s_lo] < best_ratio - 1e-15:
-            best_ratio = float(ratio[r, s_lo])
+        r, c = divmod(int(np.argmin(ratio)), n1 + 1)
+        if ratio[r, c] < best_ratio - 1e-15:
+            best_ratio = float(ratio[r, c])
+            # a size group lists its s_lo ascending, so its first minimum
+            # is its smallest cut; the smallest over the tied groups wins
+            s_lo, c = min(
+                (int(order[starts[k] + np.argmin(rows[r, starts[k]:starts[k + 1]])]), k)
+                for k in np.flatnonzero(ratio[r] == best_ratio))
             best_mask = ((b0 + r) << n1) | s_lo
-            best_e = int(rows[r, s_lo])
+            best_e = int(e[r, c])
     return best_mask, best_e, best_ratio
 
 

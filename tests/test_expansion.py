@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -151,6 +152,35 @@ def test_exact_expander_sweep_matches_brute_force():
     assert seen["violator in a later high half"]
 
 
+def test_degree_bound_matches_brute_force(monkeypatch):
+    # certify_expander tries the degree bound before the exact sweep; either
+    # way the verdict, checked_sets included, is the set-by-set sweep's
+    swept = []
+    sweep = expansion._exact_expander_sweep
+    monkeypatch.setattr(expansion, "_exact_expander_sweep",
+                        lambda *a: swept.append(a) or sweep(*a))
+    rng = random.Random(16)
+    seen = Counter()
+    for _ in range(1000):
+        n = rng.randint(2, 12)
+        p = rng.choice((0.5, 0.7, 0.85, 0.95, 1.0))
+        nu, tau = rng.uniform(0.01, 0.5), rng.uniform(0.01, 0.4)
+        g = rand_digraph(n, p, rng.randrange(1 << 30))
+        calls = len(swept)
+        v = certify_expander(g, ExpansionParams(nu, tau, mode="exact"))
+        assert v == brute_expander_sweep(g, nu, tau), (n, p, nu, tau)
+        branch = "swept" if len(swept) > calls else "bound"
+        seen[branch, v.outcome, int_ceil(nu * n) > 1, int_ceil(tau * n) > 1] += 1
+    # the bound never refutes, and certifies with thr > 1 and with lo > 1
+    assert not any(k[:2] == ("bound", "violator") for k in seen)
+    for key in (("bound", "expander", False, False),
+                ("bound", "expander", False, True),
+                ("bound", "expander", True, True),
+                ("swept", "expander", False, False),
+                ("swept", "violator", True, True)):
+        assert seen[key], key
+
+
 def _reversed_labels(g):
     n = g.n
     return Digraph.from_edge_list(n, [(n - 1 - u, n - 1 - v) for u in range(n)
@@ -217,6 +247,24 @@ def test_exact_sweeps_golden_large_threshold():
                                          violator=m, rn_size=rn, set_size=sz)
 
 
+def test_exact_sweeps_peak_memory():
+    # each sweep's largest temporaries are 2**_BLOCK_BITS rows of one
+    # entry per low half
+    g = gen_blowup_tt([24, 24], 0.95, 0.001, 3)
+    p = fit_decomposition_params(g, exact_threshold=24)
+    sub, _ = induced(g, mask_of(range(24)))
+    expansion._pop16()
+    for sweep in (lambda: _exact_expander_sweep(sub, p.nu, p.tau),
+                  lambda: _exact_cut_sweep(sub)):
+        tracemalloc.start()
+        try:
+            sweep()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 2**20, peak
+
+
 def test_complete_digraph_is_expander():
     g = gen_complete_digraph(12)
     v = certify_expander(g, ExpansionParams(0.2, 0.25, mode="exact"))
@@ -280,14 +328,36 @@ def brute_min_ratio_cut(g):
     return best
 
 
-def test_exact_cut_matches_brute_force():
+def _cliques(*parts):
+    return Digraph.from_edge_list(
+        sum(map(len, parts)),
+        [(u, v) for part in parts for u in part for v in part if u != v])
+
+
+def test_exact_cut_matches_brute_force(monkeypatch):
     # odd n splits into unequal halves, even n into equal ones; the dense
-    # and complete hosts have many tied cuts, where the smallest mask wins
-    for n in range(2, 14):
-        for seed, p in enumerate((0.15, 0.5, 0.9, 1.0)):
-            g = rand_digraph(n, p, seed + 500 + 10 * n)
-            ratio, mask, e = brute_min_ratio_cut(g)
-            assert _exact_cut_sweep(g) == (mask, e, ratio), (n, p)
+    # and complete hosts have many tied cuts, where the smallest mask wins.
+    # Complete and edgeless hosts tie every cut, and disjoint cliques tie
+    # the cuts that split them at more than one size.
+    hosts = [rand_digraph(n, p, seed + 500 + 10 * n)
+             for n in range(2, 17)
+             for seed, p in enumerate((0.15, 0.5, 0.9, 1.0))]
+    for n in (2, 7, 12, 15, 16):
+        hosts += [gen_complete_digraph(n), Digraph.from_edge_list(n, [])]
+    for n in (8, 13, 16):
+        hosts += [_cliques(range(n // 2), range(n // 2, n)),
+                  _cliques(range(0, n, 2), range(1, n, 2)),
+                  _cliques(range(3), range(3, n)),
+                  _cliques(range(1, n, 3), [v for v in range(n) if v % 3 != 1])]
+    # {2} and {0, 1} both have ratio 0: the larger size has the smaller mask
+    hosts += [_cliques(range(2), [2], range(3, n)) for n in (5, 12, 16)]
+    hosts.append(_cliques(range(4), range(4, 8), range(8, 12), range(12, 14)))
+    for g in hosts:
+        ratio, mask, e = brute_min_ratio_cut(g)
+        assert _exact_cut_sweep(g) == (mask, e, ratio), g.n
+        with monkeypatch.context() as m:
+            m.setattr(expansion, "_BLOCK_BITS", 1)
+            assert _exact_cut_sweep(g) == (mask, e, ratio), g.n
     for seed in range(10):
         g = rand_digraph(7, 0.5, seed + 500)
         res = find_sparse_cut(g, alpha=0.3)
