@@ -17,7 +17,15 @@ gives the same answer on any machine. Two cooperating engines:
 Backtracking starts from a static filter that keeps, per position, the
 allowed vertices whose host in/out degree meets the position's need; it
 looks only at the allowed vertices, so a stretch fill inside one class
-pays for that class, not for the whole host.
+pays for that class, not for the whole host. A node of the search
+assigns one vertex to one position, updates the assigned-neighbour
+counts of that position's (at most two) pattern neighbours, and makes
+one pass over the front, the unassigned positions next to assigned
+ones: each front position's candidates are its filter mask minus the
+used vertices, ANDed with the adjacency rows of its assigned
+neighbours. An empty mask refutes the node; otherwise the position
+with the fewest candidates becomes the next level, with the mask that
+pass computed.
 
 A search the DP can serve backtracks for BT_STAGE_NODES nodes, then runs
 the DP, and only if that is abandoned backtracks again from the root.
@@ -111,12 +119,14 @@ def validate_embedding(host: Digraph, pattern, mapping, *, spanning: bool = Fals
     return CheckReport(not errors, tuple(errors))
 
 
-def _pattern_adjacency(size: int,
-                       edges: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
-    """adj[p] lists (q, mode): mode 0 means arc p->q, mode 1 means q->p,
-    for the pattern edges of a pattern with size positions."""
+def _pattern_adjacency(pattern) -> list[list[tuple[int, int]]]:
+    """adj[p] lists (q, mode) for the pattern neighbours q of position p:
+    mode 0 means arc p->q, mode 1 means q->p."""
+    size = pattern_size(pattern)
     adj: list[list[tuple[int, int]]] = [[] for _ in range(size)]
-    for a, b in edges:
+    for i, fwd in enumerate(pattern.orientation):
+        j = (i + 1) % size
+        a, b = (i, j) if fwd else (j, i)
         adj[a].append((b, 0))
         adj[b].append((a, 1))
     return adj
@@ -127,129 +137,131 @@ def _static_filter(host: Digraph, adj, allowed: int) -> list[int]:
     (counted in the whole host) to sit there.
 
     Only the vertices of allowed are counted and thresholded, so a call
-    costs O(|allowed|); a need that the minimum degrees over allowed
-    already meet maps to allowed itself, without a per-vertex pass. This
-    is a search-side prefilter only: validate_embedding does not use it
-    and recounts everything from the raw adjacency.
+    costs O(|allowed|). When every allowed vertex meets the largest
+    in- and out-need, every position gets allowed itself and no degree
+    lists are built. This is a search-side prefilter only:
+    validate_embedding does not use it and recounts everything from the
+    raw adjacency.
     """
-    verts = bit_list(allowed)
-    out_deg = [host.out_adj[v].bit_count() for v in verts]
-    in_deg = [host.in_adj[v].bit_count() for v in verts]
-    min_out = min(out_deg, default=0)
-    min_in = min(in_deg, default=0)
-    need_masks = {}
-    filt = []
+    needs = []
     for entries in adj:
         ni = 0                          # mode 1 entries are arcs into p
         for _, mode in entries:
             ni += mode
-        no = len(entries) - ni
-        key = (no, ni)
-        if key not in need_masks:
-            if no <= min_out and ni <= min_in:
-                m = allowed
-            else:
-                m = 0
-                for v, do, di in zip(verts, out_deg, in_deg):
-                    if do >= no and di >= ni:
-                        m |= 1 << v
-            need_masks[key] = m
-        filt.append(need_masks[key])
+        needs.append((len(entries) - ni, ni))
+    top_out = max(no for no, _ in needs)
+    top_in = max(ni for _, ni in needs)
+    out_adj = host.out_adj
+    in_adj = host.in_adj
+    verts = bit_list(allowed)
+    for v in verts:
+        if out_adj[v].bit_count() < top_out or in_adj[v].bit_count() < top_in:
+            break
+    else:
+        return [allowed] * len(adj)
+    out_deg = [out_adj[v].bit_count() for v in verts]
+    in_deg = [in_adj[v].bit_count() for v in verts]
+    need_masks = {}
+    filt = []
+    for no, ni in needs:
+        if (no, ni) not in need_masks:
+            m = 0
+            for v, do, di in zip(verts, out_deg, in_deg):
+                if do >= no and di >= ni:
+                    m |= 1 << v
+            need_masks[no, ni] = m
+        filt.append(need_masks[no, ni])
     return filt
 
 
-def _backtrack(host: Digraph, adj, filt, pins: dict[int, int], allowed: int,
-               nodes: int, cap: int) -> tuple[str, tuple[int, ...] | None, int]:
+def _backtrack(host: Digraph, adj, filt, pins: dict[int, int], nodes: int,
+               cap: int) -> tuple[str, tuple[int, ...] | None, int]:
     """Search until a mapping is found, the tree is exhausted, or the
-    running node count reaches cap ("budget")."""
+    running node count reaches cap ("budget").
+
+    Each node runs as the module docstring says: count[p] is position
+    p's number of assigned neighbours, so assigning or undoing touches
+    only p's neighbours, and one pass over the front both refutes the
+    node and picks the next position (fewest candidates, ties to the
+    lowest position). The front is empty only at a root with no pins,
+    which is position 0.
+    """
     size = len(adj)
     out_adj = host.out_adj
     in_adj = host.in_adj
+    # nbrs[p] pairs each neighbour q with the table whose row assign[q]
+    # holds p's possible vertices: in-neighbours of q for an arc p->q
+    nbrs = [[(q, in_adj if mode == 0 else out_adj) for q, mode in entries]
+            for entries in adj]
     assign = [-1] * size
+    count = [0] * size
     used = 0
     for p, v in pins.items():
         assign[p] = v
         used |= 1 << v
+        for q, _ in adj[p]:
+            count[q] += 1
     remaining = size - len(pins)
     if remaining == 0:
         return "found", tuple(assign), nodes
+    front = {p for p in range(size) if count[p] and assign[p] < 0}
+    stack: list[list[int]] = []    # position, candidates left, tried vertex
 
-    front = {p for p in range(size)
-             if assign[p] < 0 and any(assign[q] >= 0 for q, _ in adj[p])}
-
-    def cand(p: int) -> int:
-        c = filt[p] & ~used
-        for q, mode in adj[p]:
-            w = assign[q]
-            if w >= 0:
-                c &= in_adj[w] if mode == 0 else out_adj[w]
-                if not c:
-                    return 0
-        return c
-
-    def select() -> tuple[int, int]:
+    while True:
         if front:
+            free = ~used
             best_p, best_c, best_k = -1, 0, 1 << 62
-            for p in sorted(front):
-                c = cand(p)
-                k = c.bit_count()
-                if k < best_k:
-                    best_p, best_c, best_k = p, c, k
-                    if k == 0:
-                        break
-            return best_p, best_c
-        for p in range(size):
-            if assign[p] < 0:
-                return p, filt[p] & ~used
-        return -1, 0
+            for q in front:
+                cq = filt[q] & free
+                for r, tab in nbrs[q]:
+                    w = assign[r]
+                    if w >= 0:
+                        cq &= tab[w]
+                if not cq:
+                    break
+                k = cq.bit_count()
+                if k < best_k or (k == best_k and q < best_p):
+                    best_p, best_c, best_k = q, cq, k
+            else:
+                stack.append([best_p, best_c, -1])
+        else:
+            stack.append([0, filt[0], -1])
 
-    p0, c0 = select()
-    stack: list[list[int]] = [[p0, c0, -1]]    # position, candidates left, tried vertex
-
-    while stack:
-        ent = stack[-1]
-        p = ent[0]
-        tried = ent[2]
-        if tried >= 0:
-            # undo the previous attempt at this level
-            used ^= 1 << tried
-            assign[p] = -1
-            ent[2] = -1
-            if any(assign[q] >= 0 for q, _ in adj[p]):
-                front.add(p)
+        # undo exhausted levels, then assign the next candidate
+        while stack:
+            ent = stack[-1]
+            p, c, tried = ent
+            if tried >= 0:
+                used ^= 1 << tried
+                assign[p] = -1
+                for q, _ in adj[p]:
+                    count[q] -= 1
+                    if not count[q]:
+                        front.discard(q)
+                if count[p]:
+                    front.add(p)
+            if not c:
+                stack.pop()
+                continue
+            if nodes >= cap:
+                return "budget", None, nodes
+            nodes += 1
+            low = c & -c
+            ent[1] = c ^ low
+            v = low.bit_length() - 1
+            assign[p] = v
+            used |= low
+            ent[2] = v
+            front.discard(p)
             for q, _ in adj[p]:
-                if q in front and not any(assign[r] >= 0 for r, _ in adj[q]):
-                    front.discard(q)
-        c = ent[1]
-        if not c:
-            stack.pop()
-            continue
-        if nodes >= cap:
-            return "budget", None, nodes
-        nodes += 1
-        low = c & -c
-        ent[1] = c ^ low
-        v = low.bit_length() - 1
-        assign[p] = v
-        used |= low
-        ent[2] = v
-        front.discard(p)
-        for q, _ in adj[p]:
-            if assign[q] < 0:
-                front.add(q)
-        ok = True
-        for q, _ in adj[p]:
-            if assign[q] < 0 and not cand(q):
-                ok = False
-                break
-        if not ok:
-            continue
+                count[q] += 1
+                if assign[q] < 0:
+                    front.add(q)
+            break
+        else:
+            return "none", None, nodes
         if len(stack) == remaining:
             return "found", tuple(assign), nodes
-        np_, nc = select()
-        stack.append([np_, nc, -1])
-
-    return "none", None, nodes
 
 
 def _dp_spanning(host: Digraph, orientation, is_cycle: bool, pins: dict[int, int],
@@ -330,7 +342,7 @@ def _engine(host: Digraph, pattern, adj, pins: dict[int, int], allowed: int,
     spanning = size == allowed.bit_count()
 
     if spanning and size <= DP_CAP:
-        status, mapping, nodes = _backtrack(host, adj, filt, pins, allowed, nodes,
+        status, mapping, nodes = _backtrack(host, adj, filt, pins, nodes,
                                             min(nodes + BT_STAGE_NODES, node_budget))
         if status != "budget":
             return status, mapping, "backtrack", nodes
@@ -340,7 +352,7 @@ def _engine(host: Digraph, pattern, adj, pins: dict[int, int], allowed: int,
         if status != "budget":
             return status, mapping, "dp", nodes
 
-    status, mapping, nodes = _backtrack(host, adj, filt, pins, allowed, nodes,
+    status, mapping, nodes = _backtrack(host, adj, filt, pins, nodes,
                                         node_budget)
     if status == "budget":
         status = "timeout"
@@ -361,6 +373,8 @@ def exact_embed(host: Digraph, pattern, pins: dict[int, int] | None = None,
     pins = dict(pins or {})
     if allowed is None:
         allowed = host.vertex_mask
+    elif allowed & ~host.vertex_mask:       # a negative mask sets every high bit
+        raise InputError(f"allowed mask has bits outside the host's {host.n} vertices")
     size = pattern_size(pattern)
 
     for p, v in pins.items():
@@ -381,10 +395,11 @@ def _search(host: Digraph, pattern, size: int, pins: dict[int, int], allowed: in
     if size > allowed.bit_count():
         return "none", None, 0, "size"
     # pinned pattern edges must already exist
-    edges = pattern_edges(pattern)
-    for a, b in edges:
-        if a in pins and b in pins and not host.has_edge(pins[a], pins[b]):
-            return "none", None, 0, "pins"
+    adj = _pattern_adjacency(pattern)
+    for a, u in pins.items():
+        for b, mode in adj[a]:
+            if mode == 0 and b in pins and not host.has_edge(u, pins[b]):
+                return "none", None, 0, "pins"
     if size == 1:
         v = pins.get(0, (allowed & -allowed).bit_length() - 1)
         return "found", (v,), 0, "trivial"
@@ -399,7 +414,6 @@ def _search(host: Digraph, pattern, size: int, pins: dict[int, int], allowed: in
                  and all(m >> v & 1 for v in pins.values())]
     else:
         pools = [allowed]
-    adj = _pattern_adjacency(size, edges)
     status, mapping, method, nodes = "none", None, "", 0
     for pool in pools:
         status, mapping, method, nodes = _engine(host, pattern, adj, pins, pool,

@@ -1,11 +1,13 @@
+import hashlib
 import random
 from itertools import combinations
 
 import pytest
 
 from hamorient import (CyclePattern, Digraph, InputError,
-                       PathPattern, exact_embed,
+                       PathPattern, distinct_path_patterns, exact_embed,
                        gen_bipartite_extremal, gen_blowup_tt,
+                       gen_split_cliques, necklace_classes,
                        validate_embedding)
 from hamorient import oracle
 from hamorient.bitset import mask_of
@@ -151,6 +153,10 @@ def test_impossible_pinned_edge_is_none():
     g = digraph(3, (0, 1), (1, 2), (2, 0))
     res = exact_embed(g, CyclePattern.directed(3), pins={0: 0, 1: 2})
     assert res.status == "none"
+    # both ends pinned, and the host arc runs against the pattern's
+    res = exact_embed(g, PathPattern((True,)), pins={0: 1, 1: 0})
+    assert (res.status, res.method) == ("none", "pins")
+    assert exact_embed(g, PathPattern((False,)), pins={0: 1, 1: 0}).found
 
 
 def test_allowed_mask_restricts_pool():
@@ -160,6 +166,18 @@ def test_allowed_mask_restricts_pool():
     res = exact_embed(g, c, allowed=allowed)
     assert res.found
     assert all(v < 4 for v in res.mapping)
+
+
+def test_allowed_mask_outside_host_is_rejected():
+    # a bit at or above n used to crash the static filter with IndexError,
+    # and a negative mask (bit_count 1 for -1) used to come back "none"
+    g = gen_split_cliques(10)
+    p = CyclePattern.from_string("++-")
+    for bad in ((1 << 12) | 7, 1 << 10, -1, -8):
+        with pytest.raises(InputError):
+            exact_embed(g, p, allowed=bad)
+    assert exact_embed(g, p, allowed=g.vertex_mask).found
+    assert exact_embed(g, p, allowed=0).status == "none"
 
 
 def test_pool_smaller_than_pattern_is_none():
@@ -293,10 +311,9 @@ def test_search_the_dp_cannot_serve_is_one_backtracking_pass():
     g = gen_bipartite_extremal(10)
     c = CyclePattern.from_string("++-+-----")   # odd, on 9 of 10 vertices
     res = exact_embed(g, c)
-    adj = oracle._pattern_adjacency(c.n, oracle.pattern_edges(c))
+    adj = oracle._pattern_adjacency(c)
     filt = oracle._static_filter(g, adj, g.vertex_mask)
-    status, _, nodes = oracle._backtrack(g, adj, filt, {}, g.vertex_mask, 0,
-                                         oracle.NODE_BUDGET)
+    status, _, nodes = oracle._backtrack(g, adj, filt, {}, 0, oracle.NODE_BUDGET)
     assert (res.status, res.method, status) == ("none", "backtrack", "none")
     assert res.nodes == nodes == 31_162
     assert nodes > oracle.BT_STAGE_NODES
@@ -332,8 +349,94 @@ def test_static_filter_matches_reference():
             patterns += [rand_cycle_pattern(n, trial), CyclePattern.directed(3),
                          CyclePattern.from_string("+-+-")]
         for pattern in patterns:
-            adj = oracle._pattern_adjacency(oracle.pattern_size(pattern),
-                                            oracle.pattern_edges(pattern))
+            adj = oracle._pattern_adjacency(pattern)
             for allowed in masks:
                 assert oracle._static_filter(g, adj, allowed) == \
                     ref_static_filter(g, adj, allowed), (trial, pattern, allowed)
+
+
+# sha256 of (status, method, nodes, mapping) for every cell of
+# _golden_search_cells, recorded before the backtracking loop was rewritten:
+# any change to the order of the search, its candidates or its node
+# counting changes it
+GOLDEN_ORACLE_SEARCH = (
+    "2a2209e86f1dbec3363cad669e0e84c8bbce496463c735ceac5accd39a6508bb")
+
+
+def _golden_search_cells():
+    """(host, pattern, kwargs) cells covering every way a search ends."""
+    cells = []
+    # refutations that backtracking settles alone
+    g8 = gen_bipartite_extremal(8)
+    cells += [(g8, c, {}) for c in necklace_classes(8)]
+    h9 = gen_split_cliques(9)
+    cells += [(h9, p, {}) for p in distinct_path_patterns(9)]
+    # refutations that outlast BT_STAGE_NODES and end in the subset DP
+    g10 = gen_bipartite_extremal(10)
+    cells += [(g10, c, {}) for c in necklace_classes(10)[::20]]
+    # satisfiable searches on hosts that are not complete
+    for p in (0.3, 0.4, 0.5):
+        for seed in (0, 1):
+            g = rand_digraph(14, p, seed)
+            rng = random.Random(seed)
+            for length in (5, 8, 11, 14):
+                for _ in range(3):
+                    o = tuple(rng.random() < 0.5 for _ in range(length))
+                    if all(o) or not any(o):
+                        o = (True,) * (length - 1) + (False,)
+                    cells.append((g, CyclePattern(o), {}))
+    # small searches whose order changes if a position stays on the front
+    # after its last assigned neighbour is undone
+    cells += [(rand_digraph(6, 0.6, 397), CyclePattern.from_string("+---+-"), {}),
+              (rand_digraph(6, 0.6, 1208), CyclePattern.from_string("-+--+-"), {})]
+    # pinned fills inside an allowed subset
+    for seed in (0, 1):
+        h = gen_blowup_tt([12, 12, 12], 0.9, 0.01, seed)
+        g = rand_digraph(20, 0.3, 50 + seed)
+        rng = random.Random(seed)
+        for cls in range(3):
+            block = range(12 * cls, 12 * cls + 12)
+            pool = rng.sample(range(20), 14)
+            for length in (4, 7, 10, 12):
+                o = tuple(rng.random() < 0.5 for _ in range(length - 1))
+                u, v = rng.sample(block, 2)
+                cells.append((h, PathPattern(o), {"pins": {0: u, length - 1: v},
+                                                  "allowed": mask_of(block)}))
+                u, v = rng.sample(pool, 2)
+                cells.append((g, PathPattern(o), {"pins": {0: u, length - 1: v},
+                                                  "allowed": mask_of(pool)}))
+    # calls stopped by a small node budget
+    g12 = gen_bipartite_extremal(12)
+    odd9 = CyclePattern.from_string("++-+-----")
+    cells += [
+        (g10, necklace_classes(10)[5], {"node_budget": 300}),
+        (g12, CyclePattern.antidirected(12), {"node_budget": 3000}),
+        (g12, odd9, {"node_budget": 2500}),
+        (g10, odd9, {"node_budget": 10_000}),
+        (gen_bipartite_extremal(20), CyclePattern.antidirected(20),
+         {"node_budget": 5000}),
+        (gen_split_cliques(11), distinct_path_patterns(11)[7], {"node_budget": 100}),
+        (rand_digraph(14, 0.3, 1), CyclePattern.from_string("+-++-+--+++-+-"),
+         {"node_budget": 40}),
+    ]
+    return cells
+
+
+def test_golden_oracle_search():
+    """Every search answer, node count and mapping is pinned, so a faster
+    search loop must walk exactly the same tree."""
+    rows = []
+    for host, pattern, kwargs in _golden_search_cells():
+        res = exact_embed(host, pattern, **kwargs)
+        rows.append((res.status, res.method, res.nodes, res.mapping))
+        if res.found:
+            assert validate_embedding(host, pattern, res.mapping,
+                                      allowed=kwargs.get("allowed")).valid
+    statuses = {(status, method) for status, method, _, _ in rows}
+    assert {("none", "backtrack"), ("none", "dp"), ("none", "scc"),
+            ("found", "backtrack"), ("timeout", "backtrack")} <= statuses
+    # some satisfiable search backtracks: it takes more nodes than positions
+    assert any(status == "found" and nodes > len(mapping)
+               for status, _, nodes, mapping in rows)
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == GOLDEN_ORACLE_SEARCH
