@@ -36,6 +36,10 @@ class Digraph:
     out_adj: tuple[int, ...]
     in_adj: tuple[int, ...]
 
+    def __post_init__(self):
+        if not 0 <= self.n <= N_MAX:
+            raise InputError(f"vertex count {self.n} outside supported range 0..{N_MAX}")
+
     @classmethod
     def from_edge_list(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Digraph":
         if n < 0 or n > N_MAX:

@@ -32,20 +32,23 @@ result is flagged non-exhaustive.
 The above-cap paths share one 0/1 out-adjacency matrix A of the digraph.
 For a 0/1 matrix S whose rows are vertex sets, (S @ A)[i, v] counts the
 in-neighbours of v in set i: thresholding those counts gives every
-sampled robust out-neighbourhood at once, and summing them over the
-complement of each set gives every cut start's forward edge count. The
-hill climbs of one cut search run in lockstep, one row per climb of a
-k x n int16 matrix of per-vertex gains (out-neighbours in X2 minus
-in-neighbours in X1), offset so that every X1 entry lies below every X2
-entry: each step takes every live climb's best move out of X1 with one
-row-wise argmin and its best move into X1 with one argmax, and a move of
-v updates its row with row v plus column v of A. A climb leaves the batch
-when it stops. All three give exactly the results of set-by-set loops.
-Sampled certification also draws its random sets as rows, one size
-decile at a time: one randbytes call gives every row one random word per
-vertex, and np.partition keeps the `size` vertices with the smallest
-words (ties to the smaller vertex), so no set is built element by
-element.
+sampled robust out-neighbourhood at once. Both paths also probe the
+proper prefixes of the condensation order and of degree orders, and one
+walk per order builds them: adding v to a prefix S adds
+d+(v) - |N+(v) & S| - |N-(v) & S| forward edges, so each prefix's
+forward edge count comes with its mask from O(n) mask operations per
+order, with no n x n product. The hill climbs of one cut search run in
+lockstep, one row per climb of a k x n int16 matrix of per-vertex gains
+(out-neighbours in X2 minus in-neighbours in X1), offset so that every
+X1 entry lies below every X2 entry: each step takes every live climb's
+best move out of X1 with one row-wise argmin and its best move into X1
+with one argmax, and a move of v updates its row with row v plus column
+v of A. A climb leaves the batch when it stops. All three give exactly
+the results of set-by-set loops. Sampled certification also draws its
+random sets as rows, one size decile at a time: one randbytes call gives
+every row one random word per vertex, and np.partition keeps the `size`
+vertices with the smallest words (ties to the smaller vertex), so no set
+is built element by element.
 """
 
 from __future__ import annotations
@@ -129,14 +132,6 @@ def _in_counts(rows: np.ndarray, adj: np.ndarray) -> np.ndarray:
     loops, single-threaded and exact; matmul has no fast path for integer
     types and is several times slower."""
     return np.einsum("iu,uv->iv", rows, adj)
-
-
-def _row_chunks(masks: list[int], adj: np.ndarray):
-    """Yield (offset, rows, counts) per chunk of masks, where rows holds the
-    sets as 0/1 rows and counts = _in_counts(rows, adj)."""
-    for i in range(0, len(masks), _ROW_CHUNK):
-        rows = set_rows(masks[i:i + _ROW_CHUNK], adj.shape[0]).astype(np.int16)
-        yield i, rows, _in_counts(rows, adj)
 
 
 def robust_out_neighborhood(g: Digraph, s: int, nu: float) -> int:
@@ -292,25 +287,35 @@ def _exact_expander_sweep(g: Digraph, nu: float, tau: float) -> ExpansionVerdict
     return ExpansionVerdict("expander", "exact", nu, tau, checked)
 
 
-def _prefix_masks(g: Digraph, orders: int) -> list[int]:
-    """Proper prefixes of the condensation order, then of the first
-    `orders` degree orders: out-degree descending, in-degree descending,
-    out-degree ascending, in-degree ascending (ties to the smaller vertex)."""
-    n = g.n
-    masks: list[int] = []
-    acc = 0
-    for comp in strongly_connected_components(g)[:-1]:
-        acc |= comp
-        masks.append(acc)
+def _prefixes(g: Digraph, orders: int) -> list[tuple[int, int]]:
+    """(S, e+(S, V \\ S)) for the proper prefixes S of the condensation
+    order, then of the first `orders` degree orders: out-degree
+    descending, in-degree descending, out-degree ascending, in-degree
+    ascending (ties to the smaller vertex).
+
+    Each order is walked once. Adding v to S adds its out-edges that
+    leave S + v and drops the edges from S into v, which no longer cross:
+    d+(v) - |N+(v) & S| - |N-(v) & S| (no loops, so v is in neither)."""
+    out_adj, in_adj = g.out_adj, g.in_adj
     prof = degree_profile(g)
+    found: list[tuple[int, int]] = []
+
+    def walk(blocks):
+        s = e = 0
+        for block in blocks:
+            for v in bits_of(block):
+                e += (prof.out_degrees[v] - (out_adj[v] & s).bit_count()
+                      - (in_adj[v] & s).bit_count())
+                s |= 1 << v
+            found.append((s, e))
+
+    walk(strongly_connected_components(g)[:-1])
     keys = ((-1, prof.out_degrees), (-1, prof.in_degrees),
             (1, prof.out_degrees), (1, prof.in_degrees))
     for sign, deg in keys[:orders]:
-        acc = 0
-        for v in sorted(range(n), key=lambda u: (sign * deg[u], u))[:-1]:
-            acc |= 1 << v
-            masks.append(acc)
-    return masks
+        order = sorted(range(g.n), key=lambda u: (sign * deg[u], u))
+        walk([1 << v for v in order[:-1]])
+    return found
 
 
 # Sampled certification draws this many random sets at each of ten sizes
@@ -322,8 +327,8 @@ def _sampled_candidates(g: Digraph, lo: int, hi: int, seed: int) -> np.ndarray:
     """The sets sampled certification probes, as an int16 0/1 matrix with
     one row per set: _SAMPLES_PER_DECILE random sets at each of ten sizes
     spread over [lo, hi], one decile after another, then the condensation
-    and degree-order prefixes of _prefix_masks(g, 3) whose size lies in
-    the window, in that order.
+    and degree-order prefixes of _prefixes(g, 3) whose size lies in the
+    window, in that order.
 
     Each decile takes _SAMPLES_PER_DECILE * n random 32-bit words from one
     randbytes call of random.Random(seed), one word per row and vertex.
@@ -341,7 +346,7 @@ def _sampled_candidates(g: Digraph, lo: int, hi: int, seed: int) -> np.ndarray:
         keys = words.reshape(spd, n) * np.int64(n) + col
         cut = np.partition(keys, size - 1, axis=1)[:, size - 1:size]
         blocks.append(keys <= cut)
-    prefixes = [s for s in _prefix_masks(g, 3) if lo <= s.bit_count() <= hi]
+    prefixes = [s for s, _ in _prefixes(g, 3) if lo <= s.bit_count() <= hi]
     blocks.append(set_rows(prefixes, n))
     return np.concatenate(blocks, dtype=np.int16)
 
@@ -610,14 +615,14 @@ def find_sparse_cut(g: Digraph, alpha: float, seed: int = 0,
     Exact sweep up to n = 24 (so an empty result is a proof of absence);
     beyond that, seeded local search from condensation prefixes, degree
     prefixes, hint masks, and _RESTARTS random balanced cuts drawn from
-    seed. Every prefix start is evaluated at once from its row of S @ A (A
-    the adjacency matrix): its forward edges are the counts on its
-    complement. The restart sets are drawn first, then one lockstep batch
-    climbs from the hints, the 8 best prefix starts and the restarts; the
-    results are considered in that order, after the prefix starts.
-    climb_moves sums the accepted moves of all climbs, climb_steps counts
-    the lockstep steps (at most the longest climb's moves plus one). Up to _NEAR_MISS_CAP near misses within a
-    factor 2 of alpha are reported for diagnostics.
+    seed. Each prefix start's forward edge count comes from the prefix
+    walk of _prefixes. The restart sets are drawn first, then one lockstep
+    batch climbs from the hints, the 8 best prefix starts and the
+    restarts; the results are considered in that order, after the prefix
+    starts. climb_moves sums the accepted moves of all climbs,
+    climb_steps counts the lockstep steps (at most the longest climb's
+    moves plus one). Up to _NEAR_MISS_CAP near misses within a factor 2 of
+    alpha are reported for diagnostics.
     """
     if g.n < 2:
         raise PreconditionError("cuts need at least 2 vertices")
@@ -630,7 +635,6 @@ def find_sparse_cut(g: Digraph, alpha: float, seed: int = 0,
 
     rng = random.Random(seed)
     n = g.n
-    adj = _adjacency(g)
     best: tuple[float, int, int] | None = None   # ratio, mask, e
     near: list[CutCertificate] = []
 
@@ -641,13 +645,9 @@ def find_sparse_cut(g: Digraph, alpha: float, seed: int = 0,
         if alpha < ratio <= 2 * alpha and len(near) < _NEAR_MISS_CAP:
             near.append(CutCertificate(x1, g.vertex_mask & ~x1, e, ratio, False))
 
-    # structured starts are proper, non-empty prefixes; the comprehension
-    # frees the last chunk's matrices before the climbs allocate theirs
-    prefixes = _prefix_masks(g, 4)
-    fwd = [e for _, rows, counts in _row_chunks(prefixes, adj)
-           for e in (counts * (1 - rows)).sum(axis=1, dtype=np.int64).tolist()]
+    # structured starts are proper, non-empty prefixes
     starts = [(s, e, _cut_ratio(e, s.bit_count(), n - s.bit_count()))
-              for s, e in zip(prefixes, fwd)]
+              for s, e in _prefixes(g, 4)]
     for s, e, ratio in starts:
         consider(s, e, ratio)
     # climb from the hints, the most promising structured starts, then
@@ -658,7 +658,7 @@ def find_sparse_cut(g: Digraph, alpha: float, seed: int = 0,
         size = rng.randint(max(1, n // 4), max(1, 3 * n // 4))
         climbs.append(mask_of(rng.sample(range(n), size)))
     results, steps = _hill_climbs(
-        adj, [x1 for x1 in climbs if 0 < x1 < g.vertex_mask])
+        _adjacency(g), [x1 for x1 in climbs if 0 < x1 < g.vertex_mask])
     for *cut, _ in results:
         consider(*cut)
 

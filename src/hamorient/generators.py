@@ -1,11 +1,13 @@
 """Digraph families used as test beds, extremal witnesses, and ensembles.
 
 All randomness flows through an explicit seed; a fixed seed gives a
-bit-identical digraph. The layered-blocks family (``gen_blowup_tt``)
-produces the planted-structure instances the decomposition and embedding
-suites recover: ordered blocks, all cross edges from later blocks to
-earlier ones, seeded forward noise, and tunable double-edge density
-inside blocks.
+bit-identical digraph. Each family sets the bits of per-vertex
+out-neighbourhood masks directly, with no edge list, and takes the
+in-neighbourhoods from their transpose (or from symmetry). The
+layered-blocks family (``gen_blowup_tt``) produces the planted-structure
+instances the decomposition and embedding suites recover: ordered blocks,
+all cross edges from later blocks to earlier ones, seeded forward noise,
+and tunable double-edge density inside blocks.
 """
 
 from __future__ import annotations
@@ -13,20 +15,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .digraph import Digraph
+from .bitset import bit_list, full_mask
+from .digraph import Digraph, row_masks, set_rows
 from .errors import InputError
-
-
-def _build(n: int, out_sets: list[set[int]]) -> Digraph:
-    edges = [(u, v) for u in range(n) for v in sorted(out_sets[u])]
-    return Digraph.from_edge_list(n, edges)
 
 
 def gen_complete_digraph(n: int) -> Digraph:
     """All n(n-1) ordered pairs."""
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
-    return _build(n, [set(range(n)) - {u} for u in range(n)])
+    adj = tuple(full_mask(n) ^ 1 << u for u in range(n))
+    return Digraph(n, adj, adj)
 
 
 def gen_bipartite_extremal(n: int) -> Digraph:
@@ -39,12 +38,10 @@ def gen_bipartite_extremal(n: int) -> Digraph:
     if n < 4:
         raise InputError(f"need n >= 4, got {n}")
     a = (n + 1) // 2 - 1
-    out_sets: list[set[int]] = []
-    part_a = set(range(a))
-    part_b = set(range(a, n))
-    for u in range(n):
-        out_sets.append(part_b - {u} if u in part_a else part_a)
-    return _build(n, out_sets)
+    part_a = full_mask(a)
+    part_b = full_mask(n) ^ part_a
+    adj = tuple(part_b if u < a else part_a for u in range(n))
+    return Digraph(n, adj, adj)
 
 
 def gen_split_cliques(n: int) -> Digraph:
@@ -53,11 +50,9 @@ def gen_split_cliques(n: int) -> Digraph:
     if n < 4:
         raise InputError(f"need n >= 4, got {n}")
     a = n // 2
-    out_sets = []
-    for u in range(n):
-        block = set(range(a)) if u < a else set(range(a, n))
-        out_sets.append(block - {u})
-    return _build(n, out_sets)
+    low = full_mask(a)
+    adj = tuple((low if u < a else full_mask(n) ^ low) ^ 1 << u for u in range(n))
+    return Digraph(n, adj, adj)
 
 
 def gen_blowup_tt(part_sizes: list[int] | tuple[int, ...], intra: float = 1.0,
@@ -76,29 +71,30 @@ def gen_blowup_tt(part_sizes: list[int] | tuple[int, ...], intra: float = 1.0,
         raise InputError(f"part sizes must be positive, got {sizes}")
     if not 0.0 <= intra <= 1.0 or not 0.0 <= forward_noise <= 1.0:
         raise InputError("densities must lie in [0, 1]")
-    rng = random.Random(seed)
+    draw = random.Random(seed).random
     n = sum(sizes)
-    label = []
-    for i, s in enumerate(sizes):
-        label.extend([i] * s)
-    out_sets: list[set[int]] = [set() for _ in range(n)]
-    for u in range(n):
-        for v in range(u + 1, n):
-            cu, cv = label[u], label[v]
-            if cu == cv:
-                if rng.random() < intra:
-                    out_sets[u].add(v)
-                    out_sets[v].add(u)
-                elif rng.random() < 0.5:
-                    out_sets[u].add(v)
+    out = [0] * n
+    end = 0
+    for size in sizes:
+        start, end = end, end + size
+        for u in range(start, end):
+            # pairs (u, v), u < v, draw in lexicographic order; u's own
+            # row starts with its backward edges into the earlier blocks
+            bit = 1 << u
+            row = full_mask(start)
+            for v in range(u + 1, end):
+                if draw() < intra:
+                    row |= 1 << v
+                    out[v] |= bit
+                elif draw() < 0.5:
+                    row |= 1 << v
                 else:
-                    out_sets[v].add(u)
-            else:
-                # label[u] < label[v] since vertices are laid out in order
-                out_sets[v].add(u)
-                if rng.random() < forward_noise:
-                    out_sets[u].add(v)
-    return _build(n, out_sets)
+                    out[v] |= bit
+            for v in range(end, n):
+                if draw() < forward_noise:
+                    row |= 1 << v
+            out[u] |= row
+    return Digraph(n, tuple(out), row_masks(set_rows(out, n).T))
 
 
 def gen_random_min_degree(n: int, delta_target: int, seed: int = 0) -> Digraph:
@@ -112,31 +108,26 @@ def gen_random_min_degree(n: int, delta_target: int, seed: int = 0) -> Digraph:
     if not 0 <= delta_target <= 2 * (n - 1):
         raise InputError(f"delta_target {delta_target} impossible at n={n}")
     rng = random.Random(seed)
-    out_sets: list[set[int]] = [set() for _ in range(n)]
+    out = [0] * n
     if n > 1:
         p = min(1.0, delta_target / (2 * (n - 1)) + 1.5 / max(4.0, n ** 0.5))
         for u in range(n):
             for v in range(n):
                 if u != v and rng.random() < p:
-                    out_sets[u].add(v)
-    in_deg = [0] * n
-    for u in range(n):
-        for v in out_sets[u]:
-            in_deg[v] += 1
-
-    def degree(v: int) -> int:
-        return len(out_sets[v]) + in_deg[v]
-
+                    out[u] |= 1 << v
+    inn = list(row_masks(set_rows(out, n).T))
     for v in range(n):
-        while degree(v) < delta_target:
-            missing = [(v, w) for w in range(n) if w != v and w not in out_sets[v]]
-            missing += [(w, v) for w in range(n) if w != v and v not in out_sets[w]]
-            if not missing:
+        while out[v].bit_count() + inn[v].bit_count() < delta_target:
+            # the missing edges v -> w, then w -> v, each by ascending w
+            others = full_mask(n) ^ 1 << v
+            heads, tails = bit_list(others ^ out[v]), bit_list(others ^ inn[v])
+            if not heads and not tails:
                 break
-            a, b = missing[rng.randrange(len(missing))]
-            out_sets[a].add(b)
-            in_deg[b] += 1
-    return _build(n, out_sets)
+            i = rng.randrange(len(heads) + len(tails))
+            a, b = (v, heads[i]) if i < len(heads) else (tails[i - len(heads)], v)
+            out[a] |= 1 << b
+            inn[b] |= 1 << a
+    return Digraph(n, tuple(out), tuple(inn))
 
 
 def gen_tournament(n: int, kind: str = "random", seed: int = 0) -> Digraph:
@@ -146,14 +137,14 @@ def gen_tournament(n: int, kind: str = "random", seed: int = 0) -> Digraph:
     if kind not in ("random", "transitive"):
         raise InputError(f"unknown tournament kind {kind!r}")
     rng = random.Random(seed)
-    out_sets: list[set[int]] = [set() for _ in range(n)]
+    out = [0] * n
     for u in range(n):
         for v in range(u + 1, n):
             if kind == "transitive" or rng.random() < 0.5:
-                out_sets[u].add(v)
+                out[u] |= 1 << v
             else:
-                out_sets[v].add(u)
-    return _build(n, out_sets)
+                out[v] |= 1 << u
+    return Digraph(n, tuple(out), row_masks(set_rows(out, n).T))
 
 
 # family -> the parameter names GenSpec.build reads

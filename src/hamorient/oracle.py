@@ -91,8 +91,11 @@ def validate_embedding(host: Digraph, pattern, mapping, *, spanning: bool = Fals
     """Independent check that mapping realizes the pattern in the host.
 
     Deliberately naive: recomputes everything from the raw adjacency, so
-    it shares no code path with the search engines it audits.
+    it shares no code path with the search engines it audits. An allowed
+    mask with bits outside the host raises InputError.
     """
+    if allowed is not None and allowed & ~host.vertex_mask:  # negative too
+        raise InputError(f"allowed mask has bits outside the host's {host.n} vertices")
     errors = []
     size = pattern_size(pattern)
     if mapping is None or len(mapping) != size:

@@ -1,6 +1,9 @@
 import hashlib
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -263,6 +266,38 @@ def test_pipeline_three_classes_of_150():
     assert sp.sizes() == [150] * 3
     patterns = _nondirected_patterns(g.n, random.Random(5), 20)
     _assert_all_embed(g, sp, patterns + [CyclePattern.antidirected(g.n)])
+
+
+# Generate -> decompose -> embed -> validate at n = 2000 in a fresh
+# interpreter, which prints its sizes, verdict and peak RSS in MiB.
+SCALE_CHILD = """
+import random, resource, sys
+sys.path.insert(0, {src!r})
+from hamorient import (CyclePattern, decompose, embed_hamilton_orientation,
+                       fit_decomposition_params, gen_blowup_tt,
+                       reverse_for_embedding, validate_embedding)
+g = gen_blowup_tt([1000, 1000], 0.95, 0.001, 3)
+sp = reverse_for_embedding(decompose(g, fit_decomposition_params(g)))
+rng = random.Random(5)
+c = CyclePattern((True,) * g.n)
+while c.is_directed():
+    c = CyclePattern(tuple(rng.random() < 0.5 for _ in range(g.n)))
+res = embed_hamilton_orientation(g, sp, c)
+ok = res.ok and validate_embedding(g, c, res.embedding.mapping, spanning=True).valid
+print(sp.sizes(), ok, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)
+"""
+
+
+@pytest.mark.slow
+def test_pipeline_memory_at_2000_vertices():
+    # generating this host as sets and an edge list peaked at 425 MiB
+    # before decompose started; as masks the whole run stays far below
+    src = str(Path(embedding.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", SCALE_CHILD.format(src=src)],
+                         check=True, capture_output=True, text=True,
+                         timeout=600).stdout.split()
+    assert out[:3] == ["[1000,", "1000]", "True"], out
+    assert int(out[3]) < 200, out
 
 
 def _cycle_edges(c, mapping):

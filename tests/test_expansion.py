@@ -12,14 +12,15 @@ from hamorient import (CutSearchResult, Digraph,
                        certify_expander, cross_counts,
                        find_sparse_cut, fit_decomposition_params,
                        gen_blowup_tt, gen_complete_digraph,
-                       gen_random_min_degree, robust_out_neighborhood,
-                       sparse_or_expander)
+                       gen_random_min_degree, gen_split_cliques,
+                       gen_tournament, robust_out_neighborhood,
+                       sparse_or_expander, strongly_connected_components)
 from hamorient import expansion
-from hamorient.bitset import bit_list, int_ceil, mask_of
+from hamorient.bitset import bit_list, bits_of, int_ceil, mask_of
 from hamorient.digraph import induced
 from hamorient.expansion import (_adjacency, _exact_cut_sweep,
                                  _exact_expander_sweep, _hill_climbs,
-                                 _prefix_masks, _sampled_candidates,
+                                 _prefixes, _sampled_candidates,
                                  _size_bounds)
 
 from conftest import (brute_hill_climb, brute_robust_outnbhd,
@@ -500,6 +501,44 @@ def test_hill_climb_matches_reference(monkeypatch):
     assert _hill_climbs(_adjacency(hosts[0]), []) == ([], 0)
 
 
+def _reference_prefixes(g, orders):
+    """The proper prefixes, in order, of the condensation order, then of
+    out-degree descending, in-degree descending, out-degree ascending and
+    in-degree ascending, the first `orders` of those four, ties to the
+    smaller vertex."""
+    masks, acc = [], 0
+    for comp in strongly_connected_components(g)[:-1]:
+        acc |= comp
+        masks.append(acc)
+    outs = [g.out_degree(v) for v in range(g.n)]
+    ins = [g.in_degree(v) for v in range(g.n)]
+    keys = (lambda v: (-outs[v], v), lambda v: (-ins[v], v),
+            lambda v: (outs[v], v), lambda v: (ins[v], v))
+    for key in keys[:orders]:
+        acc = 0
+        for v in sorted(range(g.n), key=key)[:-1]:
+            acc |= 1 << v
+            masks.append(acc)
+    return masks
+
+
+def test_prefix_walk_matches_direct_count():
+    hosts = [gen_blowup_tt([100, 100, 100], 1.0, 0.0, 0),
+             gen_blowup_tt([40, 60, 30, 20], 0.7, 0.0, 3),
+             gen_tournament(120, "transitive"), gen_split_cliques(51),
+             gen_random_min_degree(200, 220, 1),
+             gen_blowup_tt([60, 60], 0.95, 0.001, 7), _reversed_labels(
+                 gen_blowup_tt([25, 35, 30], 1.0, 0.0, 0))]
+    assert [len(strongly_connected_components(g)) for g in hosts] == \
+        [3, 4, 120, 2, 1, 1, 3]
+    for g in hosts:
+        for orders in range(5):
+            walked = _prefixes(g, orders)
+            assert [s for s, _ in walked] == _reference_prefixes(g, orders)
+        for s, e in walked:
+            assert e == sum((g.out_adj[u] & ~s).bit_count() for u in bits_of(s))
+
+
 def _masks(rows):
     """One vertex mask per 0/1 row, in plain Python."""
     return [sum(1 << v for v, x in enumerate(row) if x) for row in rows.tolist()]
@@ -541,7 +580,7 @@ def test_sampled_candidates_stream():
                 chosen = set(sorted(range(n), key=lambda v: (words[v], v))[:size])
                 assert row == [int(v in chosen) for v in range(n)]
         # then the in-window prefixes, in order
-        prefixes = [s for s in _prefix_masks(g, 3) if lo <= s.bit_count() <= hi]
+        prefixes = [s for s in _reference_prefixes(g, 3) if lo <= s.bit_count() <= hi]
         assert prefixes and _masks(rows[10 * spd:]) == prefixes
         assert _sampled_candidates(g, lo, hi, seed).tolist() == flat
         other = _sampled_candidates(g, lo, hi, seed + 1).tolist()

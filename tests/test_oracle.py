@@ -238,6 +238,20 @@ def test_checker_catches_duplicates_and_range():
     assert not validate_embedding(g, c, None, spanning=True).valid
 
 
+def test_checker_rejects_allowed_mask_outside_host():
+    # -1 used to pass every vertex as allowed, and (1 << 20) | 7 counted
+    # a spanning pool of 4 on an 8-vertex host
+    g = gen_split_cliques(8)
+    c = CyclePattern.from_string("++-")
+    for bad in (-1, (1 << 20) | 7, 1 << 8):
+        with pytest.raises(InputError):
+            validate_embedding(g, c, (0, 1, 2), allowed=bad)
+        with pytest.raises(InputError):
+            validate_embedding(g, c, (0, 1, 2), spanning=True, allowed=bad)
+    assert validate_embedding(g, c, (0, 1, 2), spanning=True, allowed=7).valid
+    assert not validate_embedding(g, c, (0, 1, 2), allowed=3).valid
+
+
 def test_checker_spanning_flag():
     g = complete_digraph(6)
     c = CyclePattern.directed(4)
