@@ -25,7 +25,7 @@ from .decomposition import (CleanedCut, DecompositionParams, PartitionReport,
                             reverse_for_embedding, verify_partition)
 from .digraph import (DegreeProfile, Digraph, cross_counts, degree_profile,
                       double_edge_graph, induced, is_strongly_connected,
-                      reverse_digraph, strongly_connected_components)
+                      strongly_connected_components)
 from .embedding import (Embedding, PipelineResult, embed_hamilton_orientation,
                         pancyclic_suite, select_connectors, tt_embed_path,
                         two_factor)
@@ -43,8 +43,8 @@ from .io import load_json, read_edges, read_header_spec, save_json, write_edges
 from .oracle import CheckReport, EmbedResult, exact_embed, validate_embedding
 from .patterns import (BlockPlan, CyclePattern, PathPattern, SegmentPlan,
                        canonical_rotation, classify_case,
-                       distinct_path_patterns, has_directed_window,
-                       necklace_classes, partition_case2, run_frame, switches)
+                       distinct_path_patterns, necklace_classes,
+                       partition_case2, run_frame, switches)
 from .workbench import ExperimentConfig, TrialRecord, run as run_experiments
 
 __version__ = "0.1.0"
@@ -63,12 +63,12 @@ __all__ = [
     "embed_hamilton_orientation", "exact_embed", "family_names",
     "find_sparse_cut", "fit_decomposition_params", "gen_bipartite_extremal",
     "gen_blowup_tt", "gen_complete_digraph", "gen_random_min_degree",
-    "gen_split_cliques", "gen_tournament", "has_directed_window", "induced",
+    "gen_split_cliques", "gen_tournament", "induced",
     "is_strongly_connected", "load_json", "mask_of", "necklace_classes",
     "pancyclic_suite", "partition_case2", "partition_from_json_dict",
-    "read_edges", "read_header_spec", "reverse_digraph",
-    "reverse_for_embedding", "robust_out_neighborhood", "run_experiments",
-    "run_frame", "save_json", "select_connectors", "sparse_or_expander",
+    "read_edges", "read_header_spec", "reverse_for_embedding",
+    "robust_out_neighborhood", "run_experiments", "run_frame", "save_json",
+    "select_connectors", "sparse_or_expander",
     "strongly_connected_components", "switches", "tt_embed_path",
     "two_factor", "validate_embedding", "verify_partition", "write_edges",
 ]

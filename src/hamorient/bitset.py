@@ -33,10 +33,6 @@ def full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 def int_ceil(x: float) -> int:
     """Ceiling with a tolerance for float noise (0.3*10 style artifacts)."""
     import math

@@ -169,7 +169,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     if res.failure_step:
         out["failure_step"] = res.failure_step
     if res.embedding is not None:
-        out["mapping"] = [[pos, v] for pos, v in enumerate(res.embedding.mapping)]
+        out["mapping"] = res.embedding.to_json_dict()["mapping"]
         check = validate_embedding(g, c, res.embedding.mapping, spanning=True)
         out["checker"] = {"valid": check.valid, "errors": list(check.errors)}
     _emit(out, args.out)

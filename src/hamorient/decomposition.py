@@ -101,7 +101,6 @@ class CleanedCut:
     x2_dprime: int
     alpha: float
     checks: dict = field(default_factory=dict)
-    fallback: bool = False
 
 
 @dataclass(frozen=True)
@@ -351,15 +350,15 @@ def decompose(g: Digraph, p: DecompositionParams, seed: int = 0) -> StructurePar
                 entry["moved_across"] = ((cc.x1_dprime & side2)
                                          | (cc.x2_dprime & side1)).bit_count()
                 entry["conclusions_ok"] = all(c["ok"] for c in cc.checks.values())
+                halves = [cc.v1, cc.v2]
             except HypothesisError as err:
-                cc = CleanedCut(side1, side2, 0, 0, 0, 0, clean_alpha,
-                                {}, fallback=True)
+                halves = [side1, side2]
                 entry["cleaned"] = False
                 entry["hypothesis_failures"] = [list(f) for f in err.failures]
                 flags.append(f"cleaning fell back to raw cut in class {idx} "
                              f"at round {b}")
             audit.append(entry)
-            classes[idx:idx + 1] = [cc.v1, cc.v2]
+            classes[idx:idx + 1] = halves
             frozen[idx:idx + 1] = [False, False]
             idx += 2
 
@@ -498,9 +497,11 @@ def partition_from_json_dict(d: dict) -> StructurePartition:
 
     Certificates are not reconstructed (verdicts come back empty), and the
     stored tau and nu are ignored: both derive from alpha and zeta. The
-    result carries everything the embedding pipeline consumes. A missing
-    'n' or 'classes', classes that do not split 0..n-1 into disjoint
-    lists of vertices, or a mistyped parameter raises InputError."""
+    result carries everything the embedding pipeline consumes; k defaults
+    to the class count, at most _K_MAX. A missing 'n' or 'classes',
+    classes that do not split 0..n-1 into disjoint lists of vertices,
+    'flags' other than a list of strings, or a mistyped parameter raises
+    InputError."""
     if not isinstance(d, dict) or not isinstance(d.get("n"), int) \
             or not isinstance(d.get("classes"), list):
         raise InputError("a partition needs an integer 'n' and a 'classes' list")
@@ -511,10 +512,13 @@ def partition_from_json_dict(d: dict) -> StructurePartition:
         raise InputError(f"partition classes do not split 0..{n - 1} into "
                          f"disjoint lists of vertices")
     classes = tuple(mask_of(vs) for vs in d["classes"])
+    flags = d.get("flags", [])
+    if not isinstance(flags, list) or not all(isinstance(f, str) for f in flags):
+        raise InputError("partition 'flags' must be a list of strings")
     pd = d.get("params", {})
     try:
         params = DecompositionParams(
-            k=pd.get("k", max(1, len(classes) - 1) if len(classes) > 1 else 1),
+            k=pd.get("k", min(max(1, len(classes)), _K_MAX)),
             zeta=pd.get("zeta", 0.2), alpha=pd.get("alpha"),
             exact_threshold=pd.get("exact_threshold", 20),
             enforce_hierarchy=pd.get("enforce_hierarchy", False),
@@ -522,5 +526,4 @@ def partition_from_json_dict(d: dict) -> StructurePartition:
     except (AttributeError, TypeError) as exc:
         raise InputError(f"partition params are malformed: {exc}") from None
     return StructurePartition(n=n, classes=classes, verdicts=(),
-                              params=params,
-                              flags=tuple(d.get("flags", ())))
+                              params=params, flags=tuple(flags))

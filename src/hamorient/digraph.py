@@ -70,36 +70,19 @@ class Digraph:
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in bits_of(self.out_adj[u])]
 
-    def out_degree(self, v: int) -> int:
-        return self.out_adj[v].bit_count()
-
-    def in_degree(self, v: int) -> int:
-        return self.in_adj[v].bit_count()
-
-    def degree(self, v: int) -> int:
-        return self.out_degree(v) + self.in_degree(v)
-
 
 @dataclass(frozen=True)
 class DegreeProfile:
     out_degrees: tuple[int, ...]
     in_degrees: tuple[int, ...]
-    degrees: tuple[int, ...]
-    min_total: int       # min over v of d+(v) + d-(v)
-    min_semi: int        # min over v of min(d+(v), d-(v))
+    min_total: int       # min over v of d+(v) + d-(v), 0 when n = 0
 
 
 def degree_profile(g: Digraph) -> DegreeProfile:
     outs = tuple(m.bit_count() for m in g.out_adj)
     ins = tuple(m.bit_count() for m in g.in_adj)
-    tot = tuple(o + i for o, i in zip(outs, ins))
-    if g.n == 0:
-        return DegreeProfile((), (), (), 0, 0)
-    return DegreeProfile(
-        outs, ins, tot,
-        min(tot),
-        min(min(o, i) for o, i in zip(outs, ins)),
-    )
+    return DegreeProfile(outs, ins,
+                         min((o + i for o, i in zip(outs, ins)), default=0))
 
 
 def cross_counts(g: Digraph, a: int, b: int) -> tuple[int, int, int]:
@@ -140,10 +123,6 @@ def induced(g: Digraph, mask: int) -> tuple[Digraph, list[int]]:
     verts = bit_list(mask)
     rows = set_rows([g.out_adj[v] for v in verts], g.n)[:, verts]
     return Digraph(len(verts), row_masks(rows), row_masks(rows.T)), verts
-
-
-def reverse_digraph(g: Digraph) -> Digraph:
-    return Digraph(g.n, g.in_adj, g.out_adj)
 
 
 def strongly_connected_components(g: Digraph) -> list[int]:

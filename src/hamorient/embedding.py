@@ -94,7 +94,8 @@ class Embedding:
     pattern: str = ""
 
     def to_json_dict(self) -> dict:
-        return {"mapping": list(self.mapping), "pattern": self.pattern}
+        return {"mapping": [[pos, v] for pos, v in enumerate(self.mapping)],
+                "pattern": self.pattern}
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,6 @@ class _PlanError(Exception):
     def __init__(self, step: str, detail: str = ""):
         super().__init__(f"{step}: {detail}" if detail else step)
         self.step = step
-        self.detail = detail
 
 
 # ---------------------------------------------------------------------------

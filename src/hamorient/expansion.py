@@ -68,26 +68,6 @@ from .errors import CapabilityError, InputError, PreconditionError
 
 EXACT_SWEEP_CAP = 24
 
-_POP16 = None
-
-
-def _pop16():
-    global _POP16
-    if _POP16 is None:
-        t = np.arange(1 << 16, dtype=np.uint32)
-        t = (t & 0x5555) + ((t >> 1) & 0x5555)
-        t = (t & 0x3333) + ((t >> 2) & 0x3333)
-        t = (t & 0x0F0F) + ((t >> 4) & 0x0F0F)
-        t = (t & 0x00FF) + ((t >> 8) & 0x00FF)
-        _POP16 = t.astype(np.uint8)
-    return _POP16
-
-
-def _popcount_u32(a: np.ndarray) -> np.ndarray:
-    p = _pop16()
-    return p[a & 0xFFFF] + p[a >> 16]
-
-
 # Each step of the exact sweeps handles 2**_BLOCK_BITS consecutive high
 # halves at once. Larger blocks cut interpreter overhead but not numpy
 # work; at n = 24 this size keeps the traced peak allocation at 875 KiB
@@ -100,7 +80,7 @@ def _half_counts(masks: list[int], bits: int, dtype=np.uint8) -> np.ndarray:
     subs = np.arange(1 << bits, dtype=np.uint32)
     tab = np.empty((len(masks), 1 << bits), dtype=dtype)
     for v, m in enumerate(masks):
-        tab[v] = _popcount_u32(subs & m)
+        tab[v] = np.bitwise_count(subs & m)
     return tab
 
 
@@ -250,8 +230,8 @@ def _exact_expander_sweep(g: Digraph, nu: float, tau: float) -> ExpansionVerdict
     del tab_lo, tab_hi
     full = np.uint32((1 << n) - 1)
 
-    pc_lo = _popcount_u32(np.arange(1 << n1, dtype=np.uint32)).astype(np.int16)
-    pc_hi = _popcount_u32(np.arange(1 << n2, dtype=np.uint32)).astype(np.int16)
+    pc_lo = np.bitwise_count(np.arange(1 << n1, dtype=np.uint32)).astype(np.int16)
+    pc_hi = np.bitwise_count(np.arange(1 << n2, dtype=np.uint32)).astype(np.int16)
     # row c: which s_lo give an eligible |S| when |s_hi| = c, and how many
     hi_size = np.arange(n2 + 1, dtype=np.int16)[:, None]
     elig = (pc_lo >= lo - hi_size) & (pc_lo <= hi - hi_size)
@@ -273,7 +253,7 @@ def _exact_expander_sweep(g: Digraph, nu: float, tau: float) -> ExpansionVerdict
         if cand.size:
             r, s_lo = np.divmod(cand, 1 << n1)
             set_size = pc_lo[s_lo] + c[r]
-            rn_size = _popcount_u32(rn.ravel()[cand]).astype(np.int16)
+            rn_size = np.bitwise_count(rn.ravel()[cand]).astype(np.int16)
             bad = rn_size < set_size + thr
             if bad.any():
                 j = int(np.argmax(bad))
@@ -429,8 +409,8 @@ def _half_sums(outdeg: list[int], out_adj: list[int], in_adj: list[int]) -> np.n
     f = np.zeros(1 << len(outdeg), dtype=np.int16)
     for j, d in enumerate(outdeg):
         subs = np.arange(1 << j, dtype=np.uint32)
-        touch = (_popcount_u32(subs & out_adj[j]).astype(np.int16)
-                 + _popcount_u32(subs & in_adj[j]))
+        touch = (np.bitwise_count(subs & out_adj[j]).astype(np.int16)
+                 + np.bitwise_count(subs & in_adj[j]))
         f[1 << j:2 << j] = f[:1 << j] + (d - touch)
     return f
 
@@ -460,7 +440,7 @@ def _exact_cut_sweep(g: Digraph) -> tuple[int, int, float]:
     outdeg = [a.bit_count() for a in g.out_adj]
     out_lo = [a & lo_mask for a in g.out_adj]
     in_lo = [a & lo_mask for a in g.in_adj]
-    pc_lo = _popcount_u32(np.arange(1 << n1, dtype=np.uint32))
+    pc_lo = np.bitwise_count(np.arange(1 << n1, dtype=np.uint32))
     order = np.argsort(pc_lo, kind="stable")
     starts = np.searchsorted(pc_lo[order], np.arange(n1 + 2))
     f_lo = _half_sums(outdeg[:n1], out_lo, in_lo)[order]
@@ -470,7 +450,7 @@ def _exact_cut_sweep(g: Digraph) -> tuple[int, int, float]:
     cross = _half_counts(out_lo[n1:], n1, np.int16)
     cross += _half_counts(in_lo[n1:], n1)
     cross = cross[:, order]
-    pc_hi = _popcount_u32(np.arange(1 << n2, dtype=np.uint32)).astype(np.intp)
+    pc_hi = np.bitwise_count(np.arange(1 << n2, dtype=np.uint32)).astype(np.intp)
     # [|s_hi|, |s_lo|]: |X1|*|X2|; the empty and the full set get 1 here
     # and ratio inf below
     size = np.arange(n2 + 1)[:, None] + np.arange(n1 + 1)

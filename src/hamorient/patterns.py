@@ -225,23 +225,6 @@ def classify_case(c: CyclePattern, beta: float) -> tuple[str, int]:
     return ("case1" if ell >= bar else "case2"), ell
 
 
-def has_directed_window(c: CyclePattern, m: int) -> bool:
-    """True iff some segment on m vertices is directed (has no inner switch).
-
-    Direct window scan, deliberately independent of run_frame so the two
-    can cross-check each other."""
-    n = c.n
-    if m <= 1:
-        return True
-    if m > n:
-        return False
-    o = c.orientation
-    for s in range(n):
-        if all(o[(s + i) % n] == o[s] for i in range(m - 1)):
-            return True
-    return False
-
-
 @dataclass(frozen=True)
 class SegmentPlan:
     """Cut of a cycle pattern into consecutive segments, one per class.
@@ -251,7 +234,6 @@ class SegmentPlan:
     far boundary s ran past the cumulative class-size target while hunting
     for a forward final edge.
     """
-    class_sizes: tuple[int, ...]
     boundaries: tuple[int, ...]
     overshoots: tuple[int, ...]
 
@@ -305,7 +287,7 @@ def partition_case2(c: CyclePattern, class_sizes: Sequence[int], beta: float) ->
     boundaries.append(n)
     if n - cum > sizes[-1]:
         raise PreconditionError("final segment exceeds the last class size")
-    return SegmentPlan(sizes, tuple(boundaries), tuple(overshoots))
+    return SegmentPlan(tuple(boundaries), tuple(overshoots))
 
 
 @dataclass(frozen=True)

@@ -226,6 +226,23 @@ def ref_canonical_rotation(c):
     return rotate(c, best), best
 
 
+def has_directed_window(c, m):
+    """True iff some segment on m vertices is directed (has no inner switch).
+
+    Direct window scan, deliberately independent of run_frame so the two
+    can cross-check each other."""
+    n = c.n
+    if m <= 1:
+        return True
+    if m > n:
+        return False
+    o = c.orientation
+    for s in range(n):
+        if all(o[(s + i) % n] == o[s] for i in range(m - 1)):
+            return True
+    return False
+
+
 def ref_static_filter(host, adj, allowed):
     """Reference static filter: count the degrees of every host vertex,
     threshold all of them per (out, in) need, then AND with allowed."""

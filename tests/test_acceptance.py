@@ -13,17 +13,20 @@ from collections import Counter
 
 import pytest
 
-from hamorient import (CyclePattern, decompose, distinct_path_patterns,
-                       embed_hamilton_orientation, exact_embed,
-                       fit_decomposition_params, gen_bipartite_extremal,
-                       gen_blowup_tt, gen_random_min_degree,
-                       gen_split_cliques, necklace_classes,
+from hamorient import (CyclePattern, Digraph, decompose,
+                       distinct_path_patterns, embed_hamilton_orientation,
+                       exact_embed, fit_decomposition_params,
+                       gen_bipartite_extremal, gen_blowup_tt,
+                       gen_random_min_degree, gen_split_cliques,
+                       necklace_classes,
                        reverse_for_embedding, sparse_or_expander,
                        tt_embed_path, two_factor, validate_embedding)
 from hamorient.bitset import bit_list, int_floor
 from hamorient.digraph import degree_profile
-from hamorient.patterns import classify_case, has_directed_window, switches
+from hamorient.patterns import classify_case, switches
 from hamorient.workbench import suite_ghouila_houri
+
+from conftest import has_directed_window
 
 # Independently derived enumeration counts for 5 labeled vertices (see
 # module docstring): adjacency masks whose min total degree reaches the
@@ -334,3 +337,45 @@ def test_c9_full_oriented_cycle_spectrum():
             f"50 seeded n=10 digraphs, delta>=14: every oriented cycle of "
             f"every length 3..10 ({cells} cells), {len(violations)} "
             f"violations {violations[:3]} ({dt:.0f}s)")
+
+
+def _thinned_complete(n, delta, rng):
+    """K_n minus random edges: each edge, in shuffled order, is deleted
+    while both its ends keep total degree above delta, so every vertex
+    ends with total degree at least delta and no edge is left deletable."""
+    edges = [(u, v) for u in range(n) for v in range(n) if u != v]
+    rng.shuffle(edges)
+    deg = [2 * (n - 1)] * n
+    kept = []
+    for u, v in edges:
+        if deg[u] > delta and deg[v] > delta:
+            deg[u] -= 1
+            deg[v] -= 1
+        else:
+            kept.append((u, v))
+    return Digraph.from_edge_list(n, kept)
+
+
+def test_cycle_spectrum_on_thinned_complete_hosts():
+    """C9's spectrum on hosts that are not complete: C9's hosts are all
+    K10, since gen_random_min_degree(10, 14, s) samples every edge. Here
+    50 hosts keep about 70 of K10's 90 edges, with total degree >= 14 =
+    3n/2 - 1 at every vertex."""
+    t0 = time.monotonic()
+    patterns = [c for L in range(3, 11) for c in necklace_classes(L)]
+    edges = []
+    violations = []
+    for i in range(50):
+        g = _thinned_complete(10, 14, random.Random(7000 + i))
+        assert degree_profile(g).min_total >= 14
+        edges.append(g.edge_count())
+        for c in patterns:
+            res = exact_embed(g, c)
+            if not res.found or not validate_embedding(g, c, res.mapping).valid:
+                violations.append((i, c.to_string(), res.status))
+    dt = time.monotonic() - t0
+    assert max(edges) < 90
+    _report("C9-thinned", not violations,
+            f"50 thinned K10 hosts ({min(edges)}-{max(edges)} edges), "
+            f"delta>=14: {50 * len(patterns)} cells, {len(violations)} "
+            f"violations {violations[:3]} ({dt:.1f}s)")

@@ -1,12 +1,12 @@
 from hamorient.bitset import (bit_list, bits_of, full_mask, int_ceil,
-                              int_floor, mask_of, popcount)
+                              int_floor, mask_of)
 
 
 def test_mask_round_trip():
     vs = [0, 3, 5, 11]
     m = mask_of(vs)
     assert bit_list(m) == vs
-    assert popcount(m) == 4
+    assert m.bit_count() == 4
 
 
 def test_bits_of_ascending():

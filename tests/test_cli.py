@@ -10,6 +10,10 @@ from hamorient.cli import main
 from hamorient.io import read_edges, read_header_spec
 
 
+# the two planted blocks of the workdir host, as partition classes
+BLOCKS_12_12 = json.dumps([list(range(12)), list(range(12, 24))])
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     """A generated two-block instance plus its partition artifact."""
@@ -85,6 +89,23 @@ def test_partition_explicit_k_without_alpha(workdir, tmp_path):
     assert rc == 0
     params = json.loads(out.read_text())["params"]
     assert params["alpha_floor"] <= params["alpha"]
+
+
+def test_classes_only_partition_file_verifies(tmp_path):
+    # without stored params, k is the class count, so clause 1's t <= k holds
+    graph = str(tmp_path / "graph.edges")
+    assert main(["generate", "--family", "blowup", "--sizes", "10,10",
+                 "--intra", "0.95", "--noise", "0.001", "--seed", "1",
+                 "--out", graph]) == 0
+    part = tmp_path / "classes.json"
+    part.write_text(json.dumps({"n": 20, "classes": [list(range(10)),
+                                                      list(range(10, 20))]}))
+    assert partition_from_json_dict(json.loads(part.read_text())).params.k == 2
+    out = tmp_path / "report.json"
+    assert main(["verify", "--input", graph, "--partition", str(part),
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert all(report[f"clause{i}"]["ok"] for i in range(1, 5))
 
 
 @pytest.fixture(scope="module")
@@ -284,6 +305,28 @@ def test_verify_embedding_and_tamper(workdir, tmp_path):
                  f"--pattern={pattern}"]) == 1
 
 
+def test_main_theorem_artifact_passes_verify_embedding(tmp_path):
+    # experiment artifacts and embed write one mapping format
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": [
+        {"suite": "main_theorem", "seed": 0, "n_grid": [14],
+         "pattern_sample": 2, "intra": 1.0, "noise": 0.0},
+    ]}))
+    out = tmp_path / "results"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+    # the suite's n = 14 host: blocks [7, 7], seed + 7 * n
+    graph = str(tmp_path / "host.edges")
+    assert main(["generate", "--family", "blowup", "--sizes", "7,7",
+                 "--intra", "1.0", "--noise", "0.0", "--seed", "98",
+                 "--out", graph]) == 0
+    artifacts = sorted((out / "artifacts").glob("main_theorem-*.json"))
+    assert len(artifacts) == 2
+    for art in artifacts:
+        pattern = json.loads(art.read_text())["pattern"]
+        assert main(["verify", "--input", graph, "--embedding", str(art),
+                     f"--pattern={pattern}"]) == 0
+
+
 def test_verify_expansion(tmp_path):
     graph = tmp_path / "k12.edges"
     assert main(["generate", "--family", "complete", "--n", "12",
@@ -350,11 +393,15 @@ def test_verify_selector_errors(workdir):
      '{"n": 24, "classes": [[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11], '
      '[0, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23]]}'),
     ("embed-partition", '{"n": 12}'),
+    ("embed-partition",
+     '{"n": 24, "classes": %s, "flags": 5}' % BLOCKS_12_12),
+    ("verify-partition",
+     '{"n": 24, "classes": %s, "flags": "ab"}' % BLOCKS_12_12),
     ("experiment-config", "not json"),
 ], ids=["position-out-of-range", "no-mapping", "not-a-pair",
         "embedding-not-json", "verify-no-classes", "vertex-out-of-range",
         "classes-miss-vertices", "classes-overlap", "embed-no-classes",
-        "config-not-json"])
+        "flags-not-a-list", "flags-a-string", "config-not-json"])
 def test_malformed_artifact_exits_2(workdir, tmp_path, capsys, command, text):
     artifact = tmp_path / "artifact.json"
     artifact.write_text(text)

@@ -114,7 +114,6 @@ def test_clean_cut_planted_no_moves(planted_two_block):
     cert = CutCertificate(x1, x2, 0, 0.0, True)
     cc = clean_cut(g, g.vertex_mask, cert, k=8, zeta=0.17, alpha=0.05)
     assert cc.v1 == x1 and cc.v2 == x2
-    assert not cc.fallback
     assert all(c["ok"] for c in cc.checks.values())
 
 

@@ -39,7 +39,8 @@ def test_no_tuning_parameters():
         assert not tuning & optional, fn
     for gone in ("CutSearchBudget", "embed_path_between", "switch_count",
                  "directed_run_decomposition_case1b",
-                 "longest_directed_segment"):
+                 "longest_directed_segment", "reverse_digraph",
+                 "has_directed_window"):
         assert gone not in hamorient.__all__ and not hasattr(hamorient, gone)
 
 

@@ -4,11 +4,11 @@ import pytest
 
 from hamorient import (CyclePattern, InputError, PathPattern,
                        canonical_rotation, classify_case,
-                       distinct_path_patterns, has_directed_window,
-                       necklace_classes, partition_case2, run_frame, switches)
+                       distinct_path_patterns, necklace_classes,
+                       partition_case2, run_frame, switches)
 from hamorient.patterns import _case1b_blocks, reflect, rotate
 
-from conftest import ref_canonical_rotation
+from conftest import has_directed_window, ref_canonical_rotation
 
 
 def test_parse_and_print():
