@@ -115,7 +115,7 @@ def _decomposition_params(g: Digraph, args: argparse.Namespace) -> Decomposition
 def _cmd_partition(args: argparse.Namespace) -> int:
     g = read_edges(args.input)
     params = _decomposition_params(g, args)
-    sp = decompose(g, params, seed=args.seed)
+    sp = decompose(g, params)
     report = sp.report
     _emit(sp.to_json_dict(g), args.out)
     sizes = "+".join(str(s) for s in sp.sizes())
@@ -196,7 +196,7 @@ def _verify_expansion(g: Digraph, args: argparse.Namespace) -> tuple[dict, bool]
 
 
 def _verify_cut(g: Digraph, args: argparse.Namespace) -> tuple[dict, bool]:
-    res = find_sparse_cut(g, args.alpha, seed=args.seed)
+    res = find_sparse_cut(g, args.alpha)
     d = {
         "outcome": "cut" if res.found else "no-cut",
         "params": {"nu": None, "tau": None, "alpha": args.alpha},
@@ -227,7 +227,7 @@ def _verify_embedding_file(g: Digraph, args: argparse.Namespace) -> tuple[dict, 
     mapping = [0] * len(pairs)
     for pair in pairs:
         if not isinstance(pair, list) or len(pair) != 2 \
-                or not all(isinstance(x, int) for x in pair):
+                or not all(type(x) is int for x in pair):
             raise InputError(f"{args.embedding}: mapping entry {pair!r} is "
                              f"not a [position, vertex] pair")
         pos, v = pair
@@ -326,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="skip the hierarchy check alpha <= zeta/(24(k+1))")
     par.add_argument("--adaptive", action="store_true",
                      help="fit parameters from the instance's degree slack")
-    par.add_argument("--seed", type=int, default=0)
     par.add_argument("--out", help="partition JSON output (default stdout)")
     par.set_defaults(func=_cmd_partition)
 
@@ -351,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--partition", help="partition JSON to re-verify")
     ver.add_argument("--embedding", help="embedding JSON to re-check")
     ver.add_argument("--pattern", help="pattern the embedding should realize")
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--seed", type=int, default=0,
+                     help="seed of the sampled expansion check")
     ver.add_argument("--out", help="report JSON output (default stdout)")
     ver.set_defaults(func=_cmd_verify)
 

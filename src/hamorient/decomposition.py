@@ -273,7 +273,7 @@ def _clean_conclusions(g: Digraph, v1: int, v2: int, k: int, zeta: float,
     return checks
 
 
-def decompose(g: Digraph, p: DecompositionParams, seed: int = 0) -> StructurePartition:
+def decompose(g: Digraph, p: DecompositionParams) -> StructurePartition:
     """Partition V(G) into at most k ordered expander classes.
 
     Precondition: min total degree at least (1 + 1/(k+1) + zeta)n. Each
@@ -282,8 +282,7 @@ def decompose(g: Digraph, p: DecompositionParams, seed: int = 0) -> StructurePar
     hypotheses fail at this scale, with the failure logged) and split in
     place, keeping both halves adjacent in the order. Classes certify as
     expanders exactly below exact_threshold and by sampling above it; the
-    verdicts are those of the closing verify_partition report. The cut
-    search on class idx in round b is seeded with seed + 1000*b + idx.
+    verdicts are those of the closing verify_partition report.
     """
     n = g.n
     profile = degree_profile(g)
@@ -311,7 +310,7 @@ def decompose(g: Digraph, p: DecompositionParams, seed: int = 0) -> StructurePar
                 continue
             mask = classes[idx]
             sub, verts = induced(g, mask)
-            res = find_sparse_cut(sub, search_alpha, seed=seed + 1000 * b + idx)
+            res = find_sparse_cut(sub, search_alpha)
             if not res.found:
                 frozen[idx] = True
                 audit.append({

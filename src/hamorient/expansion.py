@@ -26,8 +26,8 @@ of per-half vertex masks (L_k: at least k in-neighbours in the low half,
 H_k: in the high half). Both report exactly what a set-by-set sweep in
 ascending mask order would. Above the cap both directions degrade
 honestly: sampled certification can only return a violator or
-"inconclusive", and cut search becomes seeded local search whose empty
-result is flagged non-exhaustive.
+"inconclusive", and cut search becomes deterministic local search from
+prefix and hint starts, whose empty result is flagged non-exhaustive.
 
 The above-cap paths share one 0/1 out-adjacency matrix A of the digraph.
 For a 0/1 matrix S whose rows are vertex sets, (S @ A)[i, v] counts the
@@ -61,7 +61,7 @@ from math import comb
 
 import numpy as np
 
-from .bitset import bit_list, bits_of, int_ceil, int_floor, mask_of
+from .bitset import bit_list, bits_of, int_ceil, int_floor
 from .digraph import (Digraph, degree_profile, row_masks, set_rows,
                       strongly_connected_components)
 from .errors import CapabilityError, InputError, PreconditionError
@@ -489,10 +489,8 @@ def _exact_cut_sweep(g: Digraph) -> tuple[int, int, float]:
     return best_mask, best_e, best_ratio
 
 
-# Heuristic cut search climbs from _RESTARTS random cuts besides its
-# structured starts, and reports at most _NEAR_MISS_CAP near misses. A
+# Heuristic cut search reports at most _NEAR_MISS_CAP near misses. A
 # climb stops after _CLIMB_STEP_CAP accepted moves.
-_RESTARTS = 32
 _NEAR_MISS_CAP = 8
 _CLIMB_STEP_CAP = 10_000
 # Key offset of the lockstep climbs: above every |gain| <= N_MAX - 1, and
@@ -588,24 +586,26 @@ def _hill_climbs(adj: np.ndarray,
     return out, steps
 
 
-def find_sparse_cut(g: Digraph, alpha: float, seed: int = 0,
+def find_sparse_cut(g: Digraph, alpha: float,
                     hints: tuple[int, ...] = ()) -> CutSearchResult:
     """Hunt a cut (X1, X2) with e+(X1,X2) <= alpha*|X1|*|X2|.
 
     Exact sweep up to n = 24 (so an empty result is a proof of absence);
-    beyond that, seeded local search from condensation prefixes, degree
-    prefixes, hint masks, and _RESTARTS random balanced cuts drawn from
-    seed. Each prefix start's forward edge count comes from the prefix
-    walk of _prefixes. The restart sets are drawn first, then one lockstep
-    batch climbs from the hints, the 8 best prefix starts and the
-    restarts; the results are considered in that order, after the prefix
-    starts. climb_moves sums the accepted moves of all climbs,
-    climb_steps counts the lockstep steps (at most the longest climb's
-    moves plus one). Up to _NEAR_MISS_CAP near misses within a factor 2 of
-    alpha are reported for diagnostics.
+    beyond that, local search from condensation prefixes, degree prefixes
+    and hint masks, whose forward edge counts come from the prefix walk of
+    _prefixes. One lockstep batch climbs from the hints, then the 8 best
+    prefix starts, and the results are considered in that order after the
+    prefix starts. Above minimum degree n a sparse cut shows in the
+    degree orders: the side sending few edges forward must make up its
+    degree by receiving edges. climb_moves sums the accepted moves of all
+    climbs, climb_steps counts the lockstep steps (at most the longest
+    climb's moves plus one). Up to _NEAR_MISS_CAP near misses within a
+    factor 2 of alpha are reported for diagnostics.
     """
     if g.n < 2:
         raise PreconditionError("cuts need at least 2 vertices")
+    if not alpha >= 0:
+        raise InputError(f"alpha must be a number >= 0, got {alpha}")
     if g.n <= EXACT_SWEEP_CAP:
         mask, e, ratio = _exact_cut_sweep(g)
         cert = CutCertificate(mask, g.vertex_mask & ~mask, e, ratio, True)
@@ -613,7 +613,6 @@ def find_sparse_cut(g: Digraph, alpha: float, seed: int = 0,
         near = () if found or ratio > 2 * alpha else (cert,)
         return CutSearchResult(found, cert if found else None, cert, near, "exact")
 
-    rng = random.Random(seed)
     n = g.n
     best: tuple[float, int, int] | None = None   # ratio, mask, e
     near: list[CutCertificate] = []
@@ -630,13 +629,9 @@ def find_sparse_cut(g: Digraph, alpha: float, seed: int = 0,
               for s, e in _prefixes(g, 4)]
     for s, e, ratio in starts:
         consider(s, e, ratio)
-    # climb from the hints, the most promising structured starts, then
-    # random restarts
+    # climb from the hints, then the most promising structured starts
     starts.sort(key=lambda start: start[2])
     climbs = [h & g.vertex_mask for h in hints] + [s for s, _, _ in starts[:8]]
-    for _ in range(_RESTARTS):
-        size = rng.randint(max(1, n // 4), max(1, 3 * n // 4))
-        climbs.append(mask_of(rng.sample(range(n), size)))
     results, steps = _hill_climbs(
         _adjacency(g), [x1 for x1 in climbs if 0 < x1 < g.vertex_mask])
     for *cut, _ in results:

@@ -121,6 +121,9 @@ class ExperimentConfig:
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict) or "suites" not in d:
             raise InputError("config error at top level: missing 'suites'")
+        if not isinstance(d["suites"], list) \
+                or not all(isinstance(s, dict) for s in d["suites"]):
+            raise InputError("config error at suites: expected a list of objects")
         return cls(suites=tuple(d["suites"]))
 
 

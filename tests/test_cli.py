@@ -3,8 +3,8 @@ import json
 
 import pytest
 
-from hamorient import (DecompositionParams, ExpansionParams, InputError,
-                       find_sparse_cut, gen_complete_digraph,
+from hamorient import (DecompositionParams, ExpansionParams, GenSpec,
+                       InputError, find_sparse_cut, gen_complete_digraph,
                        partition_from_json_dict, robust_out_neighborhood)
 from hamorient.cli import main
 from hamorient.io import read_edges, read_header_spec
@@ -40,6 +40,22 @@ def test_generate_writes_readable_file(tmp_path):
     spec = read_header_spec(out)
     assert spec["family"] == "complete"
     assert spec["params"] == {"n": 8}
+
+
+@pytest.mark.parametrize("args", [
+    ["complete", "--n", "7"],
+    ["bipartite_extremal", "--n", "9"],
+    ["split_cliques", "--n", "9"],
+    ["blowup", "--sizes", "5,6", "--intra", "0.7", "--noise", "0.1",
+     "--seed", "3"],
+    ["random_min_degree", "--n", "12", "--delta", "12", "--seed", "5"],
+    ["tournament", "--n", "9", "--kind", "random", "--seed", "4"],
+], ids=lambda args: args[0])
+def test_generated_file_rebuilds_its_host(tmp_path, args):
+    out = tmp_path / "g.edges"
+    assert main(["generate", "--family", *args, "--out", str(out)]) == 0
+    assert GenSpec.from_json_dict(read_header_spec(out)).build() \
+        == read_edges(out)
 
 
 def test_generate_missing_param(tmp_path):
@@ -349,6 +365,9 @@ def test_verify_cut_found_and_absent(workdir, tmp_path):
     assert data["counts"]["e_forward"] == 0
     assert data["mode"] == "exact"
     assert data["counts"]["climb_moves"] == data["counts"]["climb_steps"] == 0
+    # alpha = 0 asks for a cut with no forward edge, which this host has
+    assert main(["verify", "--input", str(workdir / "graph.edges"),
+                 "--alpha", "0"]) == 0
 
     dense = tmp_path / "k12.edges"
     assert main(["generate", "--family", "complete", "--n", "12",
@@ -361,10 +380,10 @@ def test_verify_cut_reports_climb_moves(tmp_path):
     assert main(["generate", "--family", "blowup", "--sizes", "30,30",
                  "--seed", "11", "--out", str(graph)]) == 0
     out = tmp_path / "cut.json"
-    main(["verify", "--input", str(graph), "--alpha", "0.05", "--seed", "1",
+    main(["verify", "--input", str(graph), "--alpha", "0.05",
           "--out", str(out)])
     data = json.loads(out.read_text())
-    res = find_sparse_cut(read_edges(graph), 0.05, seed=1)
+    res = find_sparse_cut(read_edges(graph), 0.05)
     assert data["mode"] == "heuristic"
     assert data["counts"]["climb_moves"] == res.climb_moves > 0
     # the climbs run in lockstep: fewer steps than moves
@@ -386,6 +405,7 @@ def test_verify_selector_errors(workdir):
     ("verify-embedding", '{"nomap": 1}'),
     ("verify-embedding", "[[0, 1], [1]]"),
     ("verify-embedding", "not json"),
+    ("verify-embedding", "[[0, true], [1, 0]]"),
     ("verify-partition", '{"n": 12}'),
     ("embed-partition", '{"n": 24, "classes": [[0, 99]]}'),
     ("embed-partition", '{"n": 24, "classes": [[0, 1]]}'),
@@ -398,10 +418,14 @@ def test_verify_selector_errors(workdir):
     ("verify-partition",
      '{"n": 24, "classes": %s, "flags": "ab"}' % BLOCKS_12_12),
     ("experiment-config", "not json"),
+    ("experiment-config", '{"suites": 5}'),
+    ("experiment-config", '{"suites": [5]}'),
 ], ids=["position-out-of-range", "no-mapping", "not-a-pair",
-        "embedding-not-json", "verify-no-classes", "vertex-out-of-range",
-        "classes-miss-vertices", "classes-overlap", "embed-no-classes",
-        "flags-not-a-list", "flags-a-string", "config-not-json"])
+        "embedding-not-json", "vertex-a-bool", "verify-no-classes",
+        "vertex-out-of-range", "classes-miss-vertices", "classes-overlap",
+        "embed-no-classes", "flags-not-a-list", "flags-a-string",
+        "config-not-json", "config-suites-not-a-list",
+        "config-suite-not-an-object"])
 def test_malformed_artifact_exits_2(workdir, tmp_path, capsys, command, text):
     artifact = tmp_path / "artifact.json"
     artifact.write_text(text)
@@ -440,8 +464,11 @@ def test_partition_for_another_host_exits_2(workdir, blowup40, capsys):
     lambda graph: DecompositionParams(k=2, alpha=1.0, enforce_hierarchy=False),
     lambda graph: main(["verify", "--input", graph, "--nu", "1.5",
                         "--tau", "0.25"]),
+    lambda graph: main(["verify", "--input", graph, "--alpha", "-1"]),
+    lambda graph: main(["verify", "--input", graph, "--alpha", "nan"]),
 ], ids=["nu-0", "nu-1", "tau-0", "tau-half", "unknown-mode",
-        "neighborhood-nu", "alpha-0", "alpha-1", "cli-verify-nu"])
+        "neighborhood-nu", "alpha-0", "alpha-1", "cli-verify-nu",
+        "cli-verify-alpha-negative", "cli-verify-alpha-nan"])
 def test_out_of_range_values_are_rejected(workdir, call):
     """The library raises InputError; the CLI reports it with exit code 2."""
     try:

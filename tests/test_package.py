@@ -44,6 +44,14 @@ def test_no_tuning_parameters():
         assert gone not in hamorient.__all__ and not hasattr(hamorient, gone)
 
 
+def test_cut_search_is_not_seeded():
+    """Cut search depends only on the host, alpha and the hints: it has
+    no random restarts, so neither it nor decompose takes a seed."""
+    for fn in (hamorient.find_sparse_cut, hamorient.decompose):
+        assert "seed" not in inspect.signature(fn).parameters, fn
+    assert not hasattr(hamorient.expansion, "_RESTARTS")
+
+
 def test_derived_parameters_are_not_settable():
     """tau and nu derive from alpha and zeta, and a partition is verified
     at its own parameters."""
