@@ -7,7 +7,8 @@ The package splits into three layers:
   oriented cycle/path patterns and their symmetry/segment toolkit.
 * certification — :mod:`~hamorient.expansion`,
   :mod:`~hamorient.decomposition`, :mod:`~hamorient.oracle`: robust
-  outexpansion checks (exact at small n, sampled above), the
+  outexpansion checks (a degree bound, then exact at small n and sampled
+  above), the
   sparse-cut/expander dichotomy, the ordered class partition with
   independent verification, and brute-force embedding oracles that audit
   everything else.

@@ -3,8 +3,9 @@
 Driver loop: maintain an ordered partition, probe each live class for a
 sparse cut at the current level of the squared-threshold schedule, clean
 any cut found (degree-based vertex moves that repair both sides), split,
-and freeze classes certified (or sampled) as robust outexpanders. The
-final report recomputes every claimed property from scratch.
+and freeze classes with no cut. The final report certifies each class
+as a robust outexpander (or samples it, where no certificate is found)
+and recomputes every claimed property from scratch.
 
 Orientation convention: a certified cut (X1, X2) has few X1->X2 edges,
 so earlier classes in the final order send few edges forward and receive
@@ -281,8 +282,9 @@ def decompose(g: Digraph, p: DecompositionParams) -> StructurePartition:
     found cuts are cleaned (falling back to the raw cut when the cleaning
     hypotheses fail at this scale, with the failure logged) and split in
     place, keeping both halves adjacent in the order. Classes certify as
-    expanders exactly below exact_threshold and by sampling above it; the
-    verdicts are those of the closing verify_partition report.
+    expanders exactly below exact_threshold and above it by the degree
+    bound, else by sampling; the verdicts are those of the closing
+    verify_partition report.
     """
     n = g.n
     profile = degree_profile(g)
@@ -372,7 +374,10 @@ def verify_partition(g: Digraph, sp: StructurePartition) -> PartitionReport:
 
     Shares no state with decompose: any partition of any digraph gets a
     deterministic report. Expander checks run exact below the threshold
-    and sampled above (sampled passes are flagged, not certified).
+    and sampled above, where the degree bound certifies a class (mode
+    "degree") or sampling finds a violator or leaves it inconclusive. An
+    inconclusive class passes and is listed in sampled_classes, not
+    certified; each class's mode detail says how it was settled.
     """
     n = g.n
     p = sp.params
@@ -408,13 +413,12 @@ def verify_partition(g: Digraph, sp: StructurePartition) -> PartitionReport:
         mode = "exact" if size <= p.exact_threshold else "sampled"
         verdict = certify_expander(sub, ExpansionParams(p.nu, p.tau, mode=mode))
         verdicts.append(verdict)
-        exp_ok = verdict.outcome == "expander" or (
-            mode == "sampled" and verdict.outcome == "inconclusive")
-        if mode == "sampled":
+        exp_ok = verdict.outcome != "violator"
+        if verdict.outcome == "inconclusive":
             sampled.append(i)
         c2_details.append({"class": i, "min_degree": mind, "degree_bound": dbound,
                            "degree_ok": deg_ok, "expander": verdict.outcome,
-                           "mode": mode, "ok": deg_ok and exp_ok})
+                           "mode": verdict.mode, "ok": deg_ok and exp_ok})
         c2_ok = c2_ok and deg_ok and exp_ok
 
     c3_details = []

@@ -152,13 +152,25 @@ def tt_embed_path(path: PathPattern, size: int) -> tuple[int, ...]:
 # connector selection
 
 
+# Ranking keys pack (-degree, v) into one int, (-degree << _RANK_BITS) | v,
+# which sorts the same way because every vertex is below N_MAX = 4096
+# < 2^_RANK_BITS.
+_RANK_BITS = 13
+
+
+def _ranked(rows: list[int], pool: int, into: int) -> list[int]:
+    """The vertices v of pool by descending |rows[v] & into|, ties to the
+    smaller vertex."""
+    keys = [(-(rows[v] & into).bit_count() << _RANK_BITS) | v
+            for v in bits_of(pool)]
+    keys.sort()
+    low = (1 << _RANK_BITS) - 1
+    return [k & low for k in keys]
+
+
 def _edge_candidates(g: Digraph, xm: int, ym: int):
-    xs = sorted(bit_list(xm),
-                key=lambda u: (-(g.out_adj[u] & ym).bit_count(), u))
-    for u in xs:
-        outs = sorted(bit_list(g.out_adj[u] & ym),
-                      key=lambda w: (-(g.in_adj[w] & xm).bit_count(), w))
-        for v in outs:
+    for u in _ranked(g.out_adj, xm, ym):
+        for v in _ranked(g.in_adj, g.out_adj[u] & ym, xm):
             yield u, v
 
 
@@ -192,18 +204,15 @@ def select_connectors(g: Digraph, x_mask: int, y_mask: int, count: int,
 
 def _pick_gadget(g: Digraph, xm: int, ym: int, skip: int = 0) -> tuple[int, int, int]:
     """Two edges from X into one shared head in Y: (u1, u2, w)."""
-    heads = sorted(bit_list(ym),
-                   key=lambda w: (-(g.in_adj[w] & xm).bit_count(), w))
     burn = skip
-    for w in heads:
+    for w in _ranked(g.in_adj, ym, xm):
         ins = g.in_adj[w] & xm
         if ins.bit_count() < 2:
             continue
         if burn > 0:
             burn -= 1
             continue
-        us = sorted(bit_list(ins),
-                    key=lambda u: (-(g.out_adj[u] & ym).bit_count(), u))
+        us = _ranked(g.out_adj, ins, ym)
         return us[0], us[1], w
     raise _PlanError("case2:gadget", "no head with two available in-edges")
 

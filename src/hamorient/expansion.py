@@ -5,15 +5,16 @@ digraph has an alpha-sparse cut (few edges forward across an ordered
 bipartition) or every moderately sized vertex set S has a large robust
 out-neighborhood (vertices receiving at least ceil(nu*n) edges from S).
 
-Exact certification first tries a degree bound: with t = ceil(nu*n), a
-set S of size s has in RN(S) every vertex of in-degree at least
-n - s + t, and, counting the edges S sends, at least
+Certification in either mode first tries a degree bound: with
+t = ceil(nu*n), a set S of size s has in RN(S) every vertex of in-degree
+at least n - s + t, and, counting the edges S sends, at least
 ceil((D(s) - n(t-1)) / (s - t + 1)) vertices, D(s) the sum of the s
-smallest out-degrees. If either count reaches s + t for every size in the
-window, no set can violate, and the verdict is the one an exhaustive
-sweep would give. Otherwise, and in exact cut search, all 2^n subsets
-are enumerated, which stays affordable up to n = 24: each subset splits
-into a low half (the first ceil(n/2) vertices) and a high half, per-half
+smallest out-degrees. If either count reaches s + t for every size in
+the window, no set can violate: exact mode reports the verdict an
+exhaustive sweep would give, sampled mode a certificate of mode
+"degree". Otherwise, and in exact cut search, all 2^n subsets are
+enumerated, which stays affordable up to n = 24: each subset splits into
+a low half (the first ceil(n/2) vertices) and a high half, per-half
 tables are built once, and a block of consecutive high halves is
 evaluated against every low half at once with integer numpy kernels. The
 cut sweep adds per-half "out-degree minus internal edges" sums and
@@ -21,13 +22,14 @@ subtracts the half-to-half edge counts, whose rows within a block follow
 by doubling; with the low halves ordered by size, one
 np.minimum.reduceat per block gives each row's fewest forward edges at
 each size of X1, and only those minima are divided into ratios. The
-expander sweep assembles each robust out-neighbourhood as a union of ANDs
-of per-half vertex masks (L_k: at least k in-neighbours in the low half,
-H_k: in the high half). Both report exactly what a set-by-set sweep in
-ascending mask order would. Above the cap both directions degrade
-honestly: sampled certification can only return a violator or
-"inconclusive", and cut search becomes deterministic local search from
-prefix and hint starts, whose empty result is flagged non-exhaustive.
+expander sweep assembles each robust out-neighbourhood as a union of
+ANDs of per-half vertex masks (L_k: at least k in-neighbours in the low
+half, H_k: in the high half). Both report exactly what a set-by-set
+sweep in ascending mask order would. Above the cap both directions
+degrade honestly: where the bound fails, sampled certification can only
+return a violator or "inconclusive", and cut search becomes
+deterministic local search from prefix and hint starts, whose empty
+result is flagged non-exhaustive.
 
 The above-cap paths share one 0/1 out-adjacency matrix A of the digraph.
 For a 0/1 matrix S whose rows are vertex sets, (S @ A)[i, v] counts the
@@ -149,7 +151,7 @@ class ExpansionParams:
 @dataclass(frozen=True)
 class ExpansionVerdict:
     outcome: str                  # expander | violator | inconclusive
-    mode: str                     # exact | sampled
+    mode: str                     # exact | degree | sampled
     nu: float
     tau: float
     checked_sets: int
@@ -273,28 +275,31 @@ def _prefixes(g: Digraph, orders: int) -> list[tuple[int, int]]:
     descending, in-degree descending, out-degree ascending, in-degree
     ascending (ties to the smaller vertex).
 
-    Each order is walked once. Adding v to S adds its out-edges that
-    leave S + v and drops the edges from S into v, which no longer cross:
-    d+(v) - |N+(v) & S| - |N-(v) & S| (no loops, so v is in neither)."""
+    Each order is walked once, as a list of vertices. Adding v to S adds
+    its out-edges that leave S + v and drops the edges from S into v,
+    which no longer cross: d+(v) - |N+(v) & S| - |N-(v) & S| (no loops,
+    so v is in neither). The condensation order keeps the prefixes that
+    end a component."""
     out_adj, in_adj = g.out_adj, g.in_adj
     prof = degree_profile(g)
-    found: list[tuple[int, int]] = []
 
-    def walk(blocks):
+    def walk(order: list[int]) -> list[tuple[int, int]]:
         s = e = 0
-        for block in blocks:
-            for v in bits_of(block):
-                e += (prof.out_degrees[v] - (out_adj[v] & s).bit_count()
-                      - (in_adj[v] & s).bit_count())
-                s |= 1 << v
-            found.append((s, e))
+        walked = []
+        for v in order:
+            e += (prof.out_degrees[v] - (out_adj[v] & s).bit_count()
+                  - (in_adj[v] & s).bit_count())
+            s |= 1 << v
+            walked.append((s, e))
+        return walked
 
-    walk(strongly_connected_components(g)[:-1])
+    comps = strongly_connected_components(g)[:-1]
+    walked = walk([v for c in comps for v in bit_list(c)])
+    found = [walked[end - 1] for end in accumulate(c.bit_count() for c in comps)]
     keys = ((-1, prof.out_degrees), (-1, prof.in_degrees),
             (1, prof.out_degrees), (1, prof.in_degrees))
     for sign, deg in keys[:orders]:
-        order = sorted(range(g.n), key=lambda u: (sign * deg[u], u))
-        walk([1 << v for v in order[:-1]])
+        found += walk(sorted(range(g.n), key=lambda u: (sign * deg[u], u))[:-1])
     return found
 
 
@@ -331,38 +336,18 @@ def _sampled_candidates(g: Digraph, lo: int, hi: int, seed: int) -> np.ndarray:
     return np.concatenate(blocks, dtype=np.int16)
 
 
-def certify_expander(g: Digraph, p: ExpansionParams) -> ExpansionVerdict:
-    """Certify g as a robust (nu,tau)-outexpander or exhibit a violator.
+def _sampled_verdict(g: Digraph, nu: float, tau: float,
+                     seed: int) -> ExpansionVerdict:
+    """Probe the rows of _sampled_candidates for a violator.
 
-    Exact mode is capped at n = 24. It returns expander when the degree
-    bound of _degree_bound_certifies holds, with checked_sets the number
-    of sets in the window tau*n <= |S| <= (1-tau)*n, as a sweep that finds
-    no violator reports; otherwise it sweeps every subset in the window,
-    which alone finds violators. Sampled mode never uses the bound. It
-    probes the rows of _sampled_candidates: _SAMPLES_PER_DECILE random
-    sets per size decile, then condensation and degree-order prefixes;
-    finding no violator is reported as inconclusive, never as a
-    certificate. The rows are multiplied by the adjacency matrix a chunk
-    at a time: |RN(S)| is the number of entries of S's row of counts that
-    reach ceil(nu*n), and the first row in order with
-    |RN(S)| < |S| + ceil(nu*n) is the violator, checked_sets its position.
-    """
-    mode = p.mode
-    if mode == "auto":
-        mode = "exact" if g.n <= EXACT_SWEEP_CAP else "sampled"
-    lo, hi = _size_bounds(g.n, p.tau)
-    if mode == "exact":
-        if g.n > EXACT_SWEEP_CAP:
-            raise CapabilityError(
-                f"exact certification capped at n={EXACT_SWEEP_CAP}, got {g.n}")
-        if _degree_bound_certifies(g, p.nu, p.tau):
-            return ExpansionVerdict("expander", "exact", p.nu, p.tau,
-                                    sum(comb(g.n, s) for s in range(lo, hi + 1)))
-        return _exact_expander_sweep(g, p.nu, p.tau)
-    if lo > hi:
-        return ExpansionVerdict("expander", "sampled", p.nu, p.tau, 0)
-    thr = max(1, int_ceil(p.nu * g.n))
-    rows = _sampled_candidates(g, lo, hi, p.seed)
+    The rows are multiplied by the adjacency matrix a chunk at a time:
+    |RN(S)| is the number of entries of S's row of counts that reach
+    ceil(nu*n), and the first row in order with |RN(S)| < |S| + ceil(nu*n)
+    is the violator, checked_sets its position. Finding none reads
+    inconclusive, never expander."""
+    lo, hi = _size_bounds(g.n, tau)
+    thr = max(1, int_ceil(nu * g.n))
+    rows = _sampled_candidates(g, lo, hi, seed)
     adj = _adjacency(g)
     for i in range(0, len(rows), _ROW_CHUNK):
         chunk = rows[i:i + _ROW_CHUNK]
@@ -372,10 +357,41 @@ def certify_expander(g: Digraph, p: ExpansionParams) -> ExpansionVerdict:
         if bad.size:
             j = int(bad[0])
             return ExpansionVerdict(
-                "violator", "sampled", p.nu, p.tau, i + j + 1,
+                "violator", "sampled", nu, tau, i + j + 1,
                 violator=row_masks(chunk[j:j + 1])[0],
                 rn_size=int(rn_size[j]), set_size=int(set_size[j]))
-    return ExpansionVerdict("inconclusive", "sampled", p.nu, p.tau, len(rows))
+    return ExpansionVerdict("inconclusive", "sampled", nu, tau, len(rows))
+
+
+def certify_expander(g: Digraph, p: ExpansionParams) -> ExpansionVerdict:
+    """Certify g as a robust (nu,tau)-outexpander or exhibit a violator.
+
+    Both modes first try the degree bound of _degree_bound_certifies.
+    Exact mode is capped at n = 24. When the bound holds it returns
+    expander with checked_sets the number of sets in the window
+    tau*n <= |S| <= (1-tau)*n, as a sweep that finds no violator reports;
+    otherwise it sweeps every subset in the window, which alone finds
+    violators. Sampled mode returns expander with mode "degree" and
+    checked_sets 0 when the bound holds, and never a violator; otherwise
+    _sampled_verdict probes _SAMPLES_PER_DECILE random sets per size
+    decile, then condensation and degree-order prefixes, and finding no
+    violator reads inconclusive, never a certificate.
+    """
+    mode = p.mode
+    if mode == "auto":
+        mode = "exact" if g.n <= EXACT_SWEEP_CAP else "sampled"
+    if mode == "exact" and g.n > EXACT_SWEEP_CAP:
+        raise CapabilityError(
+            f"exact certification capped at n={EXACT_SWEEP_CAP}, got {g.n}")
+    if _degree_bound_certifies(g, p.nu, p.tau):
+        if mode == "sampled":
+            return ExpansionVerdict("expander", "degree", p.nu, p.tau, 0)
+        lo, hi = _size_bounds(g.n, p.tau)
+        return ExpansionVerdict("expander", "exact", p.nu, p.tau,
+                                sum(comb(g.n, s) for s in range(lo, hi + 1)))
+    if mode == "exact":
+        return _exact_expander_sweep(g, p.nu, p.tau)
+    return _sampled_verdict(g, p.nu, p.tau, p.seed)
 
 
 @dataclass(frozen=True)

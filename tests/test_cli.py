@@ -354,6 +354,21 @@ def test_verify_expansion(tmp_path):
     assert json.loads(out.read_text())["outcome"] == "expander"
 
 
+def test_verify_expansion_sampled_certifies_by_degrees(tmp_path):
+    # above the exact cap a dense host is certified by the degree bound,
+    # not left inconclusive by sampling
+    graph = tmp_path / "k30.edges"
+    assert main(["generate", "--family", "complete", "--n", "30",
+                 "--out", str(graph)]) == 0
+    out = tmp_path / "cert.json"
+    rc = main(["verify", "--input", str(graph), "--nu", "0.05",
+               "--tau", "0.25", "--mode", "sampled", "--out", str(out)])
+    assert rc == 0
+    d = json.loads(out.read_text())
+    assert (d["outcome"], d["mode"], d["counts"]["checked_sets"]) \
+        == ("expander", "degree", 0)
+
+
 def test_verify_cut_found_and_absent(workdir, tmp_path):
     out = tmp_path / "cut.json"
     rc = main(["verify", "--input", str(workdir / "graph.edges"),

@@ -5,11 +5,13 @@ import random
 import pytest
 
 from hamorient import (CutCertificate, DecompositionParams, ExpansionParams,
-                       HypothesisError, InputError, PreconditionError,
-                       StructurePartition, certify_expander, clean_cut,
+                       ExpansionVerdict, HypothesisError, InputError,
+                       PreconditionError, StructurePartition,
+                       certify_expander, clean_cut,
                        decompose, fit_decomposition_params, gen_blowup_tt,
                        gen_complete_digraph, partition_from_json_dict,
                        reverse_for_embedding, verify_partition)
+from hamorient import decomposition
 from hamorient.bitset import mask_of
 from hamorient.digraph import induced
 
@@ -175,22 +177,45 @@ def test_decompose_recovers_planted_noisy():
 
 # sha256 of the sorted-key partition JSON (with the cross matrix) of two
 # hosts whose classes are too large for the exact sweeps, so the hill
-# climb, sampled certification, strong components and induced subgraphs
-# all shape the result.
+# climb, degree-bound certification, strong components and induced
+# subgraphs all shape the result. Re-recorded when the degree bound began
+# to certify classes above the threshold: only the verdicts (sampled
+# inconclusive -> degree expander) and the report moved.
 GOLDEN_HEURISTIC_PARTITIONS = (
     ([48, 48], 4848,
-     "9970fc5817a5a319f79e8fd9fefd3466773044d110fffb283fe5c4ab38cc56ca"),
+     "ad29c8309cfe12db4c1b7a61676b482358b5058dbbd30cf64bae2f74ea17c106"),
     ([36, 36, 36], 3636,
-     "687ac873018934c03882aefcc222c12acd5811f89913f1d7e15074cb686f45dd"),
+     "091073832a4a254b61c23074a1a81fe175148284c412d6d181723bf0def8356b"),
 )
 
 
-@pytest.mark.parametrize("sizes,seed,digest", GOLDEN_HEURISTIC_PARTITIONS)
+# ids name the host seed, so that re-recording a digest keeps the test ids
+@pytest.mark.parametrize("sizes,seed,digest", GOLDEN_HEURISTIC_PARTITIONS,
+                         ids=[str(seed) for _, seed, _ in GOLDEN_HEURISTIC_PARTITIONS])
 def test_decompose_golden_heuristic_partitions(sizes, seed, digest):
     g = gen_blowup_tt(sizes, intra=0.95, forward_noise=0.001, seed=seed)
     sp = decompose(g, fit_decomposition_params(g, exact_threshold=20))
     text = json.dumps(sp.to_json_dict(g), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_decompose_certifies_large_classes_by_the_degree_bound(monkeypatch):
+    g = gen_blowup_tt([500, 500], intra=0.95, forward_noise=0.001, seed=3)
+    sp = decompose(g, fit_decomposition_params(g))
+    assert sp.sizes() == [500, 500] and sp.report.ok
+    assert [(v.outcome, v.mode) for v in sp.verdicts] == [("expander", "degree")] * 2
+    assert sp.report.sampled_classes == ()
+    assert [d["mode"] for d in sp.report.clause2[1]] == ["degree", "degree"]
+    # only a class that sampling leaves inconclusive is listed as sampled
+    inconclusive = ExpansionVerdict("inconclusive", "sampled", sp.params.nu,
+                                    sp.params.tau, 7)
+    verdicts = iter([sp.verdicts[0], inconclusive])
+    monkeypatch.setattr(decomposition, "certify_expander",
+                        lambda sub, p: next(verdicts))
+    report = verify_partition(g, sp)
+    assert report.ok and report.sampled_classes == (1,)
+    assert [(d["expander"], d["mode"]) for d in report.clause2[1]] \
+        == [("expander", "degree"), ("inconclusive", "sampled")]
 
 
 def test_decompose_audit_trail():

@@ -18,9 +18,10 @@ from hamorient import (CutSearchResult, Digraph,
 from hamorient import expansion
 from hamorient.bitset import bit_list, bits_of, int_ceil, mask_of
 from hamorient.digraph import induced
-from hamorient.expansion import (_adjacency, _exact_cut_sweep,
-                                 _exact_expander_sweep, _hill_climbs,
-                                 _prefixes, _sampled_candidates,
+from hamorient.expansion import (_adjacency, _degree_bound_certifies,
+                                 _exact_cut_sweep, _exact_expander_sweep,
+                                 _hill_climbs, _prefixes,
+                                 _sampled_candidates, _sampled_verdict,
                                  _size_bounds)
 
 from conftest import (brute_hill_climb, brute_robust_outnbhd,
@@ -452,11 +453,12 @@ def test_hidden_cut_found_above_min_degree_n():
 # best e_forward, near-miss side1 masks in report order)).
 # checked_sets counts the candidates probed, so it pins the order and the
 # size filter of the sampled candidate list; the near misses pin the order
-# in which cut search visits its starts.
+# in which cut search visits its starts. The degree bound certifies the
+# random host at both parameter pairs, with mode degree and no set checked.
 GOLDEN_ABOVE_CAP = (
     (("random", 40, 56, 3),
-     ((0.05, 0.2, 1, "inconclusive", 715, None),
-      (0.2, 0.3, 2, "inconclusive", 691, None)),
+     ((0.05, 0.2, 1, "expander", 0, None),
+      (0.2, 0.3, 2, "expander", 0, None)),
      ((0.05, False, 16777216, 33, ()),
       (0.4, False, 16777216, 33, ()))),
     (("blowup", (30, 30), None, 11),
@@ -477,17 +479,23 @@ GOLDEN_ABOVE_CAP = (
 )
 
 
-def test_sampled_certification_and_cut_search_golden():
-    for (kind, a, b, seed), verdicts, cuts in GOLDEN_ABOVE_CAP:
+def _golden_above_cap_hosts():
+    for (kind, a, b, seed), _, _ in GOLDEN_ABOVE_CAP:
         if kind == "random":
-            g = gen_random_min_degree(a, b, seed=seed)
+            yield gen_random_min_degree(a, b, seed=seed)
         else:
-            g = gen_blowup_tt(list(a), 0.95, 0.001, seed)
+            yield gen_blowup_tt(list(a), 0.95, 0.001, seed)
+
+
+def test_sampled_certification_and_cut_search_golden():
+    for g, (_, verdicts, cuts) in zip(_golden_above_cap_hosts(),
+                                      GOLDEN_ABOVE_CAP):
         for nu, tau, s, outcome, checked, violator in verdicts:
             v = certify_expander(g, ExpansionParams(nu, tau, mode="sampled",
                                                     seed=s))
             assert (v.outcome, v.checked_sets, v.violator) \
                 == (outcome, checked, violator), (g.n, nu, tau)
+            assert v.mode == ("degree" if outcome == "expander" else "sampled")
         for alpha, found, side1, e, near in cuts:
             res = find_sparse_cut(g, alpha)
             assert res.mode == "heuristic"
@@ -640,6 +648,55 @@ def test_sampled_candidates_stream():
         assert hashlib.sha256(text).hexdigest() == digest, (n, lo, hi, seed)
 
 
+def test_sampled_mode_certifies_exactly_when_the_degree_bound_holds(monkeypatch):
+    # the bound settles a class before any set is drawn; where it fails,
+    # the sampling stage's verdict is returned as it is
+    drawn = []
+    stage = expansion._sampled_verdict
+
+    def spy(*args):
+        drawn.append((args, stage(*args)))
+        return drawn[-1][1]
+
+    monkeypatch.setattr(expansion, "_sampled_verdict", spy)
+    hosts = [gen_random_min_degree(40, 48, seed=1),
+             gen_random_min_degree(50, 60, seed=2),
+             gen_blowup_tt([30, 30], 0.95, 0.001, 11),
+             gen_complete_digraph(30)]
+    seen = Counter()
+    for g in hosts:
+        for nu in (0.05, 0.1, 0.2, 0.3):
+            for tau in (0.1, 0.2, 0.3, 0.4):
+                calls = len(drawn)
+                v = certify_expander(g, ExpansionParams(nu, tau, mode="sampled",
+                                                        seed=1))
+                bound = _degree_bound_certifies(g, nu, tau)
+                if bound:
+                    assert v == ExpansionVerdict("expander", "degree", nu, tau, 0)
+                    assert len(drawn) == calls
+                else:
+                    assert drawn[calls:] == [((g, nu, tau, 1), v)]
+                    assert v.mode == "sampled"
+                seen[bound, v.outcome] += 1
+    assert seen[True, "expander"] >= 20
+    assert seen[False, "violator"] >= 8 and seen[False, "inconclusive"] >= 4
+
+
+def test_sampling_finds_no_violator_where_the_degree_bound_certifies():
+    # the bound is sound: on the hosts above the cap, the sampling stage
+    # run on its own finds a violator only where the bound fails
+    seen = Counter()
+    for g in _golden_above_cap_hosts():
+        for nu in (0.02, 0.05, 0.1, 0.2):
+            for tau in (0.2, 0.3):
+                for seed in (1, 2):
+                    bound = _degree_bound_certifies(g, nu, tau)
+                    outcome = _sampled_verdict(g, nu, tau, seed).outcome
+                    assert not (bound and outcome == "violator"), (g.n, nu, tau)
+                    seen[bound, outcome] += 1
+    assert seen[True, "inconclusive"] >= 12 and seen[False, "violator"] >= 12
+
+
 def test_sampled_certification_matches_reference(monkeypatch):
     comm = _two_communities(40, 8)
     hosts = [gen_random_min_degree(40, 56, seed=3),
@@ -656,9 +713,10 @@ def test_sampled_certification_matches_reference(monkeypatch):
             calls += [(0.1, 0.25, 5, spd) for spd in (0, 1, 64)]
         for nu, tau, seed, spd in calls:
             monkeypatch.setattr(expansion, "_SAMPLES_PER_DECILE", spd)
-            p = ExpansionParams(nu, tau, mode="sampled", seed=seed)
             cands = _masks(_sampled_candidates(g, *_size_bounds(n, tau), seed))
-            v = certify_expander(g, p)
+            # the sampling stage itself: through certify_expander the degree
+            # bound settles the random hosts and K30 first
+            v = _sampled_verdict(g, nu, tau, seed)
             got = (v.outcome, v.checked_sets, v.violator, v.rn_size,
                    v.set_size)
             assert got == brute_sampled_verdict(g, cands, nu), (n, nu, seed)
