@@ -92,13 +92,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _decomposition_params(g: Digraph, args: argparse.Namespace) -> DecompositionParams:
-    """Fitted parameters with any given k/zeta/alpha replaced, or the
-    explicit ones. Fitting floors alpha at --alpha-floor, 0.1 unless
-    given; explicit parameters get a floor only when one is given. Either
-    way the floor is clamped to the effective alpha."""
-    if args.adaptive or args.k is None:
+    """Without --k, fitted parameters with any given zeta/alpha replaced;
+    with --k, the explicit ones. Fitting floors alpha at --alpha-floor,
+    0.1 unless given; explicit parameters get a floor only when one is
+    given. Either way the floor is clamped to the effective alpha."""
+    if args.k is None:
         floor = 0.1 if args.alpha_floor is None else args.alpha_floor
-        given = {name: getattr(args, name) for name in ("k", "zeta", "alpha")
+        given = {name: getattr(args, name) for name in ("zeta", "alpha")
                  if getattr(args, name) is not None}
         p = replace(fit_decomposition_params(g, alpha_floor=floor,
                                              exact_threshold=args.exact_cap),
@@ -224,7 +224,7 @@ def _verify_embedding_file(g: Digraph, args: argparse.Namespace) -> tuple[dict, 
     if not isinstance(pairs, list):
         raise InputError(f"{args.embedding}: no 'mapping' list of "
                          f"[position, vertex] pairs")
-    mapping = [0] * len(pairs)
+    mapping: list[int | None] = [None] * len(pairs)
     for pair in pairs:
         if not isinstance(pair, list) or len(pair) != 2 \
                 or not all(type(x) is int for x in pair):
@@ -234,6 +234,8 @@ def _verify_embedding_file(g: Digraph, args: argparse.Namespace) -> tuple[dict, 
         if not 0 <= pos < len(pairs):
             raise InputError(f"{args.embedding}: position {pos} outside "
                              f"0..{len(pairs) - 1}")
+        if mapping[pos] is not None:
+            raise InputError(f"{args.embedding}: position {pos} listed twice")
         mapping[pos] = v
     c = CyclePattern.from_string(args.pattern, n=g.n)
     check = validate_embedding(g, c, mapping, spanning=True)
@@ -324,8 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="largest class checked by exhaustive sweep")
     par.add_argument("--no-hierarchy", action="store_true",
                      help="skip the hierarchy check alpha <= zeta/(24(k+1))")
-    par.add_argument("--adaptive", action="store_true",
-                     help="fit parameters from the instance's degree slack")
     par.add_argument("--out", help="partition JSON output (default stdout)")
     par.set_defaults(func=_cmd_partition)
 

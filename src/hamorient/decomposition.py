@@ -282,9 +282,9 @@ def decompose(g: Digraph, p: DecompositionParams) -> StructurePartition:
     found cuts are cleaned (falling back to the raw cut when the cleaning
     hypotheses fail at this scale, with the failure logged) and split in
     place, keeping both halves adjacent in the order. Classes certify as
-    expanders exactly below exact_threshold and above it by the degree
-    bound, else by sampling; the verdicts are those of the closing
-    verify_partition report.
+    expanders by the degree bound where it holds, else by exhaustive sweep
+    up to exact_threshold and by sampling above; the verdicts are those of
+    the closing verify_partition report.
     """
     n = g.n
     profile = degree_profile(g)
@@ -373,11 +373,12 @@ def verify_partition(g: Digraph, sp: StructurePartition) -> PartitionReport:
     partition's own parameters sp.params.
 
     Shares no state with decompose: any partition of any digraph gets a
-    deterministic report. Expander checks run exact below the threshold
-    and sampled above, where the degree bound certifies a class (mode
-    "degree") or sampling finds a violator or leaves it inconclusive. An
-    inconclusive class passes and is listed in sampled_classes, not
-    certified; each class's mode detail says how it was settled.
+    deterministic report. Expander checks first try the degree bound
+    (mode "degree"); where it fails, a class up to the threshold is swept
+    exactly and a larger one is sampled, which finds a violator or leaves
+    it inconclusive. An inconclusive class passes and is listed in
+    sampled_classes, not certified; each class's mode detail says how it
+    was settled.
     """
     n = g.n
     p = sp.params

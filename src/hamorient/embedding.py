@@ -19,8 +19,9 @@ both endpoint vertices pinned. Three plan shapes exist:
     class between two extra edges (a one-position window is a sink, and
     is relocated like the others).
 
-Directed runs are found in one place, `patterns.run_frame`: it frames a
-longest run forward on [0, ell) for the long-run plans, and
+Runs are found in one place, `patterns.cyclic_runs`: the stretches of a
+plan are the runs of its class assignment, `patterns.run_frame` frames a
+longest directed run forward on [0, ell) for the long-run plans, and
 `patterns.classify_case` reads its length for the case split. Each case
 tries a fixed chain of (planner, frame, framed pattern) entries, and every
 planner takes the same arguments. A failed plan raises a named step; an
@@ -61,6 +62,7 @@ from .patterns import (
     _case1b_blocks,
     canonical_rotation,
     classify_case,
+    cyclic_runs,
     necklace_classes,
     partition_case2,
     reflect,
@@ -260,24 +262,7 @@ class EmbedPlan:
     notes: list[str] = field(default_factory=list)
 
     def stretches(self) -> list[Stretch]:
-        n = len(self.class_at)
-        ca = self.class_at
-        if all(x == ca[0] for x in ca):
-            return [Stretch(0, n, ca[0])]
-        start0 = next(p for p in range(n) if ca[p] != ca[p - 1])
-        out = []
-        p = start0
-        covered = 0
-        while covered < n:
-            q = p
-            run = 1
-            while ca[(q + 1) % n] == ca[p % n] and run < n:
-                q += 1
-                run += 1
-            out.append(Stretch(p % n, run, ca[p % n]))
-            covered += run
-            p = q + 1
-        return out
+        return [Stretch(*r) for r in cyclic_runs(self.class_at)]
 
 
 def _check_plan(plan: EmbedPlan, sizes: list[int]) -> list[Stretch]:

@@ -18,8 +18,8 @@ class ResourceError(RuntimeError):
 
 
 class HypothesisError(ValueError):
-    """Cleanup hypotheses failed; carries per-clause diagnostics."""
+    """Cleanup hypotheses failed; carries (clause, detail) diagnostics."""
 
-    def __init__(self, message: str, failures: list[str]):
+    def __init__(self, message: str, failures: tuple[tuple[str, str], ...]):
         super().__init__(message)
         self.failures = failures

@@ -10,18 +10,18 @@ t = ceil(nu*n), a set S of size s has in RN(S) every vertex of in-degree
 at least n - s + t, and, counting the edges S sends, at least
 ceil((D(s) - n(t-1)) / (s - t + 1)) vertices, D(s) the sum of the s
 smallest out-degrees. If either count reaches s + t for every size in
-the window, no set can violate: exact mode reports the verdict an
-exhaustive sweep would give, sampled mode a certificate of mode
-"degree". Otherwise, and in exact cut search, all 2^n subsets are
-enumerated, which stays affordable up to n = 24: each subset splits into
-a low half (the first ceil(n/2) vertices) and a high half, per-half
-tables are built once, and a block of consecutive high halves is
-evaluated against every low half at once with integer numpy kernels. The
-cut sweep adds per-half "out-degree minus internal edges" sums and
-subtracts the half-to-half edge counts, whose rows within a block follow
-by doubling; with the low halves ordered by size, one
-np.minimum.reduceat per block gives each row's fewest forward edges at
-each size of X1, and only those minima are divided into ratios. The
+the window, no set can violate, and either mode returns a certificate of
+mode "degree" that checked no set. Otherwise exact certification, like
+exact cut search, enumerates all 2^n subsets, which stays affordable up
+to n = 24: each subset splits into a low half (the first ceil(n/2)
+vertices) and a high half, per-half tables are built once, and a block
+of consecutive high halves is evaluated against every low half at once
+with integer numpy kernels. The cut sweep adds per-half "out-degree
+minus internal edges" sums and subtracts the half-to-half edge counts,
+whose rows within a block follow by doubling; with the low halves
+ordered by size, one np.minimum.reduceat per block gives each row's
+fewest forward edges at each size of X1, and only those minima are
+divided into ratios. The
 expander sweep assembles each robust out-neighbourhood as a union of
 ANDs of per-half vertex masks (L_k: at least k in-neighbours in the low
 half, H_k: in the high half). Both report exactly what a set-by-set
@@ -59,7 +59,6 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
-from math import comb
 
 import numpy as np
 
@@ -366,16 +365,14 @@ def _sampled_verdict(g: Digraph, nu: float, tau: float,
 def certify_expander(g: Digraph, p: ExpansionParams) -> ExpansionVerdict:
     """Certify g as a robust (nu,tau)-outexpander or exhibit a violator.
 
-    Both modes first try the degree bound of _degree_bound_certifies.
-    Exact mode is capped at n = 24. When the bound holds it returns
-    expander with checked_sets the number of sets in the window
-    tau*n <= |S| <= (1-tau)*n, as a sweep that finds no violator reports;
-    otherwise it sweeps every subset in the window, which alone finds
-    violators. Sampled mode returns expander with mode "degree" and
-    checked_sets 0 when the bound holds, and never a violator; otherwise
-    _sampled_verdict probes _SAMPLES_PER_DECILE random sets per size
-    decile, then condensation and degree-order prefixes, and finding no
-    violator reads inconclusive, never a certificate.
+    Auto mode is exact up to n = 24 and sampled above; exact mode is
+    capped at n = 24. Every mode first tries the degree bound of
+    _degree_bound_certifies: when it holds, the verdict is expander with
+    mode "degree" and checked_sets 0, since no set was checked. Otherwise
+    exact mode sweeps every subset in the window tau*n <= |S| <= (1-tau)*n,
+    and sampled mode runs _sampled_verdict: _SAMPLES_PER_DECILE random
+    sets per size decile, then condensation and degree-order prefixes,
+    where finding no violator reads inconclusive, never a certificate.
     """
     mode = p.mode
     if mode == "auto":
@@ -384,11 +381,7 @@ def certify_expander(g: Digraph, p: ExpansionParams) -> ExpansionVerdict:
         raise CapabilityError(
             f"exact certification capped at n={EXACT_SWEEP_CAP}, got {g.n}")
     if _degree_bound_certifies(g, p.nu, p.tau):
-        if mode == "sampled":
-            return ExpansionVerdict("expander", "degree", p.nu, p.tau, 0)
-        lo, hi = _size_bounds(g.n, p.tau)
-        return ExpansionVerdict("expander", "exact", p.nu, p.tau,
-                                sum(comb(g.n, s) for s in range(lo, hi + 1)))
+        return ExpansionVerdict("expander", "degree", p.nu, p.tau, 0)
     if mode == "exact":
         return _exact_expander_sweep(g, p.nu, p.tau)
     return _sampled_verdict(g, p.nu, p.tau, p.seed)
@@ -695,8 +688,7 @@ def sparse_or_expander(g: Digraph, eta: float, alpha: float, tau: float,
     cut_res = find_sparse_cut(g, alpha)
     if cut_res.found:
         return DichotomyResult("cut", nu, tau, alpha, cut_res.certificate, None, cut_res.mode == "exact")
-    mode = "exact" if exact else "sampled"
-    verdict = certify_expander(g, ExpansionParams(nu=nu, tau=tau, mode=mode, seed=seed))
+    verdict = certify_expander(g, ExpansionParams(nu=nu, tau=tau, seed=seed))
     if verdict.outcome == "violator" and exact:
         raise RuntimeError(
             "dichotomy violated: exact sweep found neither an alpha-sparse cut "

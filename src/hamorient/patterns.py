@@ -11,16 +11,18 @@ String form uses '+' for forward and '-' for backward, e.g. "++-+" is a
 aliases when a length is supplied. The string form also ranks rotations:
 canonical_rotation takes the least length-n slice of the doubled string.
 
-This module is the one home of directed-run logic: run_frame walks the
-maximal runs once and frames a longest one forward at position 0;
-classify_case reads its length for the case split; switches lists the
-sources and sinks, and the case-2 planner relocates sinks from that list.
+This module is the one home of directed-run logic: cyclic_runs walks the
+maximal runs of equal entries of a cyclic sequence once; run_frame frames
+a longest directed run forward at position 0 from them; classify_case
+reads its length for the case split; switches lists the sources and
+sinks, and the case-2 planner relocates sinks from that list. The
+embedding planner's stretches are the runs of its class assignment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .bitset import int_floor
 from .errors import InputError, PreconditionError
@@ -109,18 +111,30 @@ class PathPattern:
         return PathPattern(tuple(not o for o in reversed(self.orientation)))
 
 
+def cyclic_runs(seq: Sequence) -> list[tuple[int, int, object]]:
+    """(start, length, value) for each maximal run of equal entries of the
+    cyclic sequence seq, by ascending start, the run across the end
+    included. A constant sequence is one run of len(seq) starting at 0."""
+    n = len(seq)
+    starts = [i for i in range(n) if seq[i] != seq[i - 1]] or [0]
+    ends = starts[1:] + [starts[0] + n]
+    return [(s, e - s, seq[s]) for s, e in zip(starts, ends)]
+
+
 def switches(c: CyclePattern) -> tuple[list[int], list[int]]:
     """(sources, sinks): positions whose two incident edges both leave/enter.
 
     A position i is a source iff edge (i-1,i) points i -> i-1 and edge
-    (i,i+1) points i -> i+1. The two lists interleave around the cycle and
-    have equal length, so the switch count is always even.
+    (i,i+1) points i -> i+1, so the sources are the starts of the forward
+    runs of cyclic_runs and the sinks those of the backward runs; a
+    directed cycle has neither. The two lists interleave around the cycle
+    and have equal length, so the switch count is always even.
     """
-    o = c.orientation
-    n = c.n
-    sources = [i for i in range(n) if not o[i - 1] and o[i]]
-    sinks = [i for i in range(n) if o[i - 1] and not o[i]]
-    return sources, sinks
+    runs = cyclic_runs(c.orientation)
+    if len(runs) == 1:
+        return [], []
+    return ([s for s, _, fw in runs if fw],
+            [s for s, _, fw in runs if not fw])
 
 
 def rotate(c: CyclePattern, r: int) -> CyclePattern:
@@ -180,21 +194,6 @@ def distinct_path_patterns(length: int) -> list[PathPattern]:
     return out
 
 
-def _directed_runs(c: CyclePattern) -> Iterator[tuple[int, int, bool]]:
-    """Yield (start, vertex count, forward?) for each maximal run of equally
-    oriented edges, by ascending start, wrap-around included. A fully
-    directed cycle is one run of n vertices starting at 0."""
-    o = c.orientation
-    n = c.n
-    if c.is_directed():
-        yield 0, n, o[0]
-        return
-    # a run starts where the orientation changes; the last one wraps
-    starts = [i for i in range(n) if o[i] != o[i - 1]]
-    for s, end in zip(starts, starts[1:] + [starts[0] + n]):
-        yield s, end - s + 1, o[s]
-
-
 def run_frame(c: CyclePattern) -> tuple[int, bool, int]:
     """(offset, reflected, ell): the frame that puts a longest directed run
     forward on positions [0, ell) of rotate(reflect(c) if reflected else c,
@@ -210,10 +209,11 @@ def run_frame(c: CyclePattern) -> tuple[int, bool, int]:
     n = c.n
 
     def frame(run: tuple[int, int, bool]) -> tuple[int, bool, int]:
-        s, ell, fw = run
+        s, edges, fw = run
+        ell = edges + (edges < n)
         return (s, False, ell) if fw else ((n - s - ell + 1) % n, True, ell)
 
-    return max(map(frame, _directed_runs(c)),
+    return max(map(frame, cyclic_runs(c.orientation)),
                key=lambda f: (f[2], not f[1], -f[0]))
 
 

@@ -12,6 +12,11 @@ from hamorient.io import read_edges, read_header_spec
 
 # the two planted blocks of the workdir host, as partition classes
 BLOCKS_12_12 = json.dumps([list(range(12)), list(range(12, 24))])
+# an embedding of "+" * 23 + "-" in the workdir host (position p on vertex
+# p + 12 mod 24) that lists position 11 twice and leaves out position 12,
+# the one on vertex 0
+POSITION_TWICE = json.dumps([[p, (p + 12) % 24] for p in range(24) if p != 12]
+                            + [[11, 23]])
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +28,7 @@ def workdir(tmp_path_factory):
     assert main(["generate", "--family", "blowup", "--sizes", "12,12",
                  "--intra", "1.0", "--noise", "0.0", "--seed", "0",
                  "--out", str(graph)]) == 0
-    assert main(["partition", "--input", str(graph), "--adaptive",
+    assert main(["partition", "--input", str(graph),
                  "--out", str(part)]) == 0
     return d
 
@@ -135,13 +140,21 @@ def blowup40(tmp_path_factory):
                  "--intra", "0.95", "--noise", "0.001", "--seed", "7",
                  "--out", graph]) == 0
     explicit = ["--k", "8", "--zeta", "0.15", "--no-hierarchy"]
-    for name, flags in (("override", ["--adaptive", "--alpha", "0.05"]),
+    for name, flags in (("override", ["--alpha", "0.05"]),
                         ("floor", ["--alpha-floor", "0.05"]),
                         ("explicit", explicit),
                         ("explicit_floor", [*explicit, "--alpha-floor", "0.05"])):
         assert main(["partition", "--input", graph, *flags,
                      "--out", str(d / f"{name}.json")]) == 0
     return d
+
+
+def test_partition_rejects_adaptive_flag(workdir):
+    # parameters are fitted whenever --k is omitted; there is no flag for it
+    with pytest.raises(SystemExit) as exc:
+        main(["partition", "--input", str(workdir / "graph.edges"),
+              "--adaptive"])
+    assert exc.value.code == 2
 
 
 def test_partition_alpha_override_derives_tau_and_nu(blowup40):
@@ -421,6 +434,7 @@ def test_verify_selector_errors(workdir):
     ("verify-embedding", "[[0, 1], [1]]"),
     ("verify-embedding", "not json"),
     ("verify-embedding", "[[0, true], [1, 0]]"),
+    ("verify-embedding", POSITION_TWICE),
     ("verify-partition", '{"n": 12}'),
     ("embed-partition", '{"n": 24, "classes": [[0, 99]]}'),
     ("embed-partition", '{"n": 24, "classes": [[0, 1]]}'),
@@ -436,10 +450,10 @@ def test_verify_selector_errors(workdir):
     ("experiment-config", '{"suites": 5}'),
     ("experiment-config", '{"suites": [5]}'),
 ], ids=["position-out-of-range", "no-mapping", "not-a-pair",
-        "embedding-not-json", "vertex-a-bool", "verify-no-classes",
-        "vertex-out-of-range", "classes-miss-vertices", "classes-overlap",
-        "embed-no-classes", "flags-not-a-list", "flags-a-string",
-        "config-not-json", "config-suites-not-a-list",
+        "embedding-not-json", "vertex-a-bool", "position-twice",
+        "verify-no-classes", "vertex-out-of-range", "classes-miss-vertices",
+        "classes-overlap", "embed-no-classes", "flags-not-a-list",
+        "flags-a-string", "config-not-json", "config-suites-not-a-list",
         "config-suite-not-an-object"])
 def test_malformed_artifact_exits_2(workdir, tmp_path, capsys, command, text):
     artifact = tmp_path / "artifact.json"

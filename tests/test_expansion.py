@@ -154,13 +154,11 @@ def test_exact_expander_sweep_matches_brute_force():
     assert seen["violator in a later high half"]
 
 
-def test_degree_bound_matches_brute_force(monkeypatch):
-    # certify_expander tries the degree bound before the exact sweep; either
-    # way the verdict, checked_sets included, is the set-by-set sweep's
-    swept = []
-    sweep = expansion._exact_expander_sweep
-    monkeypatch.setattr(expansion, "_exact_expander_sweep",
-                        lambda *a: swept.append(a) or sweep(*a))
+def test_degree_bound_matches_brute_force():
+    # certify_expander tries the degree bound before the exact sweep. A
+    # bound certificate checks no set, and brute force finds no violator
+    # where it holds; otherwise the verdict, checked_sets included, is the
+    # set-by-set sweep's
     rng = random.Random(16)
     seen = Counter()
     for _ in range(1000):
@@ -168,18 +166,20 @@ def test_degree_bound_matches_brute_force(monkeypatch):
         p = rng.choice((0.5, 0.7, 0.85, 0.95, 1.0))
         nu, tau = rng.uniform(0.01, 0.5), rng.uniform(0.01, 0.4)
         g = rand_digraph(n, p, rng.randrange(1 << 30))
-        calls = len(swept)
         v = certify_expander(g, ExpansionParams(nu, tau, mode="exact"))
-        assert v == brute_expander_sweep(g, nu, tau), (n, p, nu, tau)
-        branch = "swept" if len(swept) > calls else "bound"
-        seen[branch, v.outcome, int_ceil(nu * n) > 1, int_ceil(tau * n) > 1] += 1
-    # the bound never refutes, and certifies with thr > 1 and with lo > 1
-    assert not any(k[:2] == ("bound", "violator") for k in seen)
-    for key in (("bound", "expander", False, False),
-                ("bound", "expander", False, True),
-                ("bound", "expander", True, True),
-                ("swept", "expander", False, False),
-                ("swept", "violator", True, True)):
+        want = brute_expander_sweep(g, nu, tau)
+        if v.mode == "degree":
+            assert v == ExpansionVerdict("expander", "degree", nu, tau, 0)
+            assert want.outcome == "expander", (n, p, nu, tau)
+        else:
+            assert v == want, (n, p, nu, tau)
+        seen[v.mode, v.outcome, int_ceil(nu * n) > 1, int_ceil(tau * n) > 1] += 1
+    # the bound certifies with thr > 1 and with lo > 1
+    for key in (("degree", "expander", False, False),
+                ("degree", "expander", False, True),
+                ("degree", "expander", True, True),
+                ("exact", "expander", False, False),
+                ("exact", "violator", True, True)):
         assert seen[key], key
 
 
@@ -227,8 +227,10 @@ def test_exact_sweeps_golden_planted_classes():
         size = sizes[0] if start == 0 else sizes[1]
         sub, _ = induced(g, mask_of(range(start, start + size)))
         assert _exact_cut_sweep(sub) == _cut_triple(size, mask, e)
-        v = certify_expander(sub, ExpansionParams(p.nu, p.tau, mode="exact"))
+        v = _exact_expander_sweep(sub, p.nu, p.tau)
         assert v == ExpansionVerdict("expander", "exact", p.nu, p.tau, checked)
+        v = certify_expander(sub, ExpansionParams(p.nu, p.tau, mode="exact"))
+        assert v == ExpansionVerdict("expander", "degree", p.nu, p.tau, 0)
         v = certify_expander(sub, ExpansionParams(0.3, 0.3, mode="exact"))
         c, m, rn, sz = viol
         assert v == ExpansionVerdict("violator", "exact", 0.3, 0.3, c,
@@ -238,7 +240,7 @@ def test_exact_sweeps_golden_planted_classes():
 def test_exact_sweeps_golden_large_threshold():
     g = gen_random_min_degree(24, 32, seed=3)
     assert _exact_cut_sweep(g) == (1, 23, 1.0)
-    v = certify_expander(g, ExpansionParams(0.15, 0.3, mode="exact"))
+    v = _exact_expander_sweep(g, 0.15, 0.3)
     assert v == ExpansionVerdict("expander", "exact", 0.15, 0.3, 15704906)
     for sizes, seed, (mask, e), *viols in GOLDEN_REVERSED:
         g = _reversed_labels(gen_blowup_tt(list(sizes), 0.95, 0.001, seed))
@@ -269,9 +271,20 @@ def test_exact_sweeps_peak_memory():
 def test_complete_digraph_is_expander():
     g = gen_complete_digraph(12)
     v = certify_expander(g, ExpansionParams(0.2, 0.25, mode="exact"))
-    assert v.outcome == "expander"
-    assert v.mode == "exact"
-    assert v.checked_sets > 0
+    assert v == ExpansionVerdict("expander", "degree", 0.2, 0.25, 0)
+    # the sweep agrees, having checked every set of 3 to 9 vertices
+    v = _exact_expander_sweep(g, 0.2, 0.25)
+    assert v == ExpansionVerdict("expander", "exact", 0.2, 0.25,
+                                 sum(math.comb(12, s) for s in range(3, 10)))
+
+
+def test_degree_certificate_is_the_same_in_every_mode():
+    # the bound's verdict does not depend on the mode that asked for it
+    for g, nu, tau in ((gen_complete_digraph(12), 0.2, 0.25),
+                       (gen_random_min_degree(24, 32, seed=3), 0.15, 0.3)):
+        assert {certify_expander(g, ExpansionParams(nu, tau, mode=mode))
+                for mode in ("exact", "sampled", "auto")} \
+            == {ExpansionVerdict("expander", "degree", nu, tau, 0)}
 
 
 def test_planted_backward_blocks_are_violators(planted_two_block):

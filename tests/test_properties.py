@@ -9,7 +9,8 @@ from hamorient import (CyclePattern, Digraph, PathPattern,
                        robust_out_neighborhood, strongly_connected_components,
                        tt_embed_path)
 from hamorient.bitset import bit_list, int_ceil, int_floor, mask_of
-from hamorient.patterns import canonical_rotation, reflect, rotate, switches
+from hamorient.patterns import (canonical_rotation, cyclic_runs, reflect,
+                                rotate, switches)
 
 orientations = st.lists(st.booleans(), min_size=3, max_size=14).map(tuple)
 mixed = orientations.filter(lambda o: any(o) and not all(o))
@@ -71,6 +72,26 @@ def test_switch_count_rotation_invariant(o):
     for r in range(len(o)):
         src, snk = switches(rotate(c, r))
         assert len(src) + len(snk) == k
+
+
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=14))
+def test_cyclic_runs_tile_the_sequence(seq):
+    n = len(seq)
+    runs = cyclic_runs(seq)
+    # the runs cover every position once, in order around the cycle, each
+    # with one value
+    assert sum(length for _, length, _ in runs) == n
+    starts = [s for s, _, _ in runs]
+    assert starts == sorted(set(starts))
+    for (s, length, v), (nxt, _, w) in zip(runs, runs[1:] + runs[:1]):
+        assert (s + length) % n == nxt
+        assert all(seq[(s + i) % n] == v for i in range(length))
+        assert len(runs) == 1 or v != w
+
+
+@given(st.integers(0, 3), st.integers(1, 14))
+def test_constant_sequence_is_one_run(v, n):
+    assert cyclic_runs([v] * n) == [(0, n, v)]
 
 
 # --- ranks in a transitive order ------------------------------------------------
