@@ -188,7 +188,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
 
 
 def _verify_expansion(g: Digraph, args: argparse.Namespace) -> tuple[dict, bool]:
-    p = ExpansionParams(nu=args.nu, tau=args.tau, mode=args.mode, seed=args.seed)
+    p = ExpansionParams(nu=args.nu, tau=args.tau, mode=args.mode)
     verdict = certify_expander(g, p)
     d = verdict.to_json_dict()
     d["params"]["alpha"] = None
@@ -350,8 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--partition", help="partition JSON to re-verify")
     ver.add_argument("--embedding", help="embedding JSON to re-check")
     ver.add_argument("--pattern", help="pattern the embedding should realize")
-    ver.add_argument("--seed", type=int, default=0,
-                     help="seed of the sampled expansion check")
     ver.add_argument("--out", help="report JSON output (default stdout)")
     ver.set_defaults(func=_cmd_verify)
 
@@ -372,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (InputError, PreconditionError, CapabilityError, ResourceError,
-            HypothesisError, FileNotFoundError) as exc:
+            HypothesisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -375,8 +375,9 @@ def verify_partition(g: Digraph, sp: StructurePartition) -> PartitionReport:
     Shares no state with decompose: any partition of any digraph gets a
     deterministic report. Expander checks first try the degree bound
     (mode "degree"); where it fails, a class up to the threshold is swept
-    exactly and a larger one is sampled, which finds a violator or leaves
-    it inconclusive. An inconclusive class passes and is listed in
+    exactly and a larger one in sampled mode, whose probe of the
+    condensation and degree-order prefixes finds a violator or leaves it
+    inconclusive. An inconclusive class passes and is listed in
     sampled_classes, not certified; each class's mode detail says how it
     was settled.
     """
@@ -505,12 +506,13 @@ def partition_from_json_dict(d: dict) -> StructurePartition:
     to the class count, at most _K_MAX. A missing 'n' or 'classes',
     classes that do not split 0..n-1 into disjoint lists of vertices,
     'flags' other than a list of strings, or a mistyped parameter raises
-    InputError."""
-    if not isinstance(d, dict) or not isinstance(d.get("n"), int) \
+    InputError; 'n', the vertices, 'k' and 'exact_threshold' must be JSON
+    integers, not booleans or floats, and 'enforce_hierarchy' a boolean."""
+    if not isinstance(d, dict) or type(d.get("n")) is not int \
             or not isinstance(d.get("classes"), list):
         raise InputError("a partition needs an integer 'n' and a 'classes' list")
     n = d["n"]
-    if not all(isinstance(vs, list) and all(isinstance(v, int) for v in vs)
+    if not all(isinstance(vs, list) and all(type(v) is int for v in vs)
                for vs in d["classes"]) \
             or sorted(v for vs in d["classes"] for v in vs) != list(range(n)):
         raise InputError(f"partition classes do not split 0..{n - 1} into "
@@ -520,6 +522,12 @@ def partition_from_json_dict(d: dict) -> StructurePartition:
     if not isinstance(flags, list) or not all(isinstance(f, str) for f in flags):
         raise InputError("partition 'flags' must be a list of strings")
     pd = d.get("params", {})
+    types = {"k": int, "exact_threshold": int, "enforce_hierarchy": bool}
+    if not isinstance(pd, dict) or any(type(pd[key]) is not kind for key, kind
+                                       in types.items() if key in pd):
+        raise InputError("partition params must be an object whose 'k' and "
+                         "'exact_threshold' are integers and whose "
+                         "'enforce_hierarchy' is a boolean")
     try:
         params = DecompositionParams(
             k=pd.get("k", min(max(1, len(classes)), _K_MAX)),
@@ -527,7 +535,7 @@ def partition_from_json_dict(d: dict) -> StructurePartition:
             exact_threshold=pd.get("exact_threshold", 20),
             enforce_hierarchy=pd.get("enforce_hierarchy", False),
             alpha_floor=pd.get("alpha_floor", 0.0))
-    except (AttributeError, TypeError) as exc:
+    except TypeError as exc:
         raise InputError(f"partition params are malformed: {exc}") from None
     return StructurePartition(n=n, classes=classes, verdicts=(),
                               params=params, flags=tuple(flags))

@@ -30,6 +30,12 @@ from .errors import InputError
 N_MAX = 4096
 
 
+def check_vertex_count(n: int) -> None:
+    """Raise InputError unless 0 <= n <= N_MAX."""
+    if not 0 <= n <= N_MAX:
+        raise InputError(f"vertex count {n} outside supported range 0..{N_MAX}")
+
+
 @dataclass(frozen=True)
 class Digraph:
     n: int
@@ -37,13 +43,11 @@ class Digraph:
     in_adj: tuple[int, ...]
 
     def __post_init__(self):
-        if not 0 <= self.n <= N_MAX:
-            raise InputError(f"vertex count {self.n} outside supported range 0..{N_MAX}")
+        check_vertex_count(self.n)
 
     @classmethod
     def from_edge_list(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Digraph":
-        if n < 0 or n > N_MAX:
-            raise InputError(f"vertex count {n} outside supported range 0..{N_MAX}")
+        check_vertex_count(n)
         out = [0] * n
         inn = [0] * n
         for u, v in edges:

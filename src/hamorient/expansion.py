@@ -31,38 +31,31 @@ return a violator or "inconclusive", and cut search becomes
 deterministic local search from prefix and hint starts, whose empty
 result is flagged non-exhaustive.
 
-The above-cap paths share one 0/1 out-adjacency matrix A of the digraph.
-For a 0/1 matrix S whose rows are vertex sets, (S @ A)[i, v] counts the
-in-neighbours of v in set i: thresholding those counts gives every
-sampled robust out-neighbourhood at once. Both paths also probe the
-proper prefixes of the condensation order and of degree orders, and one
-walk per order builds them: adding v to a prefix S adds
-d+(v) - |N+(v) & S| - |N-(v) & S| forward edges, so each prefix's
-forward edge count comes with its mask from O(n) mask operations per
-order, with no n x n product. The hill climbs of one cut search run in
+Above the cap both paths probe the proper prefixes of the same vertex
+orders, the condensation order and degree orders (_orders), and walk
+each order once. Cut search adds v to a prefix S with
+d+(v) - |N+(v) & S| - |N-(v) & S| forward edges; certification adds row
+v of the 0/1 out-adjacency matrix A to S's vector of in-counts, whose
+entries that reach ceil(nu*n) are RN(S). Either way a prefix costs O(n),
+with no n x n product. The hill climbs of one cut search run in
 lockstep, one row per climb of a k x n int16 matrix of per-vertex gains
 (out-neighbours in X2 minus in-neighbours in X1), offset so that every
 X1 entry lies below every X2 entry: each step takes every live climb's
 best move out of X1 with one row-wise argmin and its best move into X1
 with one argmax, and a move of v updates its row with row v plus column
-v of A. A climb leaves the batch when it stops. All three give exactly
-the results of set-by-set loops. Sampled certification also draws its
-random sets as rows, one size decile at a time: one randbytes call gives
-every row one random word per vertex, and np.partition keeps the `size`
-vertices with the smallest words (ties to the smaller vertex), so no set
-is built element by element.
+v of A. A climb leaves the batch when it stops. All of these give
+exactly the results of set-by-set loops.
 """
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
-from .bitset import bit_list, bits_of, int_ceil, int_floor
+from .bitset import bit_list, bits_of, int_ceil, int_floor, mask_of
 from .digraph import (Digraph, degree_profile, row_masks, set_rows,
                       strongly_connected_components)
 from .errors import CapabilityError, InputError, PreconditionError
@@ -93,26 +86,10 @@ def _at_least(tab: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-# Above the cap, vertex sets are 0/1 rows and the digraph is its 0/1
-# out-adjacency matrix; int16 holds every count up to N_MAX = 4096. Sets
-# are multiplied in chunks of _ROW_CHUNK rows, which bounds the temporary
-# matrices and lets certification stop at the chunk with the first violator.
-_ROW_CHUNK = 256
-
-
 def _adjacency(g: Digraph) -> np.ndarray:
-    """Out-adjacency matrix: entry [u, v] is 1 iff u -> v."""
+    """Out-adjacency matrix: entry [u, v] is 1 iff u -> v; int16 holds
+    every count up to N_MAX = 4096."""
     return set_rows(g.out_adj, g.n).astype(np.int16)
-
-
-def _in_counts(rows: np.ndarray, adj: np.ndarray) -> np.ndarray:
-    """rows @ adj for 0/1 int16 set rows: entry [i, v] is the number of
-    in-neighbours of v in set i.
-
-    einsum multiplies int16 matrices with vectorised sum-of-products
-    loops, single-threaded and exact; matmul has no fast path for integer
-    types and is several times slower."""
-    return np.einsum("iu,uv->iv", rows, adj)
 
 
 def robust_out_neighborhood(g: Digraph, s: int, nu: float) -> int:
@@ -136,7 +113,6 @@ class ExpansionParams:
     nu: float
     tau: float
     mode: str = "auto"            # exact | sampled | auto
-    seed: int = 0
 
     def __post_init__(self):
         if not 0 < self.nu < 1:
@@ -268,98 +244,83 @@ def _exact_expander_sweep(g: Digraph, nu: float, tau: float) -> ExpansionVerdict
     return ExpansionVerdict("expander", "exact", nu, tau, checked)
 
 
-def _prefixes(g: Digraph, orders: int) -> list[tuple[int, int]]:
-    """(S, e+(S, V \\ S)) for the proper prefixes S of the condensation
-    order, then of the first `orders` degree orders: out-degree
-    descending, in-degree descending, out-degree ascending, in-degree
-    ascending (ties to the smaller vertex).
+def _orders(g: Digraph,
+            degree_orders: int) -> list[tuple[list[int], range | list[int]]]:
+    """The vertex orders whose prefixes the above-cap paths probe, each
+    with the prefix lengths it keeps, in probe order.
 
-    Each order is walked once, as a list of vertices. Adding v to S adds
-    its out-edges that leave S + v and drops the edges from S into v,
-    which no longer cross: d+(v) - |N+(v) & S| - |N-(v) & S| (no loops,
-    so v is in neither). The condensation order keeps the prefixes that
-    end a component."""
-    out_adj, in_adj = g.out_adj, g.in_adj
+    First the condensation order without its last component, keeping the
+    prefixes that end a component; then the first `degree_orders` of
+    out-degree descending, in-degree descending, out-degree ascending and
+    in-degree ascending (ties to the smaller vertex), without the last
+    vertex, keeping every prefix."""
     prof = degree_profile(g)
+    comps = strongly_connected_components(g)[:-1]
+    orders = [([v for c in comps for v in bit_list(c)],
+               list(accumulate(c.bit_count() for c in comps)))]
+    keys = ((-1, prof.out_degrees), (-1, prof.in_degrees),
+            (1, prof.out_degrees), (1, prof.in_degrees))
+    for sign, deg in keys[:degree_orders]:
+        orders.append((sorted(range(g.n), key=lambda u: (sign * deg[u], u))[:-1],
+                       range(1, g.n)))
+    return orders
 
-    def walk(order: list[int]) -> list[tuple[int, int]]:
+
+def _prefixes(g: Digraph, degree_orders: int) -> list[tuple[int, int]]:
+    """(S, e+(S, V \\ S)) for the kept prefixes S of _orders(g,
+    degree_orders), in order.
+
+    Each order is walked once. Adding v to S adds its out-edges that
+    leave S + v and drops the edges from S into v, which no longer cross:
+    d+(v) - |N+(v) & S| - |N-(v) & S| (no loops, so v is in neither)."""
+    out_adj, in_adj = g.out_adj, g.in_adj
+    outdeg = [a.bit_count() for a in out_adj]
+    found = []
+    for order, ends in _orders(g, degree_orders):
         s = e = 0
         walked = []
         for v in order:
-            e += (prof.out_degrees[v] - (out_adj[v] & s).bit_count()
+            e += (outdeg[v] - (out_adj[v] & s).bit_count()
                   - (in_adj[v] & s).bit_count())
             s |= 1 << v
             walked.append((s, e))
-        return walked
-
-    comps = strongly_connected_components(g)[:-1]
-    walked = walk([v for c in comps for v in bit_list(c)])
-    found = [walked[end - 1] for end in accumulate(c.bit_count() for c in comps)]
-    keys = ((-1, prof.out_degrees), (-1, prof.in_degrees),
-            (1, prof.out_degrees), (1, prof.in_degrees))
-    for sign, deg in keys[:orders]:
-        found += walk(sorted(range(g.n), key=lambda u: (sign * deg[u], u))[:-1])
+        found += [walked[end - 1] for end in ends]
     return found
 
 
-# Sampled certification draws this many random sets at each of ten sizes
-# spread over the size window.
-_SAMPLES_PER_DECILE = 64
+def _sampled_verdict(g: Digraph, nu: float, tau: float) -> ExpansionVerdict:
+    """Probe the kept prefixes of _orders(g, 3) whose size lies in the
+    window for a violator.
 
-
-def _sampled_candidates(g: Digraph, lo: int, hi: int, seed: int) -> np.ndarray:
-    """The sets sampled certification probes, as an int16 0/1 matrix with
-    one row per set: _SAMPLES_PER_DECILE random sets at each of ten sizes
-    spread over [lo, hi], one decile after another, then the condensation
-    and degree-order prefixes of _prefixes(g, 3) whose size lies in the
-    window, in that order.
-
-    Each decile takes _SAMPLES_PER_DECILE * n random 32-bit words from one
-    randbytes call of random.Random(seed), one word per row and vertex.
-    The key word * n + v is distinct within a row, and a row holds the
-    `size` vertices with the smallest keys, so it has exactly `size`
-    members and depends only on its words."""
-    n = g.n
-    rng = random.Random(seed)
-    spd = _SAMPLES_PER_DECILE
-    col = np.arange(n, dtype=np.int64)
-    blocks = []
-    for dec in range(10):
-        size = lo + (hi - lo) * dec // 9 if hi > lo else lo
-        words = np.frombuffer(rng.randbytes(4 * spd * n), dtype="<u4")
-        keys = words.reshape(spd, n) * np.int64(n) + col
-        cut = np.partition(keys, size - 1, axis=1)[:, size - 1:size]
-        blocks.append(keys <= cut)
-    prefixes = [s for s, _ in _prefixes(g, 3) if lo <= s.bit_count() <= hi]
-    blocks.append(set_rows(prefixes, n))
-    return np.concatenate(blocks, dtype=np.int16)
-
-
-def _sampled_verdict(g: Digraph, nu: float, tau: float,
-                     seed: int) -> ExpansionVerdict:
-    """Probe the rows of _sampled_candidates for a violator.
-
-    The rows are multiplied by the adjacency matrix a chunk at a time:
-    |RN(S)| is the number of entries of S's row of counts that reach
-    ceil(nu*n), and the first row in order with |RN(S)| < |S| + ceil(nu*n)
-    is the violator, checked_sets its position. Finding none reads
+    Each order is walked once with the in-counts of its prefix S: adding
+    v to S adds row v of the out-adjacency matrix, and |RN(S)| is the
+    number of counts that reach ceil(nu*n), O(n) per prefix. The first
+    prefix with |RN(S)| < |S| + ceil(nu*n) is the violator, checked_sets
+    its position among the probed prefixes. Finding none reads
     inconclusive, never expander."""
     lo, hi = _size_bounds(g.n, tau)
     thr = max(1, int_ceil(nu * g.n))
-    rows = _sampled_candidates(g, lo, hi, seed)
-    adj = _adjacency(g)
-    for i in range(0, len(rows), _ROW_CHUNK):
-        chunk = rows[i:i + _ROW_CHUNK]
-        rn_size = (_in_counts(chunk, adj) >= thr).sum(axis=1)
-        set_size = chunk.sum(axis=1)
-        bad = np.flatnonzero(rn_size < set_size + thr)
-        if bad.size:
-            j = int(bad[0])
-            return ExpansionVerdict(
-                "violator", "sampled", nu, tau, i + j + 1,
-                violator=row_masks(chunk[j:j + 1])[0],
-                rn_size=int(rn_size[j]), set_size=int(set_size[j]))
-    return ExpansionVerdict("inconclusive", "sampled", nu, tau, len(rows))
+    adj = set_rows(g.out_adj, g.n)
+    checked = 0
+    for order, ends in _orders(g, 3):
+        counts = np.zeros(g.n, dtype=np.int16)
+        size = 0
+        for end in ends:
+            if end > hi:
+                break
+            if end < lo:
+                continue
+            for v in order[size:end]:
+                counts += adj[v]
+            size = end
+            checked += 1
+            rn_size = int(np.count_nonzero(counts >= thr))
+            if rn_size < size + thr:
+                return ExpansionVerdict(
+                    "violator", "sampled", nu, tau, checked,
+                    violator=mask_of(order[:size]), rn_size=rn_size,
+                    set_size=size)
+    return ExpansionVerdict("inconclusive", "sampled", nu, tau, checked)
 
 
 def certify_expander(g: Digraph, p: ExpansionParams) -> ExpansionVerdict:
@@ -370,9 +331,9 @@ def certify_expander(g: Digraph, p: ExpansionParams) -> ExpansionVerdict:
     _degree_bound_certifies: when it holds, the verdict is expander with
     mode "degree" and checked_sets 0, since no set was checked. Otherwise
     exact mode sweeps every subset in the window tau*n <= |S| <= (1-tau)*n,
-    and sampled mode runs _sampled_verdict: _SAMPLES_PER_DECILE random
-    sets per size decile, then condensation and degree-order prefixes,
-    where finding no violator reads inconclusive, never a certificate.
+    and sampled mode runs _sampled_verdict over the in-window
+    condensation and degree-order prefixes, where finding no violator
+    reads inconclusive, never a certificate.
     """
     mode = p.mode
     if mode == "auto":
@@ -384,7 +345,7 @@ def certify_expander(g: Digraph, p: ExpansionParams) -> ExpansionVerdict:
         return ExpansionVerdict("expander", "degree", p.nu, p.tau, 0)
     if mode == "exact":
         return _exact_expander_sweep(g, p.nu, p.tau)
-    return _sampled_verdict(g, p.nu, p.tau, p.seed)
+    return _sampled_verdict(g, p.nu, p.tau)
 
 
 @dataclass(frozen=True)
@@ -538,7 +499,9 @@ def _hill_climbs(adj: np.ndarray,
     np.negative(sym, out=step[n:])
     outdeg = adj.sum(axis=1)
     rows = set_rows(starts, n).astype(np.int16)
-    gain = outdeg.astype(np.int16) - _in_counts(rows, sym)
+    # einsum multiplies int16 matrices exactly with vectorised loops;
+    # matmul has no fast path for integer types and is several times slower
+    gain = outdeg.astype(np.int16) - np.einsum("iu,uv->iv", rows, sym)
     key = np.int16(_KEY_OFFSET) * (1 - 2 * rows) - gain
     # sum over X1 of out-degree + gain = 2 * e_forward
     e = (rows @ outdeg + (rows * gain).sum(axis=1)) // 2
@@ -665,8 +628,8 @@ class DichotomyResult:
     exact: bool
 
 
-def sparse_or_expander(g: Digraph, eta: float, alpha: float, tau: float,
-                       seed: int = 0) -> DichotomyResult:
+def sparse_or_expander(g: Digraph, eta: float, alpha: float,
+                       tau: float) -> DichotomyResult:
     """Either an alpha-sparse cut or a robust (nu,tau)-outexpander verdict,
     with nu := alpha*tau*eta/4.
 
@@ -688,7 +651,7 @@ def sparse_or_expander(g: Digraph, eta: float, alpha: float, tau: float,
     cut_res = find_sparse_cut(g, alpha)
     if cut_res.found:
         return DichotomyResult("cut", nu, tau, alpha, cut_res.certificate, None, cut_res.mode == "exact")
-    verdict = certify_expander(g, ExpansionParams(nu=nu, tau=tau, seed=seed))
+    verdict = certify_expander(g, ExpansionParams(nu=nu, tau=tau))
     if verdict.outcome == "violator" and exact:
         raise RuntimeError(
             "dichotomy violated: exact sweep found neither an alpha-sparse cut "

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 
 from .bitset import bit_list, full_mask
-from .digraph import Digraph, row_masks, set_rows
+from .digraph import Digraph, check_vertex_count, row_masks, set_rows
 from .errors import InputError
 
 
@@ -24,6 +24,7 @@ def gen_complete_digraph(n: int) -> Digraph:
     """All n(n-1) ordered pairs."""
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
+    check_vertex_count(n)
     adj = tuple(full_mask(n) ^ 1 << u for u in range(n))
     return Digraph(n, adj, adj)
 
@@ -37,6 +38,7 @@ def gen_bipartite_extremal(n: int) -> Digraph:
     least 2(ceil(n/2)-1)."""
     if n < 4:
         raise InputError(f"need n >= 4, got {n}")
+    check_vertex_count(n)
     a = (n + 1) // 2 - 1
     part_a = full_mask(a)
     part_b = full_mask(n) ^ part_a
@@ -49,6 +51,7 @@ def gen_split_cliques(n: int) -> Digraph:
     vertices; no cross edges, so not even weakly traversable end to end."""
     if n < 4:
         raise InputError(f"need n >= 4, got {n}")
+    check_vertex_count(n)
     a = n // 2
     low = full_mask(a)
     adj = tuple((low if u < a else full_mask(n) ^ low) ^ 1 << u for u in range(n))
@@ -71,8 +74,9 @@ def gen_blowup_tt(part_sizes: list[int] | tuple[int, ...], intra: float = 1.0,
         raise InputError(f"part sizes must be positive, got {sizes}")
     if not 0.0 <= intra <= 1.0 or not 0.0 <= forward_noise <= 1.0:
         raise InputError("densities must lie in [0, 1]")
-    draw = random.Random(seed).random
     n = sum(sizes)
+    check_vertex_count(n)
+    draw = random.Random(seed).random
     out = [0] * n
     end = 0
     for size in sizes:
@@ -105,6 +109,7 @@ def gen_random_min_degree(n: int, delta_target: int, seed: int = 0) -> Digraph:
     vertices (random admissible partners) until the target holds."""
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
+    check_vertex_count(n)
     if not 0 <= delta_target <= 2 * (n - 1):
         raise InputError(f"delta_target {delta_target} impossible at n={n}")
     rng = random.Random(seed)
@@ -134,6 +139,7 @@ def gen_tournament(n: int, kind: str = "random", seed: int = 0) -> Digraph:
     """One edge per unordered pair; transitive kind orders by index."""
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
+    check_vertex_count(n)
     if kind not in ("random", "transitive"):
         raise InputError(f"unknown tournament kind {kind!r}")
     rng = random.Random(seed)

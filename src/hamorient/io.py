@@ -25,8 +25,15 @@ def write_edges(g: Digraph, path, header: dict | None = None) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not a text file: {exc}") from None
+
+
 def read_edges(path) -> Digraph:
-    text = Path(path).read_text()
+    text = _read_text(path)
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -54,7 +61,7 @@ def read_edges(path) -> Digraph:
 
 def read_header_spec(path) -> dict | None:
     """Return the generator recipe stored in a '# spec:' comment, if any."""
-    for raw in Path(path).read_text().splitlines():
+    for raw in _read_text(path).splitlines():
         line = raw.strip()
         if line.startswith("# spec:"):
             return json.loads(line[len("# spec:"):])
@@ -69,6 +76,6 @@ def save_json(obj, path) -> None:
 
 def load_json(path):
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: not valid JSON: {exc}") from None

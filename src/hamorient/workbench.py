@@ -296,7 +296,7 @@ def suite_dichotomy(n: int, trials: int, eta: float = 0.3, alpha: float = 0.3,
             continue
         t0 = time.monotonic()
         try:
-            res = sparse_or_expander(g, eta, alpha, tau, seed=seed + i)
+            res = sparse_or_expander(g, eta, alpha, tau)
             out = "pass" if res.kind in ("cut", "expander") else "fail"
             detail = res.kind
         except RuntimeError as e:
@@ -307,7 +307,7 @@ def suite_dichotomy(n: int, trials: int, eta: float = 0.3, alpha: float = 0.3,
         g = gen_split_cliques(n)          # degree far below (1+eta)n
         t0 = time.monotonic()
         try:
-            sparse_or_expander(g, eta, alpha, tau, seed=seed)
+            sparse_or_expander(g, eta, alpha, tau)
             out, detail = "fail", "precondition should have rejected"
         except PreconditionError:
             out, detail = "pass", "expected-precondition-reject"

@@ -168,7 +168,7 @@ def test_c4_cut_or_expander_dichotomy_never_neither():
     for i in range(1000):
         g = gen_random_min_degree(12, 16, seed=i)
         assert degree_profile(g).min_total >= 16
-        res = sparse_or_expander(g, eta, alpha, tau, seed=i)
+        res = sparse_or_expander(g, eta, alpha, tau)
         assert res.exact, "n=12 must resolve in exact mode"
         assert abs(res.nu - alpha * tau * eta / 4) < 1e-12
         kinds[res.kind] += 1

@@ -12,6 +12,8 @@ from hamorient.io import read_edges, read_header_spec
 
 # the two planted blocks of the workdir host, as partition classes
 BLOCKS_12_12 = json.dumps([list(range(12)), list(range(12, 24))])
+# vertex 1 of the first block written as true, which equals 1 in Python
+BOOL_VERTEX = BLOCKS_12_12.replace("[0, 1,", "[0, true,", 1)
 # an embedding of "+" * 23 + "-" in the workdir host (position p on vertex
 # p + 12 mod 24) that lists position 11 twice and leaves out position 12,
 # the one on vertex 0
@@ -382,6 +384,14 @@ def test_verify_expansion_sampled_certifies_by_degrees(tmp_path):
         == ("expander", "degree", 0)
 
 
+def test_verify_rejects_seed_flag(workdir):
+    # sampled certification draws nothing random, so it takes no seed
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--input", str(workdir / "graph.edges"),
+              "--nu", "0.05", "--tau", "0.25", "--seed", "1"])
+    assert exc.value.code == 2
+
+
 def test_verify_cut_found_and_absent(workdir, tmp_path):
     out = tmp_path / "cut.json"
     rc = main(["verify", "--input", str(workdir / "graph.edges"),
@@ -446,6 +456,16 @@ def test_verify_selector_errors(workdir):
      '{"n": 24, "classes": %s, "flags": 5}' % BLOCKS_12_12),
     ("verify-partition",
      '{"n": 24, "classes": %s, "flags": "ab"}' % BLOCKS_12_12),
+    ("embed-partition", '{"n": 24, "classes": %s}' % BOOL_VERTEX),
+    ("embed-partition",
+     '{"n": 24, "classes": %s, "params": {"k": 2.5}}' % BLOCKS_12_12),
+    ("embed-partition",
+     '{"n": 24, "classes": %s, "params": {"exact_threshold": true}}'
+     % BLOCKS_12_12),
+    ("verify-partition", '{"n": 24, "classes": %s, "params": 5}' % BLOCKS_12_12),
+    ("verify-partition",
+     '{"n": 24, "classes": %s, "params": {"enforce_hierarchy": "no"}}'
+     % BLOCKS_12_12),
     ("experiment-config", "not json"),
     ("experiment-config", '{"suites": 5}'),
     ("experiment-config", '{"suites": [5]}'),
@@ -453,7 +473,10 @@ def test_verify_selector_errors(workdir):
         "embedding-not-json", "vertex-a-bool", "position-twice",
         "verify-no-classes", "vertex-out-of-range", "classes-miss-vertices",
         "classes-overlap", "embed-no-classes", "flags-not-a-list",
-        "flags-a-string", "config-not-json", "config-suites-not-a-list",
+        "flags-a-string", "partition-vertex-a-bool",
+        "k-a-float", "threshold-a-bool", "params-not-an-object",
+        "hierarchy-a-string",
+        "config-not-json", "config-suites-not-a-list",
         "config-suite-not-an-object"])
 def test_malformed_artifact_exits_2(workdir, tmp_path, capsys, command, text):
     artifact = tmp_path / "artifact.json"
@@ -469,6 +492,26 @@ def test_malformed_artifact_exits_2(workdir, tmp_path, capsys, command, text):
         "experiment-config": ["experiment", "--config", str(artifact),
                               "--out", str(tmp_path / "r")],
     }[command]
+    assert main(argv) == 2
+    assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["input-a-directory", "input-not-utf8",
+                                  "partition-not-utf8", "out-a-directory"])
+def test_unreadable_path_exits_2(workdir, tmp_path, capsys, case):
+    # an unreadable or unwritable path is a usage error, not a failed check
+    graph = str(workdir / "graph.edges")
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\xff\xfe\x00\x80 not text")
+    argv = {
+        "input-a-directory": ["verify", "--input", str(tmp_path),
+                              "--alpha", "0.1"],
+        "input-not-utf8": ["verify", "--input", str(binary), "--alpha", "0.1"],
+        "partition-not-utf8": ["verify", "--input", graph,
+                               "--partition", str(binary)],
+        "out-a-directory": ["partition", "--input", graph,
+                            "--out", str(tmp_path)],
+    }[case]
     assert main(argv) == 2
     assert "error: " in capsys.readouterr().err
 

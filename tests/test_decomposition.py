@@ -307,6 +307,9 @@ def test_partition_json_round_trip():
     assert back.params.k == sp.params.k
     assert back.params.alpha == pytest.approx(sp.params.alpha)
     assert back.params == sp.params
+    # a JSON boolean is not an integer, not even as the vertex count
+    with pytest.raises(InputError):
+        partition_from_json_dict({"n": True, "classes": [[0]]})
 
 
 def test_partition_reload_ignores_stored_tau_and_nu():

@@ -20,8 +20,7 @@ from hamorient.bitset import bit_list, bits_of, int_ceil, mask_of
 from hamorient.digraph import induced
 from hamorient.expansion import (_adjacency, _degree_bound_certifies,
                                  _exact_cut_sweep, _exact_expander_sweep,
-                                 _hill_climbs, _prefixes,
-                                 _sampled_candidates, _sampled_verdict,
+                                 _hill_climbs, _prefixes, _sampled_verdict,
                                  _size_bounds)
 
 from conftest import (brute_hill_climb, brute_robust_outnbhd,
@@ -299,9 +298,9 @@ def test_planted_backward_blocks_are_violators(planted_two_block):
 
 def test_sampled_mode_on_planted_violator():
     g = gen_blowup_tt([16, 16], intra=1.0, forward_noise=0.0, seed=1)
-    v = certify_expander(g, ExpansionParams(0.1, 0.25, mode="sampled", seed=4))
-    # sampled mode probes structured candidates first; the planted half
-    # is among them, so the violator is found
+    v = certify_expander(g, ExpansionParams(0.1, 0.25, mode="sampled"))
+    # sampled mode probes the condensation prefixes first; the planted
+    # half is among them, so the violator is found
     assert v.outcome == "violator"
     assert v.mode == "sampled"
 
@@ -461,30 +460,30 @@ def test_hidden_cut_found_above_min_degree_n():
 
 
 
-# Above the exact cap: (host, sampled verdicts as (nu, tau, seed, outcome,
+# Above the exact cap: (host, sampled verdicts as (nu, tau, outcome,
 # checked_sets, violator), heuristic cuts as (alpha, found, best side1,
 # best e_forward, near-miss side1 masks in report order)).
-# checked_sets counts the candidates probed, so it pins the order and the
-# size filter of the sampled candidate list; the near misses pin the order
-# in which cut search visits its starts. The degree bound certifies the
-# random host at both parameter pairs, with mode degree and no set checked.
+# checked_sets counts the prefixes probed, so it pins their order and the
+# size filter; the near misses pin the order in which cut search visits
+# its starts. The degree bound certifies the random host at both
+# parameter pairs, with mode degree and no set checked.
 GOLDEN_ABOVE_CAP = (
     (("random", 40, 56, 3),
-     ((0.05, 0.2, 1, "expander", 0, None),
-      (0.2, 0.3, 2, "expander", 0, None)),
+     ((0.05, 0.2, "expander", 0, None),
+      (0.2, 0.3, "expander", 0, None)),
      ((0.05, False, 16777216, 33, ()),
       (0.4, False, 16777216, 33, ()))),
     (("blowup", (30, 30), None, 11),
-     ((0.05, 0.2, 1, "violator", 694, 801112063),
-      (0.2, 0.3, 2, "violator", 66, 175764819404814368)),
+     ((0.05, 0.2, "violator", 54, 801112063),
+      (0.2, 0.3, "violator", 27, 110328815)),
      ((0.05, True, 1073741823, 1,
        (801079295, 801112063, 1125905275551743, 1125939635290111,
         889192447, 905969663, 297237576480194559, 297238126236008447)),
       (0.4, True, 1073741823, 1,
        (1, 9, 41, 105, 233, 489, 16873, 82409)))),
     (("blowup", (34, 33, 33), None, 12),
-     ((0.05, 0.2, 1, "violator", 712, 8555593727),
-      (0.2, 0.3, 2, "violator", 1, 635121269819423127464835728112)),
+     ((0.05, 0.2, "violator", 72, 8555593727),
+      (0.2, 0.3, "violator", 42, 8555593727)),
      ((0.05, True, 17179869183, 1,
        (3186884575, 4260626399, 8555593695, 8555593727, 25323127177215,
         60507499266047, 130876243443711, 271613731799039)),
@@ -503,9 +502,8 @@ def _golden_above_cap_hosts():
 def test_sampled_certification_and_cut_search_golden():
     for g, (_, verdicts, cuts) in zip(_golden_above_cap_hosts(),
                                       GOLDEN_ABOVE_CAP):
-        for nu, tau, s, outcome, checked, violator in verdicts:
-            v = certify_expander(g, ExpansionParams(nu, tau, mode="sampled",
-                                                    seed=s))
+        for nu, tau, outcome, checked, violator in verdicts:
+            v = certify_expander(g, ExpansionParams(nu, tau, mode="sampled"))
             assert (v.outcome, v.checked_sets, v.violator) \
                 == (outcome, checked, violator), (g.n, nu, tau)
             assert v.mode == ("degree" if outcome == "expander" else "sampled")
@@ -610,59 +608,8 @@ def test_prefix_walk_matches_direct_count():
             assert e == sum((g.out_adj[u] & ~s).bit_count() for u in bits_of(s))
 
 
-def _masks(rows):
-    """One vertex mask per 0/1 row, in plain Python."""
-    return [sum(1 << v for v, x in enumerate(row) if x) for row in rows.tolist()]
-
-
-# sha256 of the rows _sampled_candidates draws on a two-block host of n
-# vertices, for (n, lo, hi, seed); a change to the candidate stream has to
-# re-record these on purpose.
-GOLDEN_CANDIDATES = {
-    (30, 6, 24, 1):
-        "100b3bdef352fbde532e75543f1505e66269b762ab3a2d543d43de50d806b30a",
-    (64, 19, 19, 2):
-        "a715ee9501da8f3dd608f8fe04f1f7e8cc298fd3b87c73894b9a9552485c931b",
-    (100, 5, 95, 3):
-        "43a34348ae68de327fcf58e195a5875f710f5980ed94382d256d581c321f4ae4",
-}
-
-
-def test_sampled_candidates_stream():
-    spd = expansion._SAMPLES_PER_DECILE
-    for (n, lo, hi, seed), digest in GOLDEN_CANDIDATES.items():
-        g = gen_blowup_tt([n // 2, n - n // 2], 0.95, 0.001, n)
-        rows = _sampled_candidates(g, lo, hi, seed)
-        assert str(rows.dtype) == "int16"
-        flat = rows.tolist()
-        assert {x for row in flat for x in row} == {0, 1}
-        # ten deciles of random sets, each of one size spread over the
-        # window; a set is the size vertices with the smallest of n random
-        # 32-bit words, ties to the smaller vertex
-        rng = random.Random(seed)
-        for dec in range(10):
-            size = lo + (hi - lo) * dec // 9 if hi > lo else lo
-            block = flat[dec * spd:(dec + 1) * spd]
-            assert [sum(row) for row in block] == [size] * spd, (n, dec)
-            raw = rng.randbytes(4 * spd * n)
-            for i, row in enumerate(block):
-                words = [int.from_bytes(raw[4 * (i * n + v):4 * (i * n + v + 1)],
-                                        "little") for v in range(n)]
-                chosen = set(sorted(range(n), key=lambda v: (words[v], v))[:size])
-                assert row == [int(v in chosen) for v in range(n)]
-        # then the in-window prefixes, in order
-        prefixes = [s for s in _reference_prefixes(g, 3) if lo <= s.bit_count() <= hi]
-        assert prefixes and _masks(rows[10 * spd:]) == prefixes
-        assert _sampled_candidates(g, lo, hi, seed).tolist() == flat
-        other = _sampled_candidates(g, lo, hi, seed + 1).tolist()
-        assert other[:10 * spd] != flat[:10 * spd]
-        assert other[10 * spd:] == flat[10 * spd:]
-        text = bytes(x for row in flat for x in row)
-        assert hashlib.sha256(text).hexdigest() == digest, (n, lo, hi, seed)
-
-
 def test_sampled_mode_certifies_exactly_when_the_degree_bound_holds(monkeypatch):
-    # the bound settles a class before any set is drawn; where it fails,
+    # the bound settles a class before any set is probed; where it fails,
     # the sampling stage's verdict is returned as it is
     drawn = []
     stage = expansion._sampled_verdict
@@ -681,14 +628,13 @@ def test_sampled_mode_certifies_exactly_when_the_degree_bound_holds(monkeypatch)
         for nu in (0.05, 0.1, 0.2, 0.3):
             for tau in (0.1, 0.2, 0.3, 0.4):
                 calls = len(drawn)
-                v = certify_expander(g, ExpansionParams(nu, tau, mode="sampled",
-                                                        seed=1))
+                v = certify_expander(g, ExpansionParams(nu, tau, mode="sampled"))
                 bound = _degree_bound_certifies(g, nu, tau)
                 if bound:
                     assert v == ExpansionVerdict("expander", "degree", nu, tau, 0)
                     assert len(drawn) == calls
                 else:
-                    assert drawn[calls:] == [((g, nu, tau, 1), v)]
+                    assert drawn[calls:] == [((g, nu, tau), v)]
                     assert v.mode == "sampled"
                 seen[bound, v.outcome] += 1
     assert seen[True, "expander"] >= 20
@@ -701,38 +647,38 @@ def test_sampling_finds_no_violator_where_the_degree_bound_certifies():
     seen = Counter()
     for g in _golden_above_cap_hosts():
         for nu in (0.02, 0.05, 0.1, 0.2):
-            for tau in (0.2, 0.3):
-                for seed in (1, 2):
-                    bound = _degree_bound_certifies(g, nu, tau)
-                    outcome = _sampled_verdict(g, nu, tau, seed).outcome
-                    assert not (bound and outcome == "violator"), (g.n, nu, tau)
-                    seen[bound, outcome] += 1
+            for tau in (0.15, 0.2, 0.25, 0.3):
+                bound = _degree_bound_certifies(g, nu, tau)
+                outcome = _sampled_verdict(g, nu, tau).outcome
+                assert not (bound and outcome == "violator"), (g.n, nu, tau)
+                seen[bound, outcome] += 1
     assert seen[True, "inconclusive"] >= 12 and seen[False, "violator"] >= 12
 
 
-def test_sampled_certification_matches_reference(monkeypatch):
+def test_sampled_certification_matches_reference():
+    # the sampling stage itself: through certify_expander the degree bound
+    # settles the random hosts and K30 first. The probe is the in-window
+    # prefixes of the condensation order and the first three degree
+    # orders; the transitive tournament has a condensation prefix of every
+    # size, and the two-community host hides its violator from all of them.
     comm = _two_communities(40, 8)
     hosts = [gen_random_min_degree(40, 56, seed=3),
              gen_random_min_degree(70, 100, seed=4),
              gen_blowup_tt([30, 30], 0.95, 0.001, 11),
              gen_blowup_tt([20, 20, 20], 0.95, 0.001, 5),
-             gen_complete_digraph(30), comm]
+             gen_complete_digraph(30), gen_tournament(40, "transitive"), comm]
     outcomes = Counter()
     for g in hosts:
         n = g.n
-        calls = [(0.05, 0.2, 1, 64), (0.2, 0.3, 2, 64), (0.05, 0.2, 3, 1),
-                 (0.1, 0.25, 4, 2)]
-        if g is comm:
-            calls += [(0.1, 0.25, 5, spd) for spd in (0, 1, 64)]
-        for nu, tau, seed, spd in calls:
-            monkeypatch.setattr(expansion, "_SAMPLES_PER_DECILE", spd)
-            cands = _masks(_sampled_candidates(g, *_size_bounds(n, tau), seed))
-            # the sampling stage itself: through certify_expander the degree
-            # bound settles the random hosts and K30 first
-            v = _sampled_verdict(g, nu, tau, seed)
+        for nu, tau in ((0.05, 0.2), (0.2, 0.3), (0.1, 0.25), (0.3, 0.4)):
+            lo, hi = _size_bounds(n, tau)
+            cands = [s for s in _reference_prefixes(g, 3)
+                     if lo <= s.bit_count() <= hi]
+            v = _sampled_verdict(g, nu, tau)
             got = (v.outcome, v.checked_sets, v.violator, v.rn_size,
                    v.set_size)
-            assert got == brute_sampled_verdict(g, cands, nu), (n, nu, seed)
+            assert got == brute_sampled_verdict(g, cands, nu), (n, nu, tau)
+            assert v.mode == "sampled"
             outcomes[v.outcome] += 1
     assert outcomes["violator"] >= 8 and outcomes["inconclusive"] >= 8
 
@@ -764,11 +710,14 @@ def test_climb_moves_sum_over_climbs(monkeypatch):
 # builds from a sampled violator. Recorded with the one-climb-at-a-time
 # search that the lockstep climbs replaced, and re-recorded when sampled
 # certification's random sets began to be drawn as rows (only the climb
-# moves of the retry calls moved), and again when the random restarts were
+# moves of the retry calls moved), again when the random restarts were
 # deleted (found, certificate and best cut unchanged on all 42 calls; the
-# climb moves changed, and so did the uncapped near-miss list of n = 60).
+# climb moves changed, and so did the uncapped near-miss list of n = 60),
+# and when sampled certification dropped its random sets (the retry
+# hints come from a prefix violator: only the climb moves of the 7 retry
+# calls moved).
 GOLDEN_CUT_SEARCH = \
-    "c54801b5ca4db2910ded45950ce3d4a850c28fc479d7896df70bb95a71506ef6"
+    "aa592668ea4d98e830d801544a0a2c7f1259db87633b2a29815513afed192220"
 
 
 def _cut_text(c):
@@ -789,7 +738,7 @@ def test_cut_search_golden(monkeypatch):
         # the single vertex 0
         hints = (rng.getrandbits(n), mask_of(rng.sample(range(n), n // 3)),
                  0, g.vertex_mask, 1 << n | 1)
-        p = ExpansionParams(0.3, 0.25, mode="sampled", seed=n)
+        p = ExpansionParams(0.3, 0.25, mode="sampled")
         s = certify_expander(g, p).violator
         rn = robust_out_neighborhood(g, s, p.nu)
         retry = (s, s | rn, g.vertex_mask & ~rn)

@@ -100,10 +100,14 @@ def test_tournament_kinds():
 
 def test_generators_respect_vertex_cap():
     assert gen_complete_digraph(N_MAX).n == N_MAX
-    with pytest.raises(InputError):
-        gen_complete_digraph(N_MAX + 1)
-    with pytest.raises(InputError):
-        gen_split_cliques(N_MAX + 1)
+    # a vertex count above the cap is rejected before any mask is built or
+    # any pair drawn: at n = 10**6 that work would take hours and gigabytes
+    for make in (gen_complete_digraph, gen_bipartite_extremal,
+                 gen_split_cliques, lambda n: gen_blowup_tt([1, n - 1]),
+                 lambda n: gen_random_min_degree(n, n), gen_tournament):
+        for n in (N_MAX + 1, 10 ** 6):
+            with pytest.raises(InputError, match="outside supported range"):
+                make(n)
 
 
 def test_determinism():

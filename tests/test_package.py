@@ -45,11 +45,18 @@ def test_no_tuning_parameters():
 
 
 def test_cut_search_is_not_seeded():
-    """Cut search depends only on the host, alpha and the hints: it has
-    no random restarts, so neither it nor decompose takes a seed."""
-    for fn in (hamorient.find_sparse_cut, hamorient.decompose):
+    """Cut search depends only on the host, alpha and the hints, and
+    sampled certification probes fixed vertex orders: neither draws
+    random sets, so nothing on their paths takes a seed."""
+    for fn in (hamorient.find_sparse_cut, hamorient.decompose,
+               hamorient.sparse_or_expander,
+               hamorient.expansion._sampled_verdict):
         assert "seed" not in inspect.signature(fn).parameters, fn
-    assert not hasattr(hamorient.expansion, "_RESTARTS")
+    fields = [f.name for f in dataclasses.fields(hamorient.ExpansionParams)]
+    assert fields == ["nu", "tau", "mode"]
+    for gone in ("_RESTARTS", "random", "_sampled_candidates",
+                 "_SAMPLES_PER_DECILE", "_ROW_CHUNK", "_in_counts"):
+        assert not hasattr(hamorient.expansion, gone), gone
 
 
 def test_derived_parameters_are_not_settable():
@@ -72,8 +79,8 @@ def test_every_suite_parameter_is_annotated():
 
 
 def test_sampled_certification_does_not_load_numpy_random():
-    """Sampled certification draws from the stdlib random stream, which is
-    loaded anyway; importing numpy.random would only add memory."""
+    """Sampled certification draws nothing random; importing numpy.random
+    would only add memory."""
     src = str(Path(hamorient.__file__).resolve().parent.parent)
     code = "\n".join([
         "import sys",
