@@ -30,11 +30,10 @@ from .digraph import (DegreeProfile, Digraph, cross_counts, degree_profile,
 from .embedding import (Embedding, PipelineResult, embed_hamilton_orientation,
                         pancyclic_suite, select_connectors, tt_embed_path,
                         two_factor)
-from .errors import (CapabilityError, HypothesisError, InputError,
-                     PreconditionError, ResourceError)
-from .expansion import (CutCertificate, CutSearchResult,
-                        DichotomyResult, ExpansionParams, ExpansionVerdict,
-                        certify_expander, find_sparse_cut,
+from .errors import (HypothesisError, InputError, PreconditionError,
+                     ResourceError)
+from .expansion import (CutCertificate, CutSearchResult, DichotomyResult,
+                        ExpansionVerdict, certify_expander, find_sparse_cut,
                         robust_out_neighborhood, sparse_or_expander)
 from .generators import (GenSpec, family_names, gen_bipartite_extremal,
                          gen_blowup_tt, gen_complete_digraph,
@@ -51,11 +50,11 @@ from .workbench import ExperimentConfig, TrialRecord, run as run_experiments
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockPlan", "CapabilityError", "CheckReport", "CleanedCut",
-    "CutCertificate", "CutSearchResult", "CyclePattern",
-    "DecompositionParams", "DegreeProfile", "DichotomyResult", "Digraph",
-    "EmbedResult", "Embedding", "ExpansionParams", "ExpansionVerdict",
-    "ExperimentConfig", "GenSpec", "HypothesisError", "InputError",
+    "BlockPlan", "CheckReport", "CleanedCut", "CutCertificate",
+    "CutSearchResult", "CyclePattern", "DecompositionParams",
+    "DegreeProfile", "DichotomyResult", "Digraph", "EmbedResult",
+    "Embedding", "ExpansionVerdict", "ExperimentConfig", "GenSpec",
+    "HypothesisError", "InputError",
     "PartitionReport", "PathPattern", "PipelineResult", "PreconditionError",
     "ResourceError", "SegmentPlan", "StructurePartition", "TrialRecord",
     "bit_list", "canonical_rotation", "certify_expander", "classify_case",

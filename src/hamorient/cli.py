@@ -21,14 +21,14 @@ import sys
 from dataclasses import replace
 
 from .bitset import bit_list
-from .decomposition import (DecompositionParams, decompose,
+from .decomposition import (EXACT_THRESHOLD, DecompositionParams, decompose,
                             fit_decomposition_params, partition_from_json_dict,
                             reverse_for_embedding, verify_partition)
 from .digraph import Digraph
 from .embedding import _oracle_step, embed_hamilton_orientation
-from .errors import (CapabilityError, HypothesisError, InputError,
-                     PreconditionError, ResourceError)
-from .expansion import ExpansionParams, certify_expander, find_sparse_cut
+from .errors import (HypothesisError, InputError, PreconditionError,
+                     ResourceError)
+from .expansion import certify_expander, find_sparse_cut
 from .generators import GenSpec, family_names, family_param_names
 from .io import load_json, read_edges, save_json, write_edges
 from .oracle import validate_embedding
@@ -188,8 +188,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
 
 
 def _verify_expansion(g: Digraph, args: argparse.Namespace) -> tuple[dict, bool]:
-    p = ExpansionParams(nu=args.nu, tau=args.tau, mode=args.mode)
-    verdict = certify_expander(g, p)
+    verdict = certify_expander(g, args.nu, args.tau)
     d = verdict.to_json_dict()
     d["params"]["alpha"] = None
     return d, verdict.outcome == "expander"
@@ -322,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     par.add_argument("--alpha-floor", type=float,
                      help="lower bound on the cut-sparsity schedule "
                           "(default 0.1 when fitting, none with --k)")
-    par.add_argument("--exact-cap", type=int, default=20,
+    par.add_argument("--exact-cap", type=int, default=EXACT_THRESHOLD,
                      help="largest class checked by exhaustive sweep")
     par.add_argument("--no-hierarchy", action="store_true",
                      help="skip the hierarchy check alpha <= zeta/(24(k+1))")
@@ -344,8 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--input", required=True, help="edge-list input path")
     ver.add_argument("--nu", type=float, help="expansion parameter")
     ver.add_argument("--tau", type=float, help="set-size fraction bounds")
-    ver.add_argument("--mode", choices=("exact", "sampled", "auto"),
-                     default="auto", help="expansion check mode")
     ver.add_argument("--alpha", type=float, help="hunt a cut at this sparsity")
     ver.add_argument("--partition", help="partition JSON to re-verify")
     ver.add_argument("--embedding", help="embedding JSON to re-check")
@@ -369,8 +366,8 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, PreconditionError, CapabilityError, ResourceError,
-            HypothesisError, OSError) as exc:
+    except (InputError, PreconditionError, ResourceError, HypothesisError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,7 +23,6 @@ from .errors import HypothesisError, InputError, PreconditionError
 from .expansion import (
     EXACT_SWEEP_CAP,
     CutCertificate,
-    ExpansionParams,
     ExpansionVerdict,
     certify_expander,
     find_sparse_cut,
@@ -33,6 +32,9 @@ _EPS = 1e-9
 # The partition makes at most this many levels (k); fitting picks the
 # largest k up to it.
 _K_MAX = 8
+# Default exact_threshold: classes up to this many vertices are swept
+# exhaustively where the degree bound fails.
+EXACT_THRESHOLD = 20
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,7 @@ class DecompositionParams:
     k: int
     zeta: float = 0.2
     alpha: float | None = None
-    exact_threshold: int = 20
+    exact_threshold: int = EXACT_THRESHOLD
     enforce_hierarchy: bool = True
     alpha_floor: float = 0.0
 
@@ -283,8 +285,8 @@ def decompose(g: Digraph, p: DecompositionParams) -> StructurePartition:
     hypotheses fail at this scale, with the failure logged) and split in
     place, keeping both halves adjacent in the order. Classes certify as
     expanders by the degree bound where it holds, else by exhaustive sweep
-    up to exact_threshold and by sampling above; the verdicts are those of
-    the closing verify_partition report.
+    up to p.exact_threshold vertices and by the prefix probe above; the
+    verdicts are those of the closing verify_partition report.
     """
     n = g.n
     profile = degree_profile(g)
@@ -373,13 +375,13 @@ def verify_partition(g: Digraph, sp: StructurePartition) -> PartitionReport:
     partition's own parameters sp.params.
 
     Shares no state with decompose: any partition of any digraph gets a
-    deterministic report. Expander checks first try the degree bound
-    (mode "degree"); where it fails, a class up to the threshold is swept
-    exactly and a larger one in sampled mode, whose probe of the
-    condensation and degree-order prefixes finds a violator or leaves it
-    inconclusive. An inconclusive class passes and is listed in
-    sampled_classes, not certified; each class's mode detail says how it
-    was settled.
+    deterministic report. Each class goes to certify_expander at
+    p.exact_threshold: the degree bound first (mode "degree"); where it
+    fails, a class up to the threshold is swept exactly (mode "exact") and
+    a larger one is probed at its condensation and degree-order prefixes
+    (mode "sampled"), which finds a violator or leaves it inconclusive.
+    An inconclusive class passes and is listed in sampled_classes, not
+    certified; each class's mode detail says how it was settled.
     """
     n = g.n
     p = sp.params
@@ -412,8 +414,7 @@ def verify_partition(g: Digraph, sp: StructurePartition) -> PartitionReport:
         mind = _induced_min_degree(g, m) if size else 0
         dbound = (1 + inv + p.zeta / 2) * size
         deg_ok = mind >= dbound - _EPS
-        mode = "exact" if size <= p.exact_threshold else "sampled"
-        verdict = certify_expander(sub, ExpansionParams(p.nu, p.tau, mode=mode))
+        verdict = certify_expander(sub, p.nu, p.tau, p.exact_threshold)
         verdicts.append(verdict)
         exp_ok = verdict.outcome != "violator"
         if verdict.outcome == "inconclusive":
@@ -461,8 +462,9 @@ def reverse_for_embedding(sp: StructurePartition) -> StructurePartition:
                    verdicts=tuple(reversed(sp.verdicts)))
 
 
-def fit_decomposition_params(g: Digraph, alpha_floor: float = 0.1,
-                             exact_threshold: int = 20) -> DecompositionParams:
+def fit_decomposition_params(
+        g: Digraph, alpha_floor: float = 0.1,
+        exact_threshold: int = EXACT_THRESHOLD) -> DecompositionParams:
     """Choose workable parameters from the instance's degree slack.
 
     Picks the largest k <= _K_MAX with 1/(k+1) below the degree slack
@@ -532,7 +534,7 @@ def partition_from_json_dict(d: dict) -> StructurePartition:
         params = DecompositionParams(
             k=pd.get("k", min(max(1, len(classes)), _K_MAX)),
             zeta=pd.get("zeta", 0.2), alpha=pd.get("alpha"),
-            exact_threshold=pd.get("exact_threshold", 20),
+            exact_threshold=pd.get("exact_threshold", EXACT_THRESHOLD),
             enforce_hierarchy=pd.get("enforce_hierarchy", False),
             alpha_floor=pd.get("alpha_floor", 0.0))
     except TypeError as exc:

@@ -47,7 +47,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .bitset import bit_list, bits_of, mask_of
+from .bitset import bits_of, mask_of
 from .digraph import (
     Digraph,
     degree_profile,
@@ -183,6 +183,8 @@ def select_connectors(g: Digraph, x_mask: int, y_mask: int, count: int,
     smaller vertex). `skip` discards that many leading candidates, giving
     deterministic alternative selections for retry loops.
     """
+    if count < 1:
+        raise InputError(f"connector count must be at least 1, got {count}")
     xm = x_mask & ~excluded
     ym = y_mask & ~excluded
     if not any(g.out_adj[u] & ym for u in bits_of(xm)):

@@ -9,10 +9,6 @@ class PreconditionError(ValueError):
     """A stated degree/size precondition does not hold for the given instance."""
 
 
-class CapabilityError(ValueError):
-    """Requested exact mode beyond the supported instance size."""
-
-
 class ResourceError(RuntimeError):
     """A bounded resource (connector pool, retry budget) ran out mid-operation."""
 

@@ -64,7 +64,11 @@ def read_header_spec(path) -> dict | None:
     for raw in _read_text(path).splitlines():
         line = raw.strip()
         if line.startswith("# spec:"):
-            return json.loads(line[len("# spec:"):])
+            try:
+                return json.loads(line[len("# spec:"):])
+            except json.JSONDecodeError as exc:
+                raise InputError(f"{path}: '# spec:' is not valid JSON: "
+                                 f"{exc}") from None
         if line and not line.startswith("#"):
             break
     return None

@@ -3,8 +3,8 @@ import json
 
 import pytest
 
-from hamorient import (DecompositionParams, ExpansionParams, GenSpec,
-                       InputError, find_sparse_cut, gen_complete_digraph,
+from hamorient import (DecompositionParams, GenSpec, InputError,
+                       certify_expander, find_sparse_cut, gen_complete_digraph,
                        partition_from_json_dict, robust_out_neighborhood)
 from hamorient.cli import main
 from hamorient.io import read_edges, read_header_spec
@@ -377,7 +377,7 @@ def test_verify_expansion_sampled_certifies_by_degrees(tmp_path):
                  "--out", str(graph)]) == 0
     out = tmp_path / "cert.json"
     rc = main(["verify", "--input", str(graph), "--nu", "0.05",
-               "--tau", "0.25", "--mode", "sampled", "--out", str(out)])
+               "--tau", "0.25", "--out", str(out)])
     assert rc == 0
     d = json.loads(out.read_text())
     assert (d["outcome"], d["mode"], d["counts"]["checked_sets"]) \
@@ -389,6 +389,14 @@ def test_verify_rejects_seed_flag(workdir):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--input", str(workdir / "graph.edges"),
               "--nu", "0.05", "--tau", "0.25", "--seed", "1"])
+    assert exc.value.code == 2
+
+
+def test_verify_rejects_mode_flag(workdir):
+    # the host's size alone decides between sweep and prefix probe
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--input", str(workdir / "graph.edges"),
+              "--nu", "0.05", "--tau", "0.25", "--mode", "sampled"])
     assert exc.value.code == 2
 
 
@@ -526,11 +534,14 @@ def test_partition_for_another_host_exits_2(workdir, blowup40, capsys):
 
 
 @pytest.mark.parametrize("call", [
-    lambda graph: ExpansionParams(nu=0.0, tau=0.25),
-    lambda graph: ExpansionParams(nu=1.0, tau=0.25),
-    lambda graph: ExpansionParams(nu=0.05, tau=0.0),
-    lambda graph: ExpansionParams(nu=0.05, tau=0.5),
-    lambda graph: ExpansionParams(nu=0.05, tau=0.25, mode="fast"),
+    lambda graph: certify_expander(gen_complete_digraph(4), 0.0, 0.25),
+    lambda graph: certify_expander(gen_complete_digraph(4), 1.0, 0.25),
+    lambda graph: certify_expander(gen_complete_digraph(4), 0.05, 0.0),
+    lambda graph: certify_expander(gen_complete_digraph(4), 0.05, 0.5),
+    lambda graph: certify_expander(gen_complete_digraph(4), 0.05, 0.25,
+                                   exact_threshold=-1),
+    lambda graph: certify_expander(gen_complete_digraph(4), 0.05, 0.25,
+                                   exact_threshold=25),
     lambda graph: robust_out_neighborhood(gen_complete_digraph(4), 0b11, 1.5),
     lambda graph: DecompositionParams(k=2, alpha=0.0),
     lambda graph: DecompositionParams(k=2, alpha=1.0, enforce_hierarchy=False),
@@ -538,9 +549,9 @@ def test_partition_for_another_host_exits_2(workdir, blowup40, capsys):
                         "--tau", "0.25"]),
     lambda graph: main(["verify", "--input", graph, "--alpha", "-1"]),
     lambda graph: main(["verify", "--input", graph, "--alpha", "nan"]),
-], ids=["nu-0", "nu-1", "tau-0", "tau-half", "unknown-mode",
-        "neighborhood-nu", "alpha-0", "alpha-1", "cli-verify-nu",
-        "cli-verify-alpha-negative", "cli-verify-alpha-nan"])
+], ids=["nu-0", "nu-1", "tau-0", "tau-half", "threshold-negative",
+        "threshold-above-cap", "neighborhood-nu", "alpha-0", "alpha-1",
+        "cli-verify-nu", "cli-verify-alpha-negative", "cli-verify-alpha-nan"])
 def test_out_of_range_values_are_rejected(workdir, call):
     """The library raises InputError; the CLI reports it with exit code 2."""
     try:

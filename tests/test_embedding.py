@@ -102,6 +102,16 @@ def test_select_connectors_empty_pool(planted_two_block):
         select_connectors(g, b0, b1, 1)      # no forward edges block0 -> block1
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_select_connectors_rejects_count_below_one(planted_two_block, count):
+    # rejected before any search, although block1 -> block0 has 6
+    # disjoint edges
+    g = planted_two_block
+    b0, b1 = mask_of(range(6)), mask_of(range(6, 12))
+    with pytest.raises(InputError):
+        select_connectors(g, b1, b0, count)
+
+
 def test_select_connectors_exhaustion(planted_two_block):
     g = planted_two_block
     b0, b1 = mask_of(range(6)), mask_of(range(6, 12))

@@ -7,10 +7,9 @@ from itertools import combinations
 
 import pytest
 
-from hamorient import (CutSearchResult, Digraph,
-                       ExpansionParams, ExpansionVerdict, PreconditionError,
-                       certify_expander, cross_counts, degree_profile,
-                       find_sparse_cut, fit_decomposition_params,
+from hamorient import (CutSearchResult, Digraph, ExpansionVerdict,
+                       PreconditionError, certify_expander, cross_counts,
+                       degree_profile, find_sparse_cut, fit_decomposition_params,
                        gen_blowup_tt, gen_complete_digraph,
                        gen_random_min_degree, gen_split_cliques,
                        gen_tournament, robust_out_neighborhood,
@@ -89,7 +88,7 @@ def test_certify_expander_matches_brute_force():
     for seed in range(12):
         g = rand_digraph(8, 0.55, seed + 50)
         for nu, tau in ((0.1, 0.25), (0.2, 0.3)):
-            verdict = certify_expander(g, ExpansionParams(nu, tau, mode="exact"))
+            verdict = certify_expander(g, nu, tau)
             ok, witness = brute_expander_check(g, nu, tau)
             assert (verdict.outcome == "expander") == ok, seed
             if not ok:
@@ -165,7 +164,7 @@ def test_degree_bound_matches_brute_force():
         p = rng.choice((0.5, 0.7, 0.85, 0.95, 1.0))
         nu, tau = rng.uniform(0.01, 0.5), rng.uniform(0.01, 0.4)
         g = rand_digraph(n, p, rng.randrange(1 << 30))
-        v = certify_expander(g, ExpansionParams(nu, tau, mode="exact"))
+        v = certify_expander(g, nu, tau)
         want = brute_expander_sweep(g, nu, tau)
         if v.mode == "degree":
             assert v == ExpansionVerdict("expander", "degree", nu, tau, 0)
@@ -228,9 +227,9 @@ def test_exact_sweeps_golden_planted_classes():
         assert _exact_cut_sweep(sub) == _cut_triple(size, mask, e)
         v = _exact_expander_sweep(sub, p.nu, p.tau)
         assert v == ExpansionVerdict("expander", "exact", p.nu, p.tau, checked)
-        v = certify_expander(sub, ExpansionParams(p.nu, p.tau, mode="exact"))
+        v = certify_expander(sub, p.nu, p.tau)
         assert v == ExpansionVerdict("expander", "degree", p.nu, p.tau, 0)
-        v = certify_expander(sub, ExpansionParams(0.3, 0.3, mode="exact"))
+        v = certify_expander(sub, 0.3, 0.3)
         c, m, rn, sz = viol
         assert v == ExpansionVerdict("violator", "exact", 0.3, 0.3, c,
                                      violator=m, rn_size=rn, set_size=sz)
@@ -245,7 +244,7 @@ def test_exact_sweeps_golden_large_threshold():
         g = _reversed_labels(gen_blowup_tt(list(sizes), 0.95, 0.001, seed))
         assert _exact_cut_sweep(g) == _cut_triple(g.n, mask, e)
         for nu, tau, c, m, rn, sz in viols:
-            v = certify_expander(g, ExpansionParams(nu, tau, mode="exact"))
+            v = certify_expander(g, nu, tau)
             assert v == ExpansionVerdict("violator", "exact", nu, tau, c,
                                          violator=m, rn_size=rn, set_size=sz)
 
@@ -269,7 +268,7 @@ def test_exact_sweeps_peak_memory():
 
 def test_complete_digraph_is_expander():
     g = gen_complete_digraph(12)
-    v = certify_expander(g, ExpansionParams(0.2, 0.25, mode="exact"))
+    v = certify_expander(g, 0.2, 0.25)
     assert v == ExpansionVerdict("expander", "degree", 0.2, 0.25, 0)
     # the sweep agrees, having checked every set of 3 to 9 vertices
     v = _exact_expander_sweep(g, 0.2, 0.25)
@@ -278,11 +277,12 @@ def test_complete_digraph_is_expander():
 
 
 def test_degree_certificate_is_the_same_in_every_mode():
-    # the bound's verdict does not depend on the mode that asked for it
+    # the bound's verdict does not depend on whether a host it cannot
+    # settle would be swept or probed
     for g, nu, tau in ((gen_complete_digraph(12), 0.2, 0.25),
                        (gen_random_min_degree(24, 32, seed=3), 0.15, 0.3)):
-        assert {certify_expander(g, ExpansionParams(nu, tau, mode=mode))
-                for mode in ("exact", "sampled", "auto")} \
+        assert {certify_expander(g, nu, tau, exact_threshold=cap)
+                for cap in (0, 24)} \
             == {ExpansionVerdict("expander", "degree", nu, tau, 0)}
 
 
@@ -290,7 +290,7 @@ def test_planted_backward_blocks_are_violators(planted_two_block):
     # all cross edges point block 2 -> block 1, so block 2 has no robust
     # out-neighbors beyond itself
     g = planted_two_block
-    v = certify_expander(g, ExpansionParams(0.1, 0.25, mode="exact"))
+    v = certify_expander(g, 0.1, 0.25)
     assert v.outcome == "violator"
     assert v.violator is not None
     assert v.set_size == v.violator.bit_count()
@@ -298,24 +298,16 @@ def test_planted_backward_blocks_are_violators(planted_two_block):
 
 def test_sampled_mode_on_planted_violator():
     g = gen_blowup_tt([16, 16], intra=1.0, forward_noise=0.0, seed=1)
-    v = certify_expander(g, ExpansionParams(0.1, 0.25, mode="sampled"))
-    # sampled mode probes the condensation prefixes first; the planted
+    v = certify_expander(g, 0.1, 0.25, exact_threshold=0)
+    # the prefix probe tries the condensation prefixes first; the planted
     # half is among them, so the violator is found
     assert v.outcome == "violator"
     assert v.mode == "sampled"
 
 
-def test_exact_mode_cap():
-    from hamorient import CapabilityError
-
-    g = gen_complete_digraph(30)
-    with pytest.raises(CapabilityError):
-        certify_expander(g, ExpansionParams(0.1, 0.25, mode="exact"))
-
-
 def test_verdict_json_shape():
     g = gen_blowup_tt([6, 6], intra=1.0, forward_noise=0.0, seed=0)
-    v = certify_expander(g, ExpansionParams(0.1, 0.25, mode="exact"))
+    v = certify_expander(g, 0.1, 0.25)
     d = v.to_json_dict()
     assert d["outcome"] == "violator"
     assert set(d["params"]) == {"nu", "tau"}
@@ -503,7 +495,7 @@ def test_sampled_certification_and_cut_search_golden():
     for g, (_, verdicts, cuts) in zip(_golden_above_cap_hosts(),
                                       GOLDEN_ABOVE_CAP):
         for nu, tau, outcome, checked, violator in verdicts:
-            v = certify_expander(g, ExpansionParams(nu, tau, mode="sampled"))
+            v = certify_expander(g, nu, tau, exact_threshold=0)
             assert (v.outcome, v.checked_sets, v.violator) \
                 == (outcome, checked, violator), (g.n, nu, tau)
             assert v.mode == ("degree" if outcome == "expander" else "sampled")
@@ -628,7 +620,7 @@ def test_sampled_mode_certifies_exactly_when_the_degree_bound_holds(monkeypatch)
         for nu in (0.05, 0.1, 0.2, 0.3):
             for tau in (0.1, 0.2, 0.3, 0.4):
                 calls = len(drawn)
-                v = certify_expander(g, ExpansionParams(nu, tau, mode="sampled"))
+                v = certify_expander(g, nu, tau, exact_threshold=0)
                 bound = _degree_bound_certifies(g, nu, tau)
                 if bound:
                     assert v == ExpansionVerdict("expander", "degree", nu, tau, 0)
@@ -738,9 +730,8 @@ def test_cut_search_golden(monkeypatch):
         # the single vertex 0
         hints = (rng.getrandbits(n), mask_of(rng.sample(range(n), n // 3)),
                  0, g.vertex_mask, 1 << n | 1)
-        p = ExpansionParams(0.3, 0.25, mode="sampled")
-        s = certify_expander(g, p).violator
-        rn = robust_out_neighborhood(g, s, p.nu)
+        s = certify_expander(g, 0.3, 0.25, exact_threshold=0).violator
+        rn = robust_out_neighborhood(g, s, 0.3)
         retry = (s, s | rn, g.vertex_mask & ~rn)
         # an uncapped near-miss list records the climbs' results in order
         for alpha, cap, h in ((0.05, 8, ()), (0.05, 8, hints), (0.3, 8, ()),

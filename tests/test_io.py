@@ -26,6 +26,11 @@ def test_header_spec_round_trip(tmp_path):
     q = tmp_path / "plain.edges"
     write_edges(g, q)
     assert read_header_spec(q) is None
+    # a malformed recipe is an input error, as in load_json
+    bad = tmp_path / "bad.edges"
+    bad.write_text("# spec: {bad\n2 1\n0 1\n")
+    with pytest.raises(InputError):
+        read_header_spec(bad)
 
 
 def test_comments_and_blank_lines(tmp_path):

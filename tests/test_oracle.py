@@ -1,6 +1,5 @@
 import hashlib
 import random
-from itertools import combinations
 
 import pytest
 

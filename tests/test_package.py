@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import inspect
 import subprocess
@@ -40,7 +41,7 @@ def test_no_tuning_parameters():
     for gone in ("CutSearchBudget", "embed_path_between", "switch_count",
                  "directed_run_decomposition_case1b",
                  "longest_directed_segment", "reverse_digraph",
-                 "has_directed_window"):
+                 "has_directed_window", "ExpansionParams", "CapabilityError"):
         assert gone not in hamorient.__all__ and not hasattr(hamorient, gone)
 
 
@@ -52,8 +53,10 @@ def test_cut_search_is_not_seeded():
                hamorient.sparse_or_expander,
                hamorient.expansion._sampled_verdict):
         assert "seed" not in inspect.signature(fn).parameters, fn
-    fields = [f.name for f in dataclasses.fields(hamorient.ExpansionParams)]
-    assert fields == ["nu", "tau", "mode"]
+    params = inspect.signature(hamorient.certify_expander).parameters
+    assert list(params) == ["g", "nu", "tau", "exact_threshold"]
+    assert params["exact_threshold"].default \
+        == hamorient.expansion.EXACT_SWEEP_CAP
     for gone in ("_RESTARTS", "random", "_sampled_candidates",
                  "_SAMPLES_PER_DECILE", "_ROW_CHUNK", "_in_counts"):
         assert not hasattr(hamorient.expansion, gone), gone
@@ -87,8 +90,37 @@ def test_sampled_certification_does_not_load_numpy_random():
         f"sys.path.insert(0, {src!r})",
         "import hamorient",
         "g = hamorient.gen_blowup_tt([15, 15], 0.95, 0.001, 1)",
-        "p = hamorient.ExpansionParams(0.05, 0.2, mode='sampled')",
-        "assert hamorient.certify_expander(g, p).mode == 'sampled'",
+        "v = hamorient.certify_expander(g, 0.05, 0.2, exact_threshold=0)",
+        "assert v.mode == 'sampled'",
         "assert 'numpy.random' not in sys.modules",
     ])
     subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports but never reads; a package's __all__
+    counts as reading the names it re-exports."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used |= {e.value for e in node.value.elts}
+    return sorted(imported - used)
+
+
+def test_no_unused_imports():
+    root = Path(__file__).resolve().parent.parent
+    found = {str(path.relative_to(root)): names
+             for top in ("src", "tests", "perfbench")
+             for path in sorted((root / top).rglob("*.py"))
+             if (names := _unused_imports(path))}
+    assert found == {}
