@@ -4,7 +4,8 @@ The package splits into three layers:
 
 * structure — :mod:`~hamorient.digraph`, :mod:`~hamorient.bitset`,
   :mod:`~hamorient.patterns`: digraphs as immutable bitmask adjacency,
-  oriented cycle/path patterns and their symmetry/segment toolkit.
+  oriented cycle/path patterns, their rotation/reflection symmetry and
+  directed-run frames.
 * certification — :mod:`~hamorient.expansion`,
   :mod:`~hamorient.decomposition`, :mod:`~hamorient.oracle`: robust
   outexpansion checks (a degree bound, then exact at small n and sampled
@@ -41,22 +42,21 @@ from .generators import (GenSpec, family_names, gen_bipartite_extremal,
                          gen_tournament)
 from .io import load_json, read_edges, read_header_spec, save_json, write_edges
 from .oracle import CheckReport, EmbedResult, exact_embed, validate_embedding
-from .patterns import (BlockPlan, CyclePattern, PathPattern, SegmentPlan,
-                       canonical_rotation, classify_case,
-                       distinct_path_patterns, necklace_classes,
-                       partition_case2, run_frame, switches)
+from .patterns import (CyclePattern, PathPattern, canonical_rotation,
+                       classify_case, distinct_path_patterns,
+                       necklace_classes, run_frame, switches)
 from .workbench import ExperimentConfig, TrialRecord, run as run_experiments
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockPlan", "CheckReport", "CleanedCut", "CutCertificate",
+    "CheckReport", "CleanedCut", "CutCertificate",
     "CutSearchResult", "CyclePattern", "DecompositionParams",
     "DegreeProfile", "DichotomyResult", "Digraph", "EmbedResult",
     "Embedding", "ExpansionVerdict", "ExperimentConfig", "GenSpec",
     "HypothesisError", "InputError",
     "PartitionReport", "PathPattern", "PipelineResult", "PreconditionError",
-    "ResourceError", "SegmentPlan", "StructurePartition", "TrialRecord",
+    "ResourceError", "StructurePartition", "TrialRecord",
     "bit_list", "canonical_rotation", "certify_expander", "classify_case",
     "clean_cut", "cross_counts", "decompose", "degree_profile",
     "distinct_path_patterns", "double_edge_graph",
@@ -65,7 +65,7 @@ __all__ = [
     "gen_blowup_tt", "gen_complete_digraph", "gen_random_min_degree",
     "gen_split_cliques", "gen_tournament", "induced",
     "is_strongly_connected", "load_json", "mask_of", "necklace_classes",
-    "pancyclic_suite", "partition_case2", "partition_from_json_dict",
+    "pancyclic_suite", "partition_from_json_dict",
     "read_edges", "read_header_spec", "reverse_for_embedding",
     "robust_out_neighborhood", "run_experiments", "run_frame", "save_json",
     "select_connectors", "sparse_or_expander",

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, replace
 
 from .bitset import bit_list, mask_of
-from .digraph import Digraph, cross_counts, degree_profile, induced
+from .digraph import (Digraph, check_vertex_count, cross_counts,
+                      degree_profile, induced)
 from .errors import HypothesisError, InputError, PreconditionError
 from .expansion import (
     EXACT_SWEEP_CAP,
@@ -505,7 +506,8 @@ def partition_from_json_dict(d: dict) -> StructurePartition:
     Certificates are not reconstructed (verdicts come back empty), and the
     stored tau and nu are ignored: both derive from alpha and zeta. The
     result carries everything the embedding pipeline consumes; k defaults
-    to the class count, at most _K_MAX. A missing 'n' or 'classes',
+    to the class count, at most _K_MAX. A missing 'n' or 'classes', an 'n'
+    outside 0..N_MAX (checked before anything of size n is built),
     classes that do not split 0..n-1 into disjoint lists of vertices,
     'flags' other than a list of strings, or a mistyped parameter raises
     InputError; 'n', the vertices, 'k' and 'exact_threshold' must be JSON
@@ -514,6 +516,7 @@ def partition_from_json_dict(d: dict) -> StructurePartition:
             or not isinstance(d.get("classes"), list):
         raise InputError("a partition needs an integer 'n' and a 'classes' list")
     n = d["n"]
+    check_vertex_count(n)
     if not all(isinstance(vs, list) and all(type(v) is int for v in vs)
                for vs in d["classes"]) \
             or sorted(v for vs in d["classes"] for v in vs) != list(range(n)):

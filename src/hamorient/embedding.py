@@ -31,6 +31,11 @@ no-long-run plan takes its sink positions from `patterns.switches` and
 frames the pattern by its canonical rotation, whose position 0 is a
 source.
 
+Each planner owns its geometry (`_segment_cuts` for case 2, `_block_split`
+for case 1b) and trusts what `embed_hamilton_orientation` guarantees: two
+or more non-empty classes tiling the host, the case split, and
+beta_eff <= min size / 3.5n.
+
 Every plan pins positions through one ledger (`_Ledger`),
 whose `pins` is the only record of what is pinned; pinning a position
 twice fails the plan with `<case>:pins`. There is no tuning object:
@@ -59,12 +64,10 @@ from .oracle import exact_embed, validate_embedding
 from .patterns import (
     CyclePattern,
     PathPattern,
-    _case1b_blocks,
     canonical_rotation,
     classify_case,
     cyclic_runs,
     necklace_classes,
-    partition_case2,
     reflect,
     rotate,
     run_frame,
@@ -154,20 +157,11 @@ def tt_embed_path(path: PathPattern, size: int) -> tuple[int, ...]:
 # connector selection
 
 
-# Ranking keys pack (-degree, v) into one int, (-degree << _RANK_BITS) | v,
-# which sorts the same way because every vertex is below N_MAX = 4096
-# < 2^_RANK_BITS.
-_RANK_BITS = 13
-
-
 def _ranked(rows: list[int], pool: int, into: int) -> list[int]:
     """The vertices v of pool by descending |rows[v] & into|, ties to the
     smaller vertex."""
-    keys = [(-(rows[v] & into).bit_count() << _RANK_BITS) | v
-            for v in bits_of(pool)]
-    keys.sort()
-    low = (1 << _RANK_BITS) - 1
-    return [k & low for k in keys]
+    return sorted(bits_of(pool),
+                  key=lambda v: (-(rows[v] & into).bit_count(), v))
 
 
 def _edge_candidates(g: Digraph, xm: int, ym: int):
@@ -418,6 +412,25 @@ def _plan_case1a(g: Digraph, c2: CyclePattern, pools: list[int], ell: int,
     return EmbedPlan("case1a", class_at, ledger.pins, ledger.connectors)
 
 
+def _block_split(o: tuple[bool, ...], ell: int,
+                 d: int) -> tuple[list[int], list[int], PathPattern] | None:
+    """(block_sizes, starts, aux): the positions [ell, n) after the framed
+    run cut into q = ceil((n - ell)/d) blocks as equal as possible, block i
+    at [starts[i], starts[i] + block_sizes[i]); aux edge i joins block i to
+    block i+1. None if the run spans the cycle or a block has fewer than
+    d/2 positions or one (its two end pins would collide)."""
+    rest = len(o) - ell
+    if rest == 0:
+        return None
+    q = -(-rest // d)
+    base, extra = divmod(rest, q)
+    sizes = [base + (i < extra) for i in range(q)]
+    if sizes[-1] * 2 < d or sizes[-1] < 2:
+        return None
+    starts = [ell + base * i + min(i, extra) for i in range(q)]
+    return sizes, starts, PathPattern(tuple(o[s - 1] for s in starts[1:]))
+
+
 def _plan_case1b(g: Digraph, c2: CyclePattern, pools: list[int], ell: int,
                  beta_eff: float, attempt: int) -> EmbedPlan:
     n = c2.n
@@ -425,48 +438,35 @@ def _plan_case1b(g: Digraph, c2: CyclePattern, pools: list[int], ell: int,
     sizes = [m.bit_count() for m in pools]
     rho_n = _RHO * n
 
-    chosen = None
     d0 = _BLOCK_CAP
     for d in list(range(d0, 1, -1)) + list(range(d0 + 1, 2 * d0 + 1)):
-        try:
-            bp = _case1b_blocks(c2, ell, d)
-        except PreconditionError:
+        split = _block_split(c2.orientation, ell, d)
+        if split is None:
             continue
-        if min(bp.block_sizes) < 2:
-            continue                  # 1-position blocks would double-pin
+        block_sizes, starts, aux = split
         caps = [max(0, int((sizes[j] - rho_n) // d)) for j in range(t)]
-        if sum(caps) < len(bp.block_sizes):
+        if sum(caps) < len(block_sizes):
             continue
-        ranks = tt_embed_path(bp.aux_path, sum(caps))
-        cls_of_rank = []
-        for j in range(t):
-            cls_of_rank.extend([j] * caps[j])
+        ranks = tt_embed_path(aux, sum(caps))
+        cls_of_rank = [j for j in range(t) for _ in range(caps[j])]
         blk_cls = [cls_of_rank[r] for r in ranks]
-        blocks_per_class = [0] * t
-        for i, sz in enumerate(bp.block_sizes):
-            blocks_per_class[blk_cls[i]] += sz
-        residual = [sizes[j] - blocks_per_class[j] for j in range(t)]
+        residual = sizes[:]
+        for j, sz in zip(blk_cls, block_sizes):
+            residual[j] -= sz
         if all(r >= 2 for r in residual):
-            chosen = (d, bp, blk_cls, residual)
             break
-    if chosen is None:
+    else:
         raise _PlanError("case1b:block-sizing",
                          "no block cap yields feasible capacities")
-    d, bp, blk_cls, residual = chosen
-    q = len(bp.block_sizes)
+    q = len(block_sizes)
 
-    class_at = [0] * n
     run_cut = [0]
     for j in range(t):
         run_cut.append(run_cut[-1] + residual[j])
-    # run positions [0, ell) threaded through classes in order
-    for j in range(t):
-        for p in range(run_cut[j], run_cut[j + 1]):
-            class_at[p] = j
-    # block positions per blueprint class
-    for i in range(q):
-        for p in range(bp.starts[i], bp.starts[i] + bp.block_sizes[i]):
-            class_at[p] = blk_cls[i]
+    # the run [0, ell) threads the classes in order; the blocks tiling
+    # [ell, n) take their blueprint classes
+    class_at = [j for j in range(t) for _ in range(residual[j])] \
+        + [j for j, sz in zip(blk_cls, block_sizes) for _ in range(sz)]
 
     ledger = _Ledger("case1b", g, pools, attempt)
     # wrap edge: position 0 (class 0) <- position n-1 (last block's class)
@@ -482,8 +482,8 @@ def _plan_case1b(g: Digraph, c2: CyclePattern, pools: list[int], ell: int,
         a_cls, b_cls = blk_cls[i], blk_cls[i + 1]
         if a_cls == b_cls:
             continue                       # merged into one stretch
-        boundary = bp.starts[i + 1]
-        if bp.aux_path.orientation[i]:     # edge: last of block i -> first of i+1
+        boundary = starts[i + 1]
+        if aux.orientation[i]:             # edge: last of block i -> first of i+1
             ledger.connect("block-boundary", a_cls, b_cls, boundary - 1, boundary)
         else:                              # edge: first of block i+1 -> last of i
             ledger.connect("block-boundary", b_cls, a_cls, boundary, boundary - 1)
@@ -506,27 +506,47 @@ def _case2_sink_positions(sinks: list[int], lo: int, hi: int, want: int,
     return out if len(out) == want else None
 
 
+def _segment_cuts(o: tuple[bool, ...], sizes: list[int],
+                  bar: float) -> tuple[list[int], list[int]]:
+    """(bounds, overshoots): o cut into consecutive segments, segment e at
+    [bounds[e], bounds[e+1]). Cut e+1 is the first at or past the
+    cumulative class size that ends its segment on a forward edge, and
+    overshoots[e] is how far past it lies; the last segment takes the rest.
+    Running off o, an overshoot above bar or an over-long last segment
+    fails with case2:segments."""
+    n = len(o)
+    bounds, overshoots, target = [0], [], 0
+    for s in range(len(sizes) - 1):
+        target += sizes[s]
+        cut = max(bounds[-1] + 1, target)
+        while cut < n and not o[cut - 1]:   # segment ends on edge (cut-1, cut)
+            cut += 1
+        if cut >= n:
+            raise _PlanError("case2:segments", "ran off the pattern hunting a forward edge")
+        d = cut - target
+        if d > bar + _EPS:
+            raise _PlanError("case2:segments",
+                             f"overshoot {d} at boundary {s} outside [0, beta*n]")
+        bounds.append(cut)
+        overshoots.append(d)
+    if n - bounds[-1] > sizes[-1]:
+        raise _PlanError("case2:segments", "final segment exceeds the last class size")
+    return bounds + [n], overshoots
+
+
 def _plan_case2(g: Digraph, c2: CyclePattern, pools: list[int], ell: int,
                 beta_eff: float, attempt: int) -> EmbedPlan:
     n = c2.n
     t = len(pools)
-    sizes = [m.bit_count() for m in pools]
-    try:
-        plan2 = partition_case2(c2, sizes, beta_eff)
-    except PreconditionError as e:
-        raise _PlanError("case2:segments", str(e)) from None
     o = c2.orientation
-    bounds = [0] + list(plan2.boundaries)          # segment e = [bounds[e], bounds[e+1])
-    class_at = [0] * n
-    for e in range(t):
-        for p in range(bounds[e], bounds[e + 1]):
-            class_at[p] = e
+    if o[n - 1]:
+        raise _PlanError("case2:frame", "position 0 is not a source")
+    bounds, overshoots = _segment_cuts(o, [m.bit_count() for m in pools],
+                                       beta_eff * n)
+    class_at = [e for e in range(t) for _ in range(bounds[e], bounds[e + 1])]
 
     ledger = _Ledger("case2", g, pools, attempt)
     notes: list[str] = []
-
-    if o[n - 1]:
-        raise _PlanError("case2:frame", "position 0 is not a source")
     ledger.connect("wrap", 0, t - 1, 0, n - 1)
     for s in range(1, t):
         b = bounds[s]
@@ -537,7 +557,7 @@ def _plan_case2(g: Digraph, c2: CyclePattern, pools: list[int], ell: int,
     _, all_sinks = switches(c2)
 
     for e in range(t - 1):
-        d = int(plan2.overshoots[e])
+        d = overshoots[e]
         if d == 0:
             continue
         seg_lo, seg_hi = bounds[e], bounds[e + 1]
@@ -614,12 +634,20 @@ def embed_hamilton_orientation(g: Digraph, sp, c: CyclePattern) -> PipelineResul
     fresh connector selection; after _CONNECTOR_ATTEMPTS attempts, hosts
     of at most _FALLBACK_MAX_N vertices fall back to the exact spanning
     search. The returned embedding always passes the independent checker.
+    Classes that are not non-empty, pairwise-disjoint vertex sets covering
+    the host raise InputError.
     """
     if c.n != g.n:
         raise InputError(f"pattern spans {c.n} vertices, host has {g.n}")
     pools = list(sp.classes)
     t = len(pools)
     sizes = [m.bit_count() for m in pools]
+    union = 0
+    for m in pools:
+        union |= m
+    if not all(pools) or union != g.vertex_mask or sum(sizes) != g.n:
+        raise InputError("partition classes must be non-empty, pairwise "
+                         "disjoint vertex sets that cover the host")
     audit: dict = {"t": t, "sizes": sizes}
 
     if t >= 2 and c.is_directed():

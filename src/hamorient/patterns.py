@@ -17,6 +17,9 @@ a longest directed run forward at position 0 from them; classify_case
 reads its length for the case split; switches lists the sources and
 sinks, and the case-2 planner relocates sinks from that list. The
 embedding planner's stretches are the runs of its class assignment.
+
+Plan geometry (case-2 segments, case-1b blocks) lives with its planner in
+embedding.py; this module holds pattern calculus only.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bitset import int_floor
-from .errors import InputError, PreconditionError
+from .errors import InputError
 
 
 def _parse_orientation(text: str) -> tuple[bool, ...]:
@@ -223,114 +226,3 @@ def classify_case(c: CyclePattern, beta: float) -> tuple[str, int]:
     ell = run_frame(c)[2]
     bar = int_floor(beta * c.n)
     return ("case1" if ell >= bar else "case2"), ell
-
-
-@dataclass(frozen=True)
-class SegmentPlan:
-    """Cut of a cycle pattern into consecutive segments, one per class.
-
-    boundaries[s] is the exclusive 0-based end of segment s; segment s
-    covers positions [boundaries[s-1], boundaries[s]). overshoots[s] is how
-    far boundary s ran past the cumulative class-size target while hunting
-    for a forward final edge.
-    """
-    boundaries: tuple[int, ...]
-    overshoots: tuple[int, ...]
-
-
-def partition_case2(c: CyclePattern, class_sizes: Sequence[int], beta: float) -> SegmentPlan:
-    """Cut C into t consecutive segments ending on forward edges.
-
-    Position 0 must be a source (rotate first; canonical_rotation does it).
-    Segment s < t-1 is minimal with a forward final edge and cumulative
-    length at least the cumulative class size; the final segment takes the
-    rest. Requires the pattern to be in case 2 for beta and every class
-    size to be at least 3*beta*n, which bounds every overshoot by beta*n.
-    """
-    n = c.n
-    sizes = tuple(class_sizes)
-    t = len(sizes)
-    if t < 2:
-        raise PreconditionError("segment plans need at least two classes")
-    if sum(sizes) != n:
-        raise PreconditionError(f"class sizes sum to {sum(sizes)}, pattern has {n}")
-    case, ell = classify_case(c, beta)
-    if case != "case2":
-        raise PreconditionError(
-            f"pattern has a directed run on {ell} vertices, not in case 2 for beta={beta}")
-    bar = beta * n
-    for m in sizes:
-        if m < 3 * bar - 1e-9:
-            raise PreconditionError(f"class size {m} below 3*beta*n = {3 * bar:.2f}")
-    o = c.orientation
-    if o[-1] or not o[0]:
-        raise PreconditionError("position 0 must be a source")
-
-    boundaries = []
-    overshoots = []
-    target = 0
-    cum = 0
-    for s in range(t - 1):
-        target += sizes[s]
-        cut = max(cum + 1, target)
-        # final edge of the segment is (cut-1, cut); forward means o[cut-1]
-        while cut < n and not o[cut - 1]:
-            cut += 1
-        if cut >= n:
-            raise PreconditionError("ran off the pattern hunting a forward edge")
-        d = cut - target
-        if d < 0 or d > bar + 1e-9:
-            raise PreconditionError(f"overshoot {d} at boundary {s} outside [0, beta*n]")
-        boundaries.append(cut)
-        overshoots.append(d)
-        cum = cut
-    boundaries.append(n)
-    if n - cum > sizes[-1]:
-        raise PreconditionError("final segment exceeds the last class size")
-    return SegmentPlan(tuple(boundaries), tuple(overshoots))
-
-
-@dataclass(frozen=True)
-class BlockPlan:
-    """Case-1b split of the non-run part into blocks of near-equal size.
-
-    In the frame where the directed run occupies positions [0, ell), block
-    i covers positions [starts[i], starts[i] + sizes[i]). The auxiliary
-    path pattern records the orientation of each edge between consecutive
-    blocks (edge between the last position of block i and the first of
-    block i+1).
-    """
-    block_sizes: tuple[int, ...]
-    starts: tuple[int, ...]
-    aux_path: PathPattern
-
-
-def _case1b_blocks(c: CyclePattern, ell: int, d: int) -> BlockPlan:
-    """Split the complement of the framed run into q = ceil((n-ell)/D)
-    blocks sized as equally as possible (all within [D/2, D]).
-
-    The pattern must already be framed (run_frame) with its longest
-    directed run forward on positions [0, ell). Errors if the run spans
-    everything or the equal split would leave a block below D/2.
-    """
-    o = c.orientation
-    n = c.n
-    if ell >= n:
-        raise PreconditionError("the run spans the whole cycle; nothing to block")
-    if d < 2:
-        raise PreconditionError("block cap must be at least 2")
-    rest = n - ell
-    q = -(-rest // d)
-    base, extra = divmod(rest, q)
-    sizes = tuple(base + 1 if i < extra else base for i in range(q))
-    if sizes[-1] * 2 < d:
-        raise PreconditionError(
-            f"equal split gives a block of {sizes[-1]} < D/2 = {d / 2}")
-    starts = []
-    pos = ell
-    for sz in sizes:
-        starts.append(pos)
-        pos += sz
-    # aux edge i is the pattern edge joining block i to block i+1
-    aux = tuple(o[starts[i + 1] - 1] for i in range(q - 1))
-    return BlockPlan(sizes, tuple(starts), PathPattern(aux))

@@ -474,6 +474,10 @@ def test_verify_selector_errors(workdir):
     ("verify-partition",
      '{"n": 24, "classes": %s, "params": {"enforce_hierarchy": "no"}}'
      % BLOCKS_12_12),
+    ("verify-partition", '{"n": 4097, "classes": [[0]]}'),
+    ("verify-partition", '{"n": %d, "classes": [[0]]}' % 10**30),
+    ("embed-partition", '{"n": 4097, "classes": [[0]]}'),
+    ("embed-partition", '{"n": %d, "classes": [[0]]}' % 10**30),
     ("experiment-config", "not json"),
     ("experiment-config", '{"suites": 5}'),
     ("experiment-config", '{"suites": [5]}'),
@@ -483,7 +487,8 @@ def test_verify_selector_errors(workdir):
         "classes-overlap", "embed-no-classes", "flags-not-a-list",
         "flags-a-string", "partition-vertex-a-bool",
         "k-a-float", "threshold-a-bool", "params-not-an-object",
-        "hierarchy-a-string",
+        "hierarchy-a-string", "verify-n-above-cap", "verify-n-huge",
+        "embed-n-above-cap", "embed-n-huge",
         "config-not-json", "config-suites-not-a-list",
         "config-suite-not-an-object"])
 def test_malformed_artifact_exits_2(workdir, tmp_path, capsys, command, text):

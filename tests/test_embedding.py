@@ -3,6 +3,7 @@ import random
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -375,8 +376,8 @@ def test_case2_sink_gadget_refuses_a_double_pin(monkeypatch):
 
 
 def test_case1_embeds_never_call_the_case2_planner(monkeypatch):
-    # case 2's segment plan needs a pattern without a long run, so the
-    # case-1 chain does not end in it; with every stretch fill failing, all
+    # the case-1 chain holds only the case-1 planners, so case 2 never
+    # plans a pattern with a long run; with every stretch fill failing, all
     # attempts run both case-1 planners and then fall back to the oracle
     calls = []
     planner = embedding._plan_case2
@@ -424,6 +425,20 @@ def test_pipeline_length_mismatch():
     g, sp = embedding_partition([12, 12])
     with pytest.raises(InputError):
         embed_hamilton_orientation(g, sp, CyclePattern.directed(10))
+
+
+@pytest.mark.parametrize("sizes", [[30, 30], [40, 40]])
+def test_pipeline_rejects_classes_that_do_not_tile_the_host(sizes):
+    # a vertex dropped from a class, a vertex in two classes, or an empty
+    # class is an input error, not a planner step or a whole-host search
+    g, sp = embedding_partition(sizes, seed=7, intra=0.95, noise=0.001)
+    a, b = sp.classes
+    low = a & -a
+    for classes in ((a ^ low, b), (a, b | low), (a, 0, b)):
+        broken = replace(sp, classes=classes)
+        for seed in range(3):
+            with pytest.raises(InputError):
+                embed_hamilton_orientation(g, broken, rand_pattern(g.n, seed))
 
 
 

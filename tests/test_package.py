@@ -41,7 +41,8 @@ def test_no_tuning_parameters():
     for gone in ("CutSearchBudget", "embed_path_between", "switch_count",
                  "directed_run_decomposition_case1b",
                  "longest_directed_segment", "reverse_digraph",
-                 "has_directed_window", "ExpansionParams", "CapabilityError"):
+                 "has_directed_window", "ExpansionParams", "CapabilityError",
+                 "partition_case2", "SegmentPlan", "BlockPlan"):
         assert gone not in hamorient.__all__ and not hasattr(hamorient, gone)
 
 

@@ -4,9 +4,12 @@ import pytest
 
 from hamorient import (CyclePattern, InputError, PathPattern,
                        canonical_rotation, classify_case,
-                       distinct_path_patterns, necklace_classes,
-                       partition_case2, run_frame, switches)
-from hamorient.patterns import _case1b_blocks, reflect, rotate
+                       distinct_path_patterns, gen_complete_digraph,
+                       necklace_classes, run_frame, switches)
+from hamorient.bitset import mask_of
+from hamorient.embedding import (_PlanError, _block_split, _plan_case2,
+                                 _segment_cuts)
+from hamorient.patterns import reflect, rotate
 
 from conftest import has_directed_window, ref_canonical_rotation
 
@@ -226,30 +229,39 @@ def test_classify_case_dichotomy():
 
 
 def test_partition_case2_boundaries():
-    # alternating pattern, two classes of 12 on n=24, bar = 3
+    # alternating pattern, two classes of 12 on n=24, bar = beta*n = 3
     c = CyclePattern.antidirected(24)
-    plan = partition_case2(c, [12, 12], beta=0.125)
-    assert len(plan.boundaries) == 2
-    assert plan.boundaries[-1] == 24
-    assert len(plan.overshoots) == 1
-    assert all(0 <= d <= 3 for d in plan.overshoots)
-    # segment s covers [boundaries[s-1], boundaries[s]): the segments tile
-    # the positions, and each one runs past its cumulative class size by
-    # its overshoot
-    assert list(plan.boundaries) == sorted(plan.boundaries)
-    assert plan.boundaries[0] == 12 + plan.overshoots[0]
+    bounds, overshoots = _segment_cuts(c.orientation, [12, 12], 0.125 * 24)
+    assert len(bounds) == 3
+    assert bounds[0] == 0 and bounds[-1] == 24
+    assert len(overshoots) == 1
+    assert all(0 <= d <= 3 for d in overshoots)
+    # segment e covers [bounds[e], bounds[e+1]): the segments tile the
+    # positions, and each one runs past its cumulative class size by its
+    # overshoot
+    assert bounds == sorted(bounds)
+    assert bounds[1] == 12 + overshoots[0]
     # position 0 is a source: wrap edge leaves backward, edge 0 forward
     assert not c.orientation[-1] and c.orientation[0]
     # each boundary cut sits at a forward edge end (o[cut-1] is True)
-    for b in plan.boundaries[:-1]:
+    for b in bounds[1:-1]:
         assert c.orientation[b - 1]
+    # an overshoot above bar, or a hunt that runs off the pattern, fails
+    for o, bar in ((c.orientation, 0.5),
+                   (CyclePattern.from_string("+-----").orientation, 3)):
+        with pytest.raises(_PlanError) as exc:
+            _segment_cuts(o, [len(o) // 2] * 2, bar)
+        assert exc.value.step == "case2:segments"
 
 
 def test_partition_case2_source_start_required():
     # rotate the alternating pattern so position 0 is a sink
     c = rotate(CyclePattern.antidirected(24), 1)
-    with pytest.raises(Exception):
-        partition_case2(c, [12, 12], beta=0.125)
+    g = gen_complete_digraph(24)
+    pools = [mask_of(range(12)), mask_of(range(12, 24))]
+    with pytest.raises(_PlanError) as exc:
+        _plan_case2(g, c, pools, 2, 0.125, 0)
+    assert exc.value.step == "case2:frame"
 
 
 def test_directed_run_decomposition_blocks():
@@ -258,14 +270,21 @@ def test_directed_run_decomposition_blocks():
     c = CyclePattern.from_string("++++++-+-+--")
     offset, reflected, ell = run_frame(c)
     assert (offset, reflected, ell) == (0, False, 7)
-    plan = _case1b_blocks(c, ell, 3)
+    block_sizes, starts, aux = _block_split(c.orientation, ell, 3)
     # blocks tile the complement [7, 12)
-    assert sum(plan.block_sizes) == 12 - ell
-    assert all(2 <= b <= 3 for b in plan.block_sizes)
-    assert plan.starts[0] == ell
-    for i in range(1, len(plan.starts)):
-        assert plan.starts[i] == plan.starts[i - 1] + plan.block_sizes[i - 1]
+    assert sum(block_sizes) == 12 - ell
+    assert all(2 <= b <= 3 for b in block_sizes)
+    assert starts[0] == ell
+    for i in range(1, len(starts)):
+        assert starts[i] == starts[i - 1] + block_sizes[i - 1]
     # one aux edge per inter-block boundary, orientation copied from the cycle
-    assert plan.aux_path.length == len(plan.block_sizes)
-    for i in range(len(plan.block_sizes) - 1):
-        assert plan.aux_path.orientation[i] == c.orientation[plan.starts[i + 1] - 1]
+    assert aux.length == len(block_sizes)
+    for i in range(len(block_sizes) - 1):
+        assert aux.orientation[i] == c.orientation[starts[i + 1] - 1]
+    # no split when a block would have one position or fewer than d/2,
+    # or when the run spans the cycle ("+...+-" has ell = n)
+    assert _block_split(c.orientation, ell, 2) is None       # [2, 2, 1]
+    assert _block_split(c.orientation, ell, 12) is None      # [5] < 6
+    spanning = CyclePattern.from_string("+" * 11 + "-")
+    assert run_frame(spanning)[2] == 12
+    assert _block_split(spanning.orientation, 12, 3) is None
