@@ -93,23 +93,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _decomposition_params(g: Digraph, args: argparse.Namespace) -> DecompositionParams:
     """Without --k, fitted parameters with any given zeta/alpha replaced;
-    with --k, the explicit ones. Fitting floors alpha at --alpha-floor,
-    0.1 unless given; explicit parameters get a floor only when one is
-    given. Either way the floor is clamped to the effective alpha."""
+    with --k, the explicit ones, defaulted as DecompositionParams does.
+    The cut-search schedule follows from (k, zeta, alpha)."""
+    given = {name: getattr(args, name) for name in ("zeta", "alpha")
+             if getattr(args, name) is not None}
     if args.k is None:
-        floor = 0.1 if args.alpha_floor is None else args.alpha_floor
-        given = {name: getattr(args, name) for name in ("zeta", "alpha")
-                 if getattr(args, name) is not None}
-        p = replace(fit_decomposition_params(g, alpha_floor=floor,
-                                             exact_threshold=args.exact_cap),
-                    **given, alpha_floor=0.0)
-    else:
-        floor = args.alpha_floor or 0.0
-        p = DecompositionParams(
-            k=args.k, zeta=args.zeta if args.zeta is not None else 0.2,
-            alpha=args.alpha, exact_threshold=args.exact_cap,
-            enforce_hierarchy=not args.no_hierarchy)
-    return replace(p, alpha_floor=min(floor, p.alpha))
+        return replace(fit_decomposition_params(g, args.exact_cap), **given)
+    return DecompositionParams(k=args.k, exact_threshold=args.exact_cap, **given)
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
@@ -318,13 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     par.add_argument("--k", type=int, help="target level count (omit to fit)")
     par.add_argument("--zeta", type=float, help="degree-slack parameter")
     par.add_argument("--alpha", type=float, help="top-level cut sparsity")
-    par.add_argument("--alpha-floor", type=float,
-                     help="lower bound on the cut-sparsity schedule "
-                          "(default 0.1 when fitting, none with --k)")
     par.add_argument("--exact-cap", type=int, default=EXACT_THRESHOLD,
                      help="largest class checked by exhaustive sweep")
-    par.add_argument("--no-hierarchy", action="store_true",
-                     help="skip the hierarchy check alpha <= zeta/(24(k+1))")
     par.add_argument("--out", help="partition JSON output (default stdout)")
     par.set_defaults(func=_cmd_partition)
 

@@ -1,9 +1,10 @@
 """Iterative partition of a dense digraph into expander classes.
 
 Driver loop: maintain an ordered partition, probe each live class for a
-sparse cut at the current level of the squared-threshold schedule, clean
-any cut found (degree-based vertex moves that repair both sides), split,
-and freeze classes with no cut. The final report certifies each class
+sparse cut at the current level of the cut schedule (squared at theorem
+scale, flat above; see DecompositionParams), clean any cut found
+(degree-based vertex moves that repair both sides), split, and freeze
+classes with no cut. The final report certifies each class
 as a robust outexpander (or samples it, where no certificate is found)
 and recomputes every claimed property from scratch.
 
@@ -15,7 +16,7 @@ reverse_for_embedding).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .bitset import bit_list, mask_of
 from .digraph import (Digraph, check_vertex_count, cross_counts,
@@ -43,18 +44,15 @@ class DecompositionParams:
     """Fraction hierarchy for the partition procedure.
 
     tau = alpha/10 and nu = alpha*tau*zeta/16 are derived from alpha and
-    zeta, never stored. With enforce_hierarchy alpha <= zeta/(24(k+1)) is
-    required; alpha_floor lifts the bottom of the squared schedule so that
-    small instances are not asked for impossibly sparse cuts (any positive
-    floor relaxes the theorem-backed guarantees and is reported in the
-    audit).
+    zeta, never stored, and so is the cut-search schedule: at theorem
+    scale, alpha <= zeta/(24(k+1)), it squares down from alpha as the
+    paper's does; above it every round cleans at alpha, which the
+    partition records in its flags.
     """
     k: int
     zeta: float = 0.2
     alpha: float | None = None
     exact_threshold: int = EXACT_THRESHOLD
-    enforce_hierarchy: bool = True
-    alpha_floor: float = 0.0
 
     def __post_init__(self):
         if not 1 <= self.k <= _K_MAX:
@@ -65,15 +63,9 @@ class DecompositionParams:
             object.__setattr__(self, "alpha", self.zeta / (25 * (self.k + 1)))
         if not 0 < self.alpha < 1:
             raise InputError(f"alpha must lie in (0,1), got {self.alpha}")
-        if not 0 <= self.alpha_floor <= self.alpha:
-            raise InputError("alpha_floor must lie in [0, alpha]")
         if not 1 <= self.exact_threshold <= EXACT_SWEEP_CAP:
             raise InputError(
                 f"exact_threshold must lie in 1..{EXACT_SWEEP_CAP}")
-        bound = self.zeta / (24 * (self.k + 1))
-        if self.enforce_hierarchy and self.alpha > bound * (1 + 1e-9):
-            raise InputError(f"hierarchy violated: alpha <= zeta/(24(k+1)) "
-                             f"(lhs={self.alpha:.3e}, rhs={bound:.3e})")
 
     @property
     def tau(self) -> float:
@@ -83,14 +75,21 @@ class DecompositionParams:
     def nu(self) -> float:
         return self.alpha * self.tau * self.zeta / 16
 
+    @property
+    def theorem_scale(self) -> bool:
+        """Whether alpha <= zeta/(24(k+1)), where the squared schedule
+        carries the theorem's guarantee."""
+        return self.alpha <= self.zeta / (24 * (self.k + 1)) * (1 + 1e-9)
+
     def round_levels(self, b: int) -> tuple[float, float]:
         """(search threshold, cleaning level) for refinement round b >= 0.
 
-        The cleaning level at round b is alpha^(2^(k-b-1)) floored at
-        alpha_floor; the search threshold is its square, so a cut found at
-        the search threshold is exactly sparse enough to clean."""
-        exponent = 2 ** max(0, self.k - b - 1)
-        clean = max(self.alpha ** exponent, self.alpha_floor)
+        At theorem scale round b cleans at alpha^(2^(k-b-1)); above it
+        every round cleans at alpha. The search threshold is the square of
+        the cleaning level, so a cut found at the search threshold is
+        exactly sparse enough to clean."""
+        exponent = 2 ** max(0, self.k - b - 1) if self.theorem_scale else 1
+        clean = self.alpha ** exponent
         return clean * clean, clean
 
 
@@ -301,8 +300,8 @@ def decompose(g: Digraph, p: DecompositionParams) -> StructurePartition:
     frozen: list[bool] = [False]
     audit: list[dict] = []
     flags: list[str] = []
-    if p.alpha_floor > 0:
-        flags.append("alpha_floor active: schedule relaxed below theorem scale")
+    if not p.theorem_scale:
+        flags.append("flat schedule: alpha above theorem scale zeta/(24(k+1))")
 
     for b in range(p.k):
         if all(frozen):
@@ -464,19 +463,16 @@ def reverse_for_embedding(sp: StructurePartition) -> StructurePartition:
 
 
 def fit_decomposition_params(
-        g: Digraph, alpha_floor: float = 0.1,
-        exact_threshold: int = EXACT_THRESHOLD) -> DecompositionParams:
+        g: Digraph, exact_threshold: int = EXACT_THRESHOLD) -> DecompositionParams:
     """Choose workable parameters from the instance's degree slack.
 
     Picks the largest k <= _K_MAX with 1/(k+1) below the degree slack
-    delta/n - 1 (so the partition precondition holds with margin), gives
-    zeta 80% of the remaining slack, and floors the cut-search schedule at
-    alpha_floor so small instances are not asked for impossibly sparse
-    cuts. The default floor admits cuts of forward ratio up to 1%: an
-    order of magnitude above typical planted noise, yet far below the ~50%
-    ratio of any cut that crosses a dense block. The hierarchy check
-    alpha <= zeta/(24(k+1)) is deliberately not enforced: at these sizes
-    the asymptotic constant chain collapses, which the partition records.
+    delta/n - 1 (so the partition precondition holds with margin) and
+    gives zeta 80% of the remaining slack. Alpha is 0.1, above theorem
+    scale since zeta < 1, so every round searches for cuts of
+    forward ratio up to alpha^2 = 1%: an order of magnitude above typical
+    planted noise, yet far below the ~50% ratio of any cut that crosses a
+    dense block.
     """
     n = g.n
     if n == 0:
@@ -492,26 +488,22 @@ def fit_decomposition_params(
         raise PreconditionError(
             f"min total degree {prof.min_total} leaves slack {slack:.3f}; "
             f"no k in 1..{_K_MAX} satisfies 1/(k+1) < slack")
-    zeta = 0.8 * (slack - 1 / (k + 1))
-    zeta = min(zeta, 1 - 1 / (k + 1) - 1e-6)
-    alpha = max(zeta / (25 * (k + 1)), alpha_floor)
-    return DecompositionParams(k=k, zeta=zeta, alpha=alpha,
-                               exact_threshold=exact_threshold,
-                               enforce_hierarchy=False, alpha_floor=alpha_floor)
+    return DecompositionParams(k=k, zeta=0.8 * (slack - 1 / (k + 1)),
+                               alpha=0.1, exact_threshold=exact_threshold)
 
 
 def partition_from_json_dict(d: dict) -> StructurePartition:
     """Rebuild the class structure from a serialized partition.
 
-    Certificates are not reconstructed (verdicts come back empty), and the
-    stored tau and nu are ignored: both derive from alpha and zeta. The
-    result carries everything the embedding pipeline consumes; k defaults
-    to the class count, at most _K_MAX. A missing 'n' or 'classes', an 'n'
-    outside 0..N_MAX (checked before anything of size n is built),
-    classes that do not split 0..n-1 into disjoint lists of vertices,
-    'flags' other than a list of strings, or a mistyped parameter raises
-    InputError; 'n', the vertices, 'k' and 'exact_threshold' must be JSON
-    integers, not booleans or floats, and 'enforce_hierarchy' a boolean."""
+    Certificates are not reconstructed (verdicts come back empty). Only
+    stored DecompositionParams fields are passed on, so derived tau and nu
+    and keys of older files are ignored and a missing field takes its
+    default; k defaults to the class count, at most _K_MAX. A missing 'n' or
+    'classes', an 'n' outside 0..N_MAX (checked before anything of size n
+    is built), classes that do not split 0..n-1 into disjoint lists of
+    vertices, 'flags' other than a list of strings, or a mistyped
+    parameter raises InputError; 'n', the vertices, 'k' and
+    'exact_threshold' must be JSON integers, not booleans or floats."""
     if not isinstance(d, dict) or type(d.get("n")) is not int \
             or not isinstance(d.get("classes"), list):
         raise InputError("a partition needs an integer 'n' and a 'classes' list")
@@ -527,19 +519,15 @@ def partition_from_json_dict(d: dict) -> StructurePartition:
     if not isinstance(flags, list) or not all(isinstance(f, str) for f in flags):
         raise InputError("partition 'flags' must be a list of strings")
     pd = d.get("params", {})
-    types = {"k": int, "exact_threshold": int, "enforce_hierarchy": bool}
-    if not isinstance(pd, dict) or any(type(pd[key]) is not kind for key, kind
-                                       in types.items() if key in pd):
+    if not isinstance(pd, dict) or any(type(pd[key]) is not int for key
+                                       in ("k", "exact_threshold") if key in pd):
         raise InputError("partition params must be an object whose 'k' and "
-                         "'exact_threshold' are integers and whose "
-                         "'enforce_hierarchy' is a boolean")
+                         "'exact_threshold' are integers")
+    stored = {f.name: pd[f.name] for f in fields(DecompositionParams)
+              if f.name in pd}
+    stored.setdefault("k", min(max(1, len(classes)), _K_MAX))
     try:
-        params = DecompositionParams(
-            k=pd.get("k", min(max(1, len(classes)), _K_MAX)),
-            zeta=pd.get("zeta", 0.2), alpha=pd.get("alpha"),
-            exact_threshold=pd.get("exact_threshold", EXACT_THRESHOLD),
-            enforce_hierarchy=pd.get("enforce_hierarchy", False),
-            alpha_floor=pd.get("alpha_floor", 0.0))
+        params = DecompositionParams(**stored)
     except TypeError as exc:
         raise InputError(f"partition params are malformed: {exc}") from None
     return StructurePartition(n=n, classes=classes, verdicts=(),

@@ -116,6 +116,9 @@ class ExperimentConfig:
                 if key in spec and not spec[key]:
                     raise InputError(f"config error at suites[{i}].{key}: "
                                      f"grid must be non-empty")
+            if any(k < 1 for k in spec.get("k_grid", ())):
+                raise InputError(f"config error at suites[{i}].k_grid: "
+                                 f"levels must be at least 1")
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExperimentConfig":

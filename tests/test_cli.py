@@ -1,5 +1,7 @@
 import csv
+import inspect
 import json
+import typing
 
 import pytest
 
@@ -8,12 +10,15 @@ from hamorient import (DecompositionParams, GenSpec, InputError,
                        partition_from_json_dict, robust_out_neighborhood)
 from hamorient.cli import main
 from hamorient.io import read_edges, read_header_spec
+from hamorient.workbench import SUITES
 
 
 # the two planted blocks of the workdir host, as partition classes
 BLOCKS_12_12 = json.dumps([list(range(12)), list(range(12, 24))])
 # vertex 1 of the first block written as true, which equals 1 in Python
 BOOL_VERTEX = BLOCKS_12_12.replace("[0, 1,", "[0, true,", 1)
+# the flag of a partition searched above theorem scale
+FLAT = "flat schedule: alpha above theorem scale zeta/(24(k+1))"
 # an embedding of "+" * 23 + "-" in the workdir host (position p on vertex
 # p + 12 mod 24) that lists position 11 twice and leaves out position 12,
 # the one on vertex 0
@@ -95,23 +100,27 @@ def test_partition_artifact_reverifies(workdir):
 
 
 def test_partition_explicit_k(workdir, tmp_path):
+    # an explicit alpha above theorem scale runs the flat schedule
     out = tmp_path / "p.json"
     rc = main(["partition", "--input", str(workdir / "graph.edges"),
                "--k", "8", "--zeta", "0.15", "--alpha", "0.05",
-               "--no-hierarchy", "--out", str(out)])
+               "--out", str(out)])
     assert rc == 0
-    assert json.loads(out.read_text())["params"]["k"] == 8
+    data = json.loads(out.read_text())
+    assert data["params"]["k"] == 8
+    assert FLAT in data["flags"]
+    assert {a["search_alpha"] for a in data["audit"]} == {0.05 * 0.05}
 
 
 def test_partition_explicit_k_without_alpha(workdir, tmp_path):
-    # the cut-sparsity floor must clamp itself to the defaulted alpha
+    # the defaulted alpha = zeta/(25(k+1)) is at theorem scale
     out = tmp_path / "p2.json"
     rc = main(["partition", "--input", str(workdir / "graph.edges"),
-               "--k", "8", "--zeta", "0.15", "--no-hierarchy",
-               "--out", str(out)])
+               "--k", "8", "--zeta", "0.15", "--out", str(out)])
     assert rc == 0
-    params = json.loads(out.read_text())["params"]
-    assert params["alpha_floor"] <= params["alpha"]
+    data = json.loads(out.read_text())
+    assert data["params"]["alpha"] == 0.15 / (25 * 9)
+    assert FLAT not in data["flags"]
 
 
 def test_classes_only_partition_file_verifies(tmp_path):
@@ -134,18 +143,17 @@ def test_classes_only_partition_file_verifies(tmp_path):
 @pytest.fixture(scope="module")
 def blowup40(tmp_path_factory):
     """gen_blowup_tt([20,20], 0.95, 0.001, 7), partitioned with an alpha
-    override of the fitted parameters, with the same alpha as floor, and
-    with explicit parameters without and with a floor."""
+    override of the fitted parameters, with explicit parameters, and with
+    explicit parameters and an alpha above theorem scale."""
     d = tmp_path_factory.mktemp("b40")
     graph = str(d / "graph.edges")
     assert main(["generate", "--family", "blowup", "--sizes", "20,20",
                  "--intra", "0.95", "--noise", "0.001", "--seed", "7",
                  "--out", graph]) == 0
-    explicit = ["--k", "8", "--zeta", "0.15", "--no-hierarchy"]
+    explicit = ["--k", "8", "--zeta", "0.15"]
     for name, flags in (("override", ["--alpha", "0.05"]),
-                        ("floor", ["--alpha-floor", "0.05"]),
                         ("explicit", explicit),
-                        ("explicit_floor", [*explicit, "--alpha-floor", "0.05"])):
+                        ("explicit_flat", [*explicit, "--alpha", "0.05"])):
         assert main(["partition", "--input", graph, *flags,
                      "--out", str(d / f"{name}.json")]) == 0
     return d
@@ -159,6 +167,16 @@ def test_partition_rejects_adaptive_flag(workdir):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag", [["--alpha-floor", "0.05"],
+                                  ["--no-hierarchy"]],
+                         ids=["alpha-floor", "no-hierarchy"])
+def test_partition_rejects_schedule_flags(workdir, flag):
+    # the cut-search schedule derives from (k, zeta, alpha)
+    with pytest.raises(SystemExit) as exc:
+        main(["partition", "--input", str(workdir / "graph.edges"), *flag])
+    assert exc.value.code == 2
+
+
 def test_partition_alpha_override_derives_tau_and_nu(blowup40):
     data = json.loads((blowup40 / "override.json").read_text())
     p = data["params"]
@@ -166,21 +184,35 @@ def test_partition_alpha_override_derives_tau_and_nu(blowup40):
     assert p["nu"] == p["alpha"] * p["tau"] * p["zeta"] / 16
     assert data["verdicts"] and all(
         v["params"] == {"nu": p["nu"], "tau": p["tau"]} for v in data["verdicts"])
-    # the overridden alpha is also the floor, as if fitted with that floor
-    assert data == json.loads((blowup40 / "floor.json").read_text())
+    # fitted zeta is far below 24(k+1) * 0.05: the flat schedule at 0.05
+    assert FLAT in data["flags"]
+    assert {a["search_alpha"] for a in data["audit"]} == {0.05 * 0.05}
 
 
-def test_partition_explicit_k_floor_only_when_given(blowup40):
-    # explicit parameters search the theorem's squared schedule unless a
-    # floor is given; a given floor is clamped to alpha = zeta/(25(k+1))
+def test_partition_explicit_k_schedule_follows_alpha(blowup40):
+    # explicit parameters search the theorem's squared schedule when alpha
+    # is at theorem scale, and the flat one above it
     data = json.loads((blowup40 / "explicit.json").read_text())
-    assert data["params"]["alpha_floor"] == 0
-    assert not any(f.startswith("alpha_floor") for f in data["flags"])
-    data = json.loads((blowup40 / "explicit_floor.json").read_text())
     p = data["params"]
-    assert p["alpha_floor"] == p["alpha"] == 0.15 / (25 * 9)
-    assert "alpha_floor active: schedule relaxed below theorem scale" \
-        in data["flags"]
+    assert p["alpha"] == 0.15 / (25 * 9) and FLAT not in data["flags"]
+    # every event falls in an early round, searched far below alpha^2
+    assert all(a["round"] < 7 and a["search_alpha"] < p["alpha"] ** 2
+               for a in data["audit"])
+    data = json.loads((blowup40 / "explicit_flat.json").read_text())
+    assert data["params"]["alpha"] == 0.05 and FLAT in data["flags"]
+    assert {a["search_alpha"] for a in data["audit"]} == {0.05 * 0.05}
+
+
+def test_partition_file_with_removed_schedule_keys_loads(workdir, tmp_path):
+    # files written when alpha_floor and enforce_hierarchy were parameters
+    data = json.loads((workdir / "part.json").read_text())
+    data["params"].update(alpha_floor=0.1, enforce_hierarchy=False)
+    part = tmp_path / "old.json"
+    part.write_text(json.dumps(data))
+    sp = partition_from_json_dict(data)
+    assert sp.params.alpha == data["params"]["alpha"] and sp.t == 2
+    assert main(["verify", "--input", str(workdir / "graph.edges"),
+                 "--partition", str(part)]) == 0
 
 
 # --- embed ----------------------------------------------------------------------
@@ -471,9 +503,6 @@ def test_verify_selector_errors(workdir):
      '{"n": 24, "classes": %s, "params": {"exact_threshold": true}}'
      % BLOCKS_12_12),
     ("verify-partition", '{"n": 24, "classes": %s, "params": 5}' % BLOCKS_12_12),
-    ("verify-partition",
-     '{"n": 24, "classes": %s, "params": {"enforce_hierarchy": "no"}}'
-     % BLOCKS_12_12),
     ("verify-partition", '{"n": 4097, "classes": [[0]]}'),
     ("verify-partition", '{"n": %d, "classes": [[0]]}' % 10**30),
     ("embed-partition", '{"n": 4097, "classes": [[0]]}'),
@@ -487,7 +516,7 @@ def test_verify_selector_errors(workdir):
         "classes-overlap", "embed-no-classes", "flags-not-a-list",
         "flags-a-string", "partition-vertex-a-bool",
         "k-a-float", "threshold-a-bool", "params-not-an-object",
-        "hierarchy-a-string", "verify-n-above-cap", "verify-n-huge",
+        "verify-n-above-cap", "verify-n-huge",
         "embed-n-above-cap", "embed-n-huge",
         "config-not-json", "config-suites-not-a-list",
         "config-suite-not-an-object"])
@@ -549,7 +578,7 @@ def test_partition_for_another_host_exits_2(workdir, blowup40, capsys):
                                    exact_threshold=25),
     lambda graph: robust_out_neighborhood(gen_complete_digraph(4), 0b11, 1.5),
     lambda graph: DecompositionParams(k=2, alpha=0.0),
-    lambda graph: DecompositionParams(k=2, alpha=1.0, enforce_hierarchy=False),
+    lambda graph: DecompositionParams(k=2, alpha=1.0),
     lambda graph: main(["verify", "--input", graph, "--nu", "1.5",
                         "--tau", "0.25"]),
     lambda graph: main(["verify", "--input", graph, "--alpha", "-1"]),
@@ -634,3 +663,44 @@ def test_experiment_trial_requires_suite(tmp_path):
     assert main(["experiment", "--config", str(cfg),
                  "--out", str(tmp_path / "r2"), "--suite", "dichotomy",
                  "--trial", "0"]) == 0
+
+
+# a small config of each suite, for the sweep below
+SMALL_SUITES = {
+    "ghouila_houri": {"max_n": 3, "trials": 1},
+    "main_theorem": {"n_grid": [12], "pattern_sample": 1},
+    "dichotomy": {"n": 8, "trials": 1},
+    "pancyclicity": {"n_grid": [8], "k_grid": [1],
+                     "orientations_per_length": 1},
+    "two_factor": {"n_grid": [8], "k_grid": [1], "trials": 1},
+}
+
+
+def _edge_values():
+    """(suite, parameter, value): -1 and 0 in every int or int-grid
+    parameter of every suite."""
+    for suite, fn in SUITES.items():
+        hints = typing.get_type_hints(fn)
+        for key in inspect.signature(fn).parameters:
+            if hints[key] in (int, int | None):
+                yield from ((suite, key, v) for v in (-1, 0))
+            elif hints[key] == list[int]:
+                yield from ((suite, key, [v]) for v in (-1, 0))
+
+
+@pytest.mark.parametrize("suite, key, value", list(_edge_values()),
+                         ids=lambda x: json.dumps(x).strip('"'))
+def test_experiment_edge_values_end_in_an_exit_code(tmp_path, capsys, suite,
+                                                   key, value):
+    """-1 or 0 in any count, size, seed or grid ends in a result or a usage
+    error, never in an uncaught exception."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": [
+        {"suite": suite, "seed": 0, **SMALL_SUITES[suite], key: value}]}))
+    rc = main(["experiment", "--config", str(cfg),
+               "--out", str(tmp_path / "r")])
+    assert rc in (0, 1, 2)
+    if key == "k_grid":
+        assert rc == 2
+        assert "config error at suites[0].k_grid: levels must be at least 1" \
+            in capsys.readouterr().err

@@ -55,12 +55,17 @@ def test_params_derived_defaults():
     assert p.nu == pytest.approx(p.alpha * p.tau * p.zeta / 16)
 
 
-def test_params_hierarchy_enforced():
-    with pytest.raises(InputError):
-        DecompositionParams(k=2, zeta=0.2, alpha=0.2)   # alpha too big
-    # same alpha is fine with the hierarchy off
-    p = DecompositionParams(k=2, zeta=0.2, alpha=0.2, enforce_hierarchy=False)
-    assert p.alpha == 0.2
+def test_params_theorem_scale_is_derived():
+    # alpha <= zeta/(24(k+1)), up to a relative 1e-9, is theorem scale
+    bound = 0.2 / (24 * 3)
+    assert DecompositionParams(k=2, zeta=0.2).theorem_scale
+    assert DecompositionParams(k=2, zeta=0.2,
+                               alpha=bound * (1 + 1e-10)).theorem_scale
+    # any alpha in (0, 1) above it is accepted too, off theorem scale
+    p = DecompositionParams(k=2, zeta=0.2, alpha=0.2)
+    assert p.alpha == 0.2 and not p.theorem_scale
+    assert not DecompositionParams(k=2, zeta=0.2,
+                                   alpha=bound * 1.01).theorem_scale
 
 
 def test_params_validation():
@@ -68,8 +73,6 @@ def test_params_validation():
         DecompositionParams(k=0)
     with pytest.raises(InputError):
         DecompositionParams(k=2, zeta=0.9)    # >= 1 - 1/(k+1)
-    with pytest.raises(InputError):
-        DecompositionParams(k=2, zeta=0.2, alpha_floor=0.5)
     with pytest.raises(InputError):
         DecompositionParams(k=2, zeta=0.2, exact_threshold=30)
 
@@ -87,18 +90,17 @@ def test_round_levels_schedule():
     assert c0 < c2
 
 
-def test_round_levels_floor():
-    p = DecompositionParams(k=3, zeta=0.2, enforce_hierarchy=False,
-                            alpha=0.05, alpha_floor=0.05)
-    s0, c0 = p.round_levels(0)
-    assert c0 == 0.05 and s0 == pytest.approx(0.0025)
+def test_round_levels_flat_above_theorem_scale():
+    # every round cleans at alpha and searches at alpha^2
+    p = DecompositionParams(k=3, zeta=0.2, alpha=0.05)
+    assert [p.round_levels(b) for b in range(3)] == [(0.05 * 0.05, 0.05)] * 3
 
 
 def test_fit_params_planted():
     g, _ = planted([12, 12], seed=0)
     p = fit_decomposition_params(g)
     assert 1 / (p.k + 1) < 34 / 24 - 1
-    assert not p.enforce_hierarchy
+    assert not p.theorem_scale
     assert p.alpha >= 0.05
 
 
@@ -180,12 +182,14 @@ def test_decompose_recovers_planted_noisy():
 # climb, degree-bound certification, strong components and induced
 # subgraphs all shape the result. Re-recorded when the degree bound began
 # to certify classes above the threshold: only the verdicts (sampled
-# inconclusive -> degree expander) and the report moved.
+# inconclusive -> degree expander) and the report moved. Re-recorded when
+# the schedule became derived from (k, zeta, alpha): only the flag and
+# the params' alpha_floor and enforce_hierarchy keys moved.
 GOLDEN_HEURISTIC_PARTITIONS = (
     ([48, 48], 4848,
-     "ad29c8309cfe12db4c1b7a61676b482358b5058dbbd30cf64bae2f74ea17c106"),
+     "d519c00e3431765c121848ba4c83ce45fd606afd100f7425222314b437592542"),
     ([36, 36, 36], 3636,
-     "091073832a4a254b61c23074a1a81fe175148284c412d6d181723bf0def8356b"),
+     "dda7a474d6bbb3ce21021e96a785e9a0000a9465a508d522732f31727529e6df"),
 )
 
 

@@ -67,8 +67,7 @@ def test_derived_parameters_are_not_settable():
     """tau and nu derive from alpha and zeta, and a partition is verified
     at its own parameters."""
     fields = [f.name for f in dataclasses.fields(hamorient.DecompositionParams)]
-    assert fields == ["k", "zeta", "alpha", "exact_threshold",
-                      "enforce_hierarchy", "alpha_floor"]
+    assert fields == ["k", "zeta", "alpha", "exact_threshold"]
     p = hamorient.DecompositionParams(k=3, zeta=0.2, alpha=0.002)
     assert (p.tau, p.nu) == (0.002 / 10, 0.002 * p.tau * 0.2 / 16)
     assert list(inspect.signature(hamorient.verify_partition).parameters) \
