@@ -3,8 +3,10 @@
 Driver loop: maintain an ordered partition, probe each live class for a
 sparse cut at the current level of the cut schedule (squared at theorem
 scale, flat above; see DecompositionParams), clean any cut found
-(degree-based vertex moves that repair both sides), split, and freeze
-classes with no cut. The final report certifies each class
+(degree-based vertex moves that repair both sides), split, and freeze a
+class with no cut unless its best cut meets the level of a later round
+(at theorem scale the levels rise round by round; under the flat
+schedule they are all the same). The final report certifies each class
 as a robust outexpander (or samples it, where no certificate is found)
 and recomputes every claimed property from scratch.
 
@@ -280,8 +282,10 @@ def decompose(g: Digraph, p: DecompositionParams) -> StructurePartition:
     """Partition V(G) into at most k ordered expander classes.
 
     Precondition: min total degree at least (1 + 1/(k+1) + zeta)n. Each
-    refinement round probes live classes at the current schedule level;
-    found cuts are cleaned (falling back to the raw cut when the cleaning
+    refinement round probes live classes at the current schedule level; a
+    class with no cut there is frozen, unless its best cut meets a later
+    round's level, when it is logged as "no_cut" and probed again. Found
+    cuts are cleaned (falling back to the raw cut when the cleaning
     hypotheses fail at this scale, with the failure logged) and split in
     place, keeping both halves adjacent in the order. Classes certify as
     expanders by the degree bound where it holds, else by exhaustive sweep
@@ -302,6 +306,7 @@ def decompose(g: Digraph, p: DecompositionParams) -> StructurePartition:
     flags: list[str] = []
     if not p.theorem_scale:
         flags.append("flat schedule: alpha above theorem scale zeta/(24(k+1))")
+    loosest = p.round_levels(p.k - 1)[0]
 
     for b in range(p.k):
         if all(frozen):
@@ -316,9 +321,15 @@ def decompose(g: Digraph, p: DecompositionParams) -> StructurePartition:
             sub, verts = induced(g, mask)
             res = find_sparse_cut(sub, search_alpha)
             if not res.found:
-                frozen[idx] = True
+                # the search does not depend on the level, so a class waits
+                # only if its best cut meets the level of a later round
+                # (find_sparse_cut's test at the last, loosest level); under
+                # the flat schedule no level is looser than this one
+                wait = res.best.alpha_achieved <= loosest + 1e-12
+                frozen[idx] = not wait
                 audit.append({
-                    "event": "freeze", "round": b, "class_index": idx,
+                    "event": "no_cut" if wait else "freeze", "round": b,
+                    "class_index": idx,
                     "size": mask.bit_count(), "search_alpha": search_alpha,
                     "mode": res.mode,
                     "best_ratio": None if res.best is None else res.best.alpha_achieved,

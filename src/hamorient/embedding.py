@@ -22,7 +22,7 @@ both endpoint vertices pinned. Three plan shapes exist:
 Runs are found in one place, `patterns.cyclic_runs`: the stretches of a
 plan are the runs of its class assignment, `patterns.run_frame` frames a
 longest directed run forward on [0, ell) for the long-run plans, and
-`patterns.classify_case` reads its length for the case split. Each case
+`patterns.case_of_run` reads the case split from its length. Each case
 tries a fixed chain of (planner, frame, framed pattern) entries, and every
 planner takes the same arguments. A failed plan raises a named step; an
 embed that fails on a host too large for the whole-host oracle fallback
@@ -65,7 +65,7 @@ from .patterns import (
     CyclePattern,
     PathPattern,
     canonical_rotation,
-    classify_case,
+    case_of_run,
     cyclic_runs,
     necklace_classes,
     reflect,
@@ -670,7 +670,7 @@ def embed_hamilton_orientation(g: Digraph, sp, c: CyclePattern) -> PipelineResul
     # (planner, frame, framed pattern); case 2 plans on the canonical
     # rotation, whose position 0 is a source.
     offset, reflected, ell = run_frame(c)
-    case, _ = classify_case(c, beta_eff)
+    case = case_of_run(ell, n, beta_eff)
     audit["ell"] = ell
     run = _Frame(n, offset, reflected)
     c_run = run.pattern(c)

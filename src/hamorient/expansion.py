@@ -37,14 +37,13 @@ each order once. Cut search adds v to a prefix S with
 d+(v) - |N+(v) & S| - |N-(v) & S| forward edges; certification adds row
 v of the 0/1 out-adjacency matrix A to S's vector of in-counts, whose
 entries that reach ceil(nu*n) are RN(S). Either way a prefix costs O(n),
-with no n x n product. The hill climbs of one cut search run in
-lockstep, one row per climb of a k x n int16 matrix of per-vertex gains
-(out-neighbours in X2 minus in-neighbours in X1), offset so that every
-X1 entry lies below every X2 entry: each step takes every live climb's
-best move out of X1 with one row-wise argmin and its best move into X1
-with one argmax, and a move of v updates its row with row v plus column
-v of A. A climb leaves the batch when it stops. All of these give
-exactly the results of set-by-set loops.
+with no n x n product. A hill climb keeps one int16 vector of per-vertex
+gains (out-neighbours in X2 minus in-neighbours in X1), offset so that
+every X1 entry lies below every X2 entry: each step takes the best move
+out of X1 with one argmin and the best move into X1 with one argmax, and
+a move of v adds or subtracts row v of A + A^T. The climbs of one search
+run one after another. All of these give exactly the results of
+set-by-set loops.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from itertools import accumulate
 import numpy as np
 
 from .bitset import bit_list, bits_of, int_ceil, int_floor, mask_of
-from .digraph import (Digraph, degree_profile, row_masks, set_rows,
+from .digraph import (Digraph, degree_profile, set_rows,
                       strongly_connected_components)
 from .errors import InputError, PreconditionError
 
@@ -352,7 +351,7 @@ class CutSearchResult:
     near_misses: tuple[CutCertificate, ...]
     mode: str                         # exact | heuristic
     climb_moves: int = 0              # accepted hill-climb moves, all climbs
-    climb_steps: int = 0              # lockstep steps of the climbs
+    climb_steps: int = 0              # steps of the longest climb
 
 
 def _cut_ratio(e_fwd: int, s1: int, s2: int) -> float:
@@ -450,98 +449,66 @@ def _exact_cut_sweep(g: Digraph) -> tuple[int, int, float]:
 # climb stops after _CLIMB_STEP_CAP accepted moves.
 _NEAR_MISS_CAP = 8
 _CLIMB_STEP_CAP = 10_000
-# Key offset of the lockstep climbs: above every |gain| <= N_MAX - 1, and
-# small enough that every key fits int16.
+# Key offset of the climbs: above every |gain| <= N_MAX - 1, and small
+# enough that every key fits int16.
 _KEY_OFFSET = 1 << 13
 
 
 def _hill_climbs(adj: np.ndarray,
                  starts: list[int]) -> tuple[list[tuple[int, int, float, int]], int]:
     """Steepest-descent single-vertex moves on the forward-density ratio,
-    one climb per start, all run in lockstep.
+    one climb per start, each run to its end before the next starts.
 
     Returns, per start, (X1, e_forward, ratio, accepted moves), and the
-    number of lockstep steps. gain[v] is the number of out-neighbours of v
-    in X2 minus its in-neighbours in X1, so moving v changes e_forward by
-    -gain[v] from X1 and by +gain[v] from X2; moving v changes every gain
-    by +-(row v + column v of adj). Each climb is one row of the int16
-    matrix key = -(OFF + gain) on X1 and OFF - gain on X2: every X1 key is
-    below every X2 key, so the row's argmin is the best move out of X1 and
-    its argmax the best move into X1, both ties to the smallest vertex.
-    The move with the smaller new ratio wins (ties to the smaller vertex),
-    a move that would empty a side gets ratio inf, and the move is taken
-    only if it beats the current ratio by more than 1e-15. numpy's float64
-    division of these integers gives the same float as Python's int / int.
-    A climb that stops, or reaches _CLIMB_STEP_CAP moves, leaves the batch.
+    steps of the longest climb: its moves plus the step that finds no
+    move left, at most _CLIMB_STEP_CAP. gain[v] is the number of
+    out-neighbours of v in X2 minus its in-neighbours in X1, so moving v
+    changes e_forward by -gain[v] from X1 and by +gain[v] from X2, and
+    every gain by +-(row v + column v of adj). A climb keeps one int16 key
+    vector, -(OFF + gain) on X1 and OFF - gain on X2: every X1 key is
+    below every X2 key, so its argmin is the best move out of X1 and its
+    argmax the best move into X1, both ties to the smallest vertex. The
+    move with the smaller new ratio wins (ties to the smaller vertex), a
+    move that would empty a side gets ratio inf, and the move is taken
+    only if it beats the current ratio by more than 1e-15. A climb stops
+    after _CLIMB_STEP_CAP moves.
     """
     n = adj.shape[0]
-    out: list = [None] * len(starts)
-    if not starts:
-        return out, 0
-    # a move of v subtracts row v (out of X1) or row n + v (into X1) of
-    # step from the key: +-(row v + column v of adj), with the diagonal
-    # entry moving v's own key across the offset
-    step = np.empty((2 * n, n), dtype=np.int16)
-    sym = np.add(adj, adj.T, out=step[:n])
-    np.negative(sym, out=step[n:])
-    outdeg = adj.sum(axis=1)
-    rows = set_rows(starts, n).astype(np.int16)
-    # einsum multiplies int16 matrices exactly with vectorised loops;
-    # matmul has no fast path for integer types and is several times slower
-    gain = outdeg.astype(np.int16) - np.einsum("iu,uv->iv", rows, sym)
-    key = np.int16(_KEY_OFFSET) * (1 - 2 * rows) - gain
-    # sum over X1 of out-degree + gain = 2 * e_forward
-    e = (rows @ outdeg + (rows * gain).sum(axis=1)) // 2
-    s1 = rows.sum(axis=1)
-    ratio = e / (s1 * (n - s1))
-    del rows, gain
-    diag = np.arange(n)
-    step[diag, diag] = -2 * _KEY_OFFSET
-    step[n + diag, diag] = 2 * _KEY_OFFSET
-    # |X1| * |X2| after a move out of (into) X1, by the current |X1|; 1
-    # stands in for the 0 of a move that would empty a side
-    size = np.arange(n + 1)
-    d_out = np.maximum((size - 1) * (n - size + 1), 1)
-    d_in = np.maximum((size + 1) * (n - size - 1), 1)
-    live = np.arange(len(starts))
-    base = live * n
-    # a move's new e_forward is eo + key out of X1 and eo - key into X1
-    eo = e + _KEY_OFFSET
-    steps = moves = 0
-
-    def leave(keep: np.ndarray):
-        gone = np.flatnonzero(~keep)
-        masks = row_masks(key[gone] < 0)
-        for j, x1 in zip(gone, masks):
-            out[live[j]] = (x1, int(eo[j]) - _KEY_OFFSET, float(ratio[j]), moves)
-
-    while moves < _CLIMB_STEP_CAP:
-        steps += 1
-        v_out = key.argmin(axis=1)
-        v_in = key.argmax(axis=1)
-        flat = key.ravel()
-        ne_out = eo + flat[base + v_out]
-        ne_in = eo - flat[base + v_in]
-        r_out = np.where(s1 > 1, ne_out / d_out[s1], np.inf)
-        r_in = np.where(s1 < n - 1, ne_in / d_in[s1], np.inf)
-        take_out = (r_out < r_in) | ((r_out == r_in) & (v_out < v_in))
-        r = np.where(take_out, r_out, r_in)
-        ok = r < ratio - 1e-15
-        if not ok.all():
-            leave(ok)
-            live, key, s1 = live[ok], key[ok], s1[ok]
-            v_out, v_in, take_out = v_out[ok], v_in[ok], take_out[ok]
-            ne_out, ne_in, r = ne_out[ok], ne_in[ok], r[ok]
-            base = np.arange(live.size) * n
-            if not live.size:
+    sym = adj + adj.T
+    outdeg = adj.sum(axis=1, dtype=np.int16)
+    out = []
+    steps = 0
+    for x1 in starts:
+        side = set_rows([x1], n)[0].astype(bool)
+        gain = outdeg - sym[side].sum(axis=0, dtype=np.int16)
+        key = np.where(side, -(_KEY_OFFSET + gain), _KEY_OFFSET - gain)
+        # sum over X1 of out-degree + gain = 2 * e_forward
+        e = int(outdeg[side].sum() + gain[side].sum()) // 2
+        s1 = x1.bit_count()
+        ratio = e / (s1 * (n - s1))
+        moves = 0
+        while moves < _CLIMB_STEP_CAP:
+            v_out, v_in = int(key.argmin()), int(key.argmax())
+            e_out = e + _KEY_OFFSET + int(key[v_out])
+            e_in = e + _KEY_OFFSET - int(key[v_in])
+            r_out = e_out / ((s1 - 1) * (n - s1 + 1)) if s1 > 1 else np.inf
+            r_in = e_in / ((s1 + 1) * (n - s1 - 1)) if s1 < n - 1 else np.inf
+            # sign +1 moves v out of X1, -1 into X1
+            if r_out < r_in or (r_out == r_in and v_out < v_in):
+                r, v, e_new, sign = r_out, v_out, e_out, 1
+            else:
+                r, v, e_new, sign = r_in, v_in, e_in, -1
+            if not r < ratio - 1e-15:
                 break
-        moves += 1
-        key -= step[np.where(take_out, v_out, v_in + n)]
-        eo = np.where(take_out, ne_out, ne_in) + _KEY_OFFSET
-        s1 = np.where(take_out, s1 - 1, s1 + 1)
-        ratio = r
-    if live.size:
-        leave(np.zeros(live.size, dtype=bool))
+            # every key moves by -+(row v of sym), and v's own key crosses
+            # the offset
+            key -= sign * sym[v]
+            key[v] += sign * 2 * _KEY_OFFSET
+            x1 ^= 1 << v
+            e, s1, ratio = e_new, s1 - sign, r
+            moves += 1
+        out.append((x1, e, ratio, moves))
+        steps = max(steps, min(moves + 1, _CLIMB_STEP_CAP))
     return out, steps
 
 
@@ -552,14 +519,14 @@ def find_sparse_cut(g: Digraph, alpha: float,
     Exact sweep up to n = 24 (so an empty result is a proof of absence);
     beyond that, local search from condensation prefixes, degree prefixes
     and hint masks, whose forward edge counts come from the prefix walk of
-    _prefixes. One lockstep batch climbs from the hints, then the 8 best
-    prefix starts, and the results are considered in that order after the
+    _prefixes. Climbs start from the hints, then the 8 best prefix
+    starts, and their results are considered in that order after the
     prefix starts. Above minimum degree n a sparse cut shows in the
     degree orders: the side sending few edges forward must make up its
     degree by receiving edges. climb_moves sums the accepted moves of all
-    climbs, climb_steps counts the lockstep steps (at most the longest
-    climb's moves plus one). Up to _NEAR_MISS_CAP near misses within a
-    factor 2 of alpha are reported for diagnostics.
+    climbs, climb_steps counts the steps of the longest climb (its moves
+    plus one, at most _CLIMB_STEP_CAP). Up to _NEAR_MISS_CAP near misses
+    within a factor 2 of alpha are reported for diagnostics.
     """
     if g.n < 2:
         raise PreconditionError("cuts need at least 2 vertices")

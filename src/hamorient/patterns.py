@@ -13,10 +13,11 @@ canonical_rotation takes the least length-n slice of the doubled string.
 
 This module is the one home of directed-run logic: cyclic_runs walks the
 maximal runs of equal entries of a cyclic sequence once; run_frame frames
-a longest directed run forward at position 0 from them; classify_case
-reads its length for the case split; switches lists the sources and
-sinks, and the case-2 planner relocates sinks from that list. The
-embedding planner's stretches are the runs of its class assignment.
+a longest directed run forward at position 0 from them; case_of_run
+reads the case split from its length, for classify_case and
+embed_hamilton_orientation alike; switches lists the sources and sinks, and the
+case-2 planner relocates sinks from that list. The embedding planner's
+stretches are the runs of its class assignment.
 
 Plan geometry (case-2 segments, case-1b blocks) lives with its planner in
 embedding.py; this module holds pattern calculus only.
@@ -220,9 +221,14 @@ def run_frame(c: CyclePattern) -> tuple[int, bool, int]:
                key=lambda f: (f[2], not f[1], -f[0]))
 
 
+def case_of_run(ell: int, n: int, beta: float) -> str:
+    """'case1' iff a longest directed run of ell vertices spans at least
+    floor(beta*n) of the n, else 'case2'."""
+    return "case1" if ell >= int_floor(beta * n) else "case2"
+
+
 def classify_case(c: CyclePattern, beta: float) -> tuple[str, int]:
-    """Dispatch on the longest directed run: 'case1' iff it spans at least
-    floor(beta*n) vertices, else 'case2'. Returns the run length too."""
+    """Dispatch on the longest directed run (case_of_run). Returns the run
+    length too."""
     ell = run_frame(c)[2]
-    bar = int_floor(beta * c.n)
-    return ("case1" if ell >= bar else "case2"), ell
+    return case_of_run(ell, c.n, beta), ell

@@ -1,9 +1,13 @@
 import csv
 import inspect
 import json
+import math
 import typing
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hamorient import (DecompositionParams, GenSpec, InputError,
                        certify_expander, find_sparse_cut, gen_complete_digraph,
@@ -464,7 +468,8 @@ def test_verify_cut_reports_climb_moves(tmp_path):
     res = find_sparse_cut(read_edges(graph), 0.05)
     assert data["mode"] == "heuristic"
     assert data["counts"]["climb_moves"] == res.climb_moves > 0
-    # the climbs run in lockstep: fewer steps than moves
+    # the longest climb's steps (its moves and one more) are fewer than
+    # the moves of all climbs
     assert 0 < data["counts"]["climb_steps"] == res.climb_steps < res.climb_moves
 
 
@@ -565,6 +570,108 @@ def test_partition_for_another_host_exits_2(workdir, blowup40, capsys):
                  "--partition", part]) == 2
     assert main(["verify", "--input", graph, "--partition", part]) == 2
     assert capsys.readouterr().err.count("partition covers n=40, host has n=24") == 2
+
+
+# --- artifact fuzz ------------------------------------------------------------
+
+# what a mutation writes over one entry of an artifact: booleans, null,
+# NaN, negative, zero, huge and fractional numbers, a string and wrong
+# containers
+MUTANTS = (True, False, None, math.nan, -1, 0, 10**30, 1.5, "x", [], {},
+           [[0, 1]])
+
+
+@pytest.fixture(scope="module")
+def fuzz_hosts(tmp_path_factory):
+    """Two hosts of at most 16 vertices, each with the text of its valid
+    edge list, partition and embedding artifacts and its pattern; and a
+    directory for the mutated copies."""
+    hosts = []
+    for sizes, n in (("8,8", 16), ("5,5,5", 15)):
+        d = tmp_path_factory.mktemp("host")
+        edges, part, emb = (str(d / name) for name in ("g.edges", "p.json", "e.json"))
+        pattern = ("++-" * 6)[:n]
+        assert main(["generate", "--family", "blowup", "--sizes", sizes,
+                     "--seed", "1", "--out", edges]) == 0
+        assert main(["partition", "--input", edges, "--out", part]) == 0
+        assert main(["embed", "--input", edges, "--pattern", pattern,
+                     "--partition", part, "--out", emb]) == 0
+        hosts.append(({kind: Path(path).read_text() for kind, path
+                       in (("edges", edges), ("partition", part),
+                           ("embedding", emb))}, pattern))
+    return hosts, tmp_path_factory.mktemp("mutated")
+
+
+def _json_paths(doc, path=()):
+    """Every key of every object, and the first three entries of every
+    list, as paths from the root."""
+    if isinstance(doc, dict):
+        entries = doc.items()
+    elif isinstance(doc, list):
+        entries = enumerate(doc[:3])
+    else:
+        return
+    for key, value in entries:
+        yield path + (key,)
+        yield from _json_paths(value, path + (key,))
+
+
+def _mutate(kind, text, entry, value):
+    """text with one entry overwritten by value. In an edge list, entry
+    counts the tokens of the header and the first three edge lines; in
+    JSON it counts the paths of _json_paths, or names a top-level key."""
+    if kind == "edges":
+        lines = text.splitlines()
+        head = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        i, j = divmod(entry % 8, 2)
+        tokens = lines[head + i].split()
+        tokens[j] = json.dumps(value)
+        lines[head + i] = " ".join(tokens)
+        return "\n".join(lines) + "\n"
+    doc = json.loads(text)
+    if isinstance(entry, str):
+        parents, key = (), entry
+    else:
+        paths = list(_json_paths(doc))
+        *parents, key = paths[entry % len(paths)]
+    at = doc
+    for step in parents:
+        at = at[step]
+    at[key] = value
+    return json.dumps(doc)
+
+
+# drawn examples seldom hit one given entry, so these are pinned: a vertex
+# count far above N_MAX in an edge-list header and in a partition (the
+# partition reader once built range(n) for it)
+@example(host=0, kind="edges", entry=0, value=10**30)
+@example(host=0, kind="partition", entry="n", value=10**30)
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(host=st.integers(0, 1),
+       kind=st.sampled_from(("edges", "partition", "embedding")),
+       entry=st.integers(0, 1 << 10), value=st.sampled_from(MUTANTS))
+def test_mutated_artifacts_end_in_an_exit_code(fuzz_hosts, host, kind, entry,
+                                               value):
+    """Every command that reads an edge list, a partition or an embedding
+    ends a run on a mutated artifact with a result or a usage error, never
+    an uncaught exception."""
+    hosts, d = fuzz_hosts
+    texts, pattern = hosts[host]
+    files = {}
+    for name, text in texts.items():
+        files[name] = str(d / name)
+        Path(files[name]).write_text(
+            _mutate(kind, text, entry, value) if name == kind else text)
+    edges, part, emb = files["edges"], files["partition"], files["embedding"]
+    out = str(d / "out.json")
+    for argv in (["partition", "--input", edges, "--out", out],
+                 ["verify", "--input", edges, "--partition", part,
+                  "--out", out],
+                 ["embed", "--input", edges, "--pattern", pattern,
+                  "--partition", part, "--out", out],
+                 ["verify", "--input", edges, "--embedding", emb,
+                  "--pattern", pattern, "--out", out]):
+        assert main(argv) in (0, 1, 2), argv
 
 
 @pytest.mark.parametrize("call", [

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from hamorient import (CutCertificate, DecompositionParams, ExpansionVerdict,
-                       HypothesisError, InputError,
+from hamorient import (CutCertificate, DecompositionParams, Digraph,
+                       ExpansionVerdict, HypothesisError, InputError,
                        PreconditionError, StructurePartition,
                        certify_expander, clean_cut,
                        decompose, fit_decomposition_params, gen_blowup_tt,
@@ -220,6 +220,22 @@ def test_decompose_certifies_large_classes_by_the_degree_bound(monkeypatch):
     assert report.ok and report.sampled_classes == (1,)
     assert [(d["expander"], d["mode"]) for d in report.clause2[1]] \
         == [("expander", "degree"), ("inconclusive", "sampled")]
+
+
+def test_theorem_scale_splits_at_the_first_level_the_cut_meets():
+    # one forward edge across two complete blocks of 600: the cut's ratio
+    # 1/600^2 = 2.8e-6 lies above the searches of rounds 0 and 1
+    # (2.6e-22, 1.6e-11) and below round 2's (4e-6), so the class must
+    # stay live until round 2
+    g0 = gen_blowup_tt([600, 600], intra=1.0, forward_noise=0.0, seed=0)
+    g = Digraph.from_edge_list(1200, g0.edges() + [(0, 600)])
+    p = DecompositionParams(k=3, zeta=0.2)
+    assert p.theorem_scale and p.round_levels(2)[0] == pytest.approx(4e-6)
+    sp = decompose(g, p)
+    assert sp.sizes() == [600, 600] and sp.report.ok
+    assert [(a["event"], a["round"]) for a in sp.audit] \
+        == [("no_cut", 0), ("no_cut", 1), ("split", 2)]
+    assert sp.audit[-1]["cut_ratio"] == 1 / 600 ** 2
 
 
 def test_decompose_audit_trail():

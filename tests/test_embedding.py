@@ -16,7 +16,7 @@ from hamorient import (CyclePattern, EmbedResult, InputError, PathPattern,
                        gen_random_min_degree, pancyclic_suite,
                        reverse_for_embedding, select_connectors,
                        tt_embed_path, two_factor, validate_embedding)
-from hamorient import embedding
+from hamorient import embedding, patterns
 from hamorient.bitset import mask_of
 from hamorient.embedding import _Ledger, _PlanError, _plan_case1a
 from hamorient.patterns import reflect, rotate, run_frame
@@ -398,6 +398,27 @@ def test_case1_embeds_never_call_the_case2_planner(monkeypatch):
     res = embed_hamilton_orientation(g, sp, rand_pattern(60, 0))
     assert (res.case, res.attempts) == ("case1", embedding._CONNECTOR_ATTEMPTS)
     assert calls == []
+
+
+def test_embed_frames_the_runs_once_per_call(monkeypatch):
+    # embed_hamilton_orientation reads the case from the run length it
+    # framed, so a multi-class embed frames the longest run once, in
+    # either case
+    calls = []
+
+    def spy(c):
+        calls.append(c.n)
+        return run_frame(c)
+
+    monkeypatch.setattr(patterns, "run_frame", spy)
+    monkeypatch.setattr(embedding, "run_frame", spy)
+    g, sp = embedding_partition([30, 30], seed=1)
+    for c, case in ((rand_pattern(60, 0), "case1b"),
+                    (CyclePattern.antidirected(60), "case2")):
+        calls.clear()
+        res = embed_hamilton_orientation(g, sp, c)
+        assert res.ok and res.case == case
+        assert calls == [60]
 
 
 _STEP = re.compile(r"[a-z0-9-]+(:[a-z0-9@-]+)+")

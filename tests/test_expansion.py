@@ -525,6 +525,25 @@ def _two_communities(n, seed):
     return Digraph.from_edge_list(n, sorted(edges))
 
 
+def test_climbs_reach_the_planted_cut_below_minimum_degree_n(monkeypatch):
+    # below minimum degree n no prefix start is the planted cut (ratio
+    # 2/n: n/2 forward edges across two halves); the climbs reach it on
+    # all hosts but two
+    hosts = [(n, seed) for n in (40, 60, 100, 150, 200) for seed in range(3)]
+    found = set()
+    for n, seed in hosts:
+        res = find_sparse_cut(_two_communities(n, seed), 0.1)
+        if res.found:
+            found.add((n, seed))
+            cut = res.certificate
+            assert (cut.e_forward, cut.side1.bit_count()) == (n // 2, n // 2)
+    assert found == set(hosts) - {(60, 2), (200, 1)}
+    # with climbs that take no move, the prefix starts alone find none
+    monkeypatch.setattr(expansion, "_CLIMB_STEP_CAP", 0)
+    assert not any(find_sparse_cut(_two_communities(n, seed), 0.1).found
+                   for n, seed in hosts)
+
+
 def test_hill_climb_matches_reference(monkeypatch):
     hosts = []
     for n in (25, 40, 70, 130):
@@ -689,8 +708,8 @@ def test_climb_moves_sum_over_climbs(monkeypatch):
     [(climbs, moves, steps)] = calls
     assert climbs == 8                    # the best prefix starts
     assert res.mode == "heuristic" and res.climb_moves == sum(moves) > 0
-    # the climbs run in lockstep: one step per move of the longest climb,
-    # and one to find that it has no move left
+    # climb_steps counts the longest climb's steps: one per move, and one
+    # to find that it has no move left
     assert res.climb_steps == steps == max(moves) + 1
     exact = find_sparse_cut(gen_blowup_tt([10, 10], 0.95, 0.001, 1), 0.05)
     assert exact.mode == "exact" and exact.climb_moves == exact.climb_steps == 0
@@ -699,15 +718,16 @@ def test_climb_moves_sum_over_climbs(monkeypatch):
 # sha256 of find_sparse_cut's results (certificate, best cut, near misses
 # in order, climb moves) above the exact cap, with and without hints; the
 # last call of each host climbs from the hints sparse_or_expander's retry
-# builds from a sampled violator. Recorded with the one-climb-at-a-time
-# search that the lockstep climbs replaced, and re-recorded when sampled
-# certification's random sets began to be drawn as rows (only the climb
-# moves of the retry calls moved), again when the random restarts were
-# deleted (found, certificate and best cut unchanged on all 42 calls; the
-# climb moves changed, and so did the uncapped near-miss list of n = 60),
-# and when sampled certification dropped its random sets (the retry
-# hints come from a prefix violator: only the climb moves of the 7 retry
-# calls moved).
+# builds from a sampled violator. Recorded with one climb at a time and
+# unchanged by the lockstep batch of climbs that replaced it; re-recorded
+# when sampled certification's random sets began to be drawn as rows
+# (only the climb moves of the retry calls moved), again when the random
+# restarts were deleted (found, certificate and best cut unchanged on all
+# 42 calls; the climb moves changed, and so did the uncapped near-miss
+# list of n = 60), and when sampled certification dropped its random sets
+# (the retry hints come from a prefix violator: only the climb moves of
+# the 7 retry calls moved). Going back to one climb at a time left it
+# unchanged.
 GOLDEN_CUT_SEARCH = \
     "aa592668ea4d98e830d801544a0a2c7f1259db87633b2a29815513afed192220"
 

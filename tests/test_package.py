@@ -124,3 +124,38 @@ def test_no_unused_imports():
              for path in sorted((root / top).rglob("*.py"))
              if (names := _unused_imports(path))}
     assert found == {}
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """Module-level private functions, classes and constants."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return {name for name in names
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def test_no_dead_private_code():
+    """Each module-level private name in src/ is read by its own module or
+    imported by another module of src/."""
+    paths = sorted(Path(hamorient.__file__).resolve().parent.rglob("*.py"))
+    trees = {path.stem: ast.parse(path.read_text()) for path in paths}
+    imported = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                imported.setdefault(node.module.rsplit(".", 1)[-1], set()) \
+                    .update(a.name for a in node.names)
+    dead = {}
+    for module, tree in trees.items():
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        read |= imported.get(module, set())
+        if names := sorted(_private_definitions(tree) - read):
+            dead[module] = names
+    assert dead == {}
